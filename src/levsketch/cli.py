@@ -18,7 +18,6 @@ import time
 import numpy as np
 
 from . import errors, io, matcore
-from ._kernels import backend_name
 from .crosslev import approx_cross_leverage, heavy_pairs
 from .levscore import approx_leverage, coherence, mi_estimate
 from .rankklev import frobenius_rankk, spectral_rankk
@@ -49,7 +48,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c2", type=float, default=12.0)
     p.add_argument("--pi1", default="srht", choices=["srht", "fullrht"])
     p.add_argument("--pi2", default="sparse", choices=["sparse", "identity"])
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--retries", type=int, default=3)
     p.add_argument("--output", "-o", default=None, help="write JSON/CSV here")
     p.add_argument("--output-format", default="json", choices=["json", "csv"])
@@ -102,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--mode", default="practical", choices=["theory", "practical"])
-    p.add_argument("--kernel", default=None, choices=["fwht"],
-                   help="instead benchmark a kernel across numba/numpy backends")
     p.add_argument("--output", "-o", default=None)
     p.add_argument("--output-format", default="csv", choices=["json", "csv"])
     return ap
@@ -296,8 +292,6 @@ def _run_underls(args) -> dict:
 
 
 def _run_bench(args) -> dict:
-    if args.kernel == "fwht":
-        return _bench_fwht(args)
     seed = args.seed if args.seed is not None else _default_seed()
     n_grid = [int(v) for v in args.n_grid.split(",")]
     d_grid = [int(v) for v in args.d_grid.split(",")]
@@ -324,42 +318,10 @@ def _run_bench(args) -> dict:
                     / exact.scores[nz])))
             rows.append([n, d, t_exact, t_sk / args.trials, max_err])
     return {"params": {"eps": args.eps, "mode": args.mode,
-                       "trials": args.trials, "backend": backend_name()},
+                       "trials": args.trials},
             "seed": seed, "timings_ms": {},
             "result": {"columns": ["n", "d", "exact_ms", "sketched_ms",
                                    "max_rel_err"],
-                       "rows": rows}}
-
-
-def _bench_fwht(args) -> dict:
-    """Time the Hadamard kernel under both backends (numba vs numpy)."""
-    from ._kernels import _HAVE_NUMBA, _fwht_2d_numba, _fwht_2d_numpy
-    seed = args.seed if args.seed is not None else _default_seed()
-    n_grid = [int(v) for v in args.n_grid.split(",")]
-    d = int(args.d_grid.split(",")[0])
-    rng = np.random.default_rng(seed)
-    rows = []
-    for n in n_grid:
-        a = rng.standard_normal((n, d))
-        per_backend = {}
-        backends = [("numpy", _fwht_2d_numpy)]
-        if _HAVE_NUMBA:
-            backends.append(("numba", _fwht_2d_numba))
-        for name, fn in backends:
-            fn(a.copy())  # warmup (JIT compile for numba)
-            best = math.inf
-            for _ in range(max(1, args.trials)):
-                buf = a.copy()
-                t0 = time.perf_counter()
-                fn(buf)
-                best = min(best, (time.perf_counter() - t0) * 1e3)
-            per_backend[name] = best
-        rows.append([n, d, per_backend.get("numpy", float("nan")),
-                     per_backend.get("numba", float("nan"))])
-    return {"params": {"kernel": "fwht", "trials": args.trials,
-                       "numba_available": _HAVE_NUMBA},
-            "seed": seed, "timings_ms": {},
-            "result": {"columns": ["n", "d", "numpy_ms", "numba_ms"],
                        "rows": rows}}
 
 
@@ -371,9 +333,6 @@ _RUNNERS = {"leverage": _run_leverage, "exact": _run_exact,
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = getattr(args, "threads", 1)
-    if threads and threads > 0:
-        os.environ.setdefault("NUMBA_NUM_THREADS", str(threads))
     try:
         doc = _RUNNERS[args.command](args)
     except _RetriesExhausted as exc:

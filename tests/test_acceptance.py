@@ -121,7 +121,7 @@ def _naive_hadamard(x: np.ndarray) -> np.ndarray:
 def test_criterion_03_fwht_equals_naive():
     rng = np.random.default_rng(3)
     worst = 0.0
-    for n in (2, 4, 8, 16, 32, 64):
+    for n in (2 ** p for p in range(1, 14)):
         for _ in range(5):
             x = rng.standard_normal(n)
             worst = max(worst, float(np.max(np.abs(fwht(x) - _naive_hadamard(x)))))
@@ -303,7 +303,7 @@ def test_criterion_10_scaling_sanity():
     d = 32
     ns = [2 ** p for p in range(10, 16)]
     warm = np.random.default_rng(0).standard_normal((1024, d))
-    approx_leverage(warm, make_plan(1024, d, EPS), seed=0)  # jit warm-up
+    approx_leverage(warm, make_plan(1024, d, EPS), seed=0)  # warm-up
     sketch_times = []
     for n in ns:
         A = np.random.default_rng(n).standard_normal((n, d))
@@ -340,13 +340,12 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
     save_matrix(rng.standard_normal((6, 300)), wide, "csv")
     save_matrix(rng.standard_normal((6, 1)), rhs, "csv")
     commands = [
-        ["leverage", str(tall), "--seed", "9", "--threads", "1"],
-        ["exact", str(tall), "--threads", "1"],
-        ["coherence", str(tall), "--seed", "9", "--threads", "1"],
-        ["cross", str(tall), "--kappa", "nlogn", "--seed", "9", "--threads", "1"],
-        ["rankk", str(square), "--k", "3", "--norm", "frobenius",
-         "--seed", "9", "--threads", "1"],
-        ["underls", str(wide), "--rhs", str(rhs), "--seed", "9", "--threads", "1"],
+        ["leverage", str(tall), "--seed", "9"],
+        ["exact", str(tall)],
+        ["coherence", str(tall), "--seed", "9"],
+        ["cross", str(tall), "--kappa", "nlogn", "--seed", "9"],
+        ["rankk", str(square), "--k", "3", "--norm", "frobenius", "--seed", "9"],
+        ["underls", str(wide), "--rhs", str(rhs), "--seed", "9"],
     ]
     ok = True
     for argv in commands:

@@ -120,7 +120,7 @@ def test_cli_determinism_byte_identical(tmp_path, capsys, rng):
     path = write_fixture(tmp_path, A)
 
     def payload():
-        code = main(["leverage", path, "--seed", "11", "--threads", "1"])
+        code = main(["leverage", path, "--seed", "11"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         doc.pop("timings_ms")
@@ -219,10 +219,13 @@ def test_cli_bench_smoke(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_cli_bench_fwht_backends(tmp_path, capsys):
-    code, doc = None, None
-    code = main(["bench", "--kernel", "fwht", "--n-grid", "256,1024",
-                 "--d-grid", "8", "--trials", "2", "--output-format", "json"])
+def test_cli_bench_json_grid(capsys):
+    code, doc = run_cli(capsys, ["bench", "--n-grid", "256,1024",
+                                 "--d-grid", "8,300", "--trials", "1",
+                                 "--seed", "0", "--output-format", "json"])
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["result"]["columns"] == ["n", "d", "numpy_ms", "numba_ms"]
+    assert "backend" not in doc["params"]
+    assert doc["result"]["columns"] == ["n", "d", "exact_ms", "sketched_ms",
+                                        "max_rel_err"]
+    assert [row[:2] for row in doc["result"]["rows"]] == [
+        [256, 8], [1024, 8], [1024, 300]]

@@ -1,10 +1,15 @@
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levsketch
 from levsketch import (SketchOperator, apply_gaussian, apply_sparse_jlt,
                        apply_srht, errors, fjlt_dim, fwht, jlt_dim, make_plan)
 from levsketch.sketch import next_pow2
@@ -32,11 +37,27 @@ def test_fwht_first_basis_vector():
     np.testing.assert_allclose(fwht(e1), np.full(8, 1 / math.sqrt(8)))
 
 
-@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 2048])
 def test_fwht_matches_naive_matrix(n):
     rng = np.random.default_rng(n)
-    x = rng.standard_normal(n)
+    x = rng.standard_normal((n, 3))
     np.testing.assert_allclose(fwht(x), naive_hadamard(n) @ x, atol=1e-12)
+
+
+def test_fwht_uneven_blocks_and_tiles_match_oracle():
+    # 2^17 rows split into blocks 2^6, 2^6, 2^5; 64 columns overflow the
+    # kernel's scratch, so the first block is applied in column tiles.
+    log_n = 17
+    n = 1 << log_n
+    x = np.random.default_rng(17).standard_normal((n, 64))
+    y = fwht(x)
+    j = np.arange(n)
+    for i in (0, 1, 63, 64, 2047, 2048, 77777, n - 1):
+        parity = np.zeros(n, dtype=np.int64)
+        for bit in range(log_n):
+            parity ^= ((i & j) >> bit) & 1
+        row = (1.0 - 2.0 * parity) / math.sqrt(n)
+        np.testing.assert_allclose(y[i], row @ x, rtol=0, atol=1e-12)
 
 
 @given(st.integers(0, 6), st.integers(0, 2**32 - 1))
@@ -53,6 +74,16 @@ def test_fwht_orthogonal_and_involutive(log_n, seed):
 def test_fwht_rejects_non_power_of_two():
     with pytest.raises(errors.NotPowerOfTwo):
         fwht(np.ones(3))
+
+
+def test_import_leaves_environment_alone():
+    src = Path(levsketch.__file__).resolve().parent.parent
+    code = ("import json, os; before = dict(os.environ); import levsketch; "
+            "print(json.dumps([sorted(k for k in os.environ "
+            "if os.environ[k] != before.get(k)), levsketch.backend_name()]))")
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [[], "numpy"]
 
 
 # ---------------------------------------------------------------- dims
