@@ -233,8 +233,12 @@ def _run_cross(args) -> dict:
     seed = args.seed if args.seed is not None else _default_seed()
     kappa = _resolve_kappa(args.kappa, n)
     if args.exact_pairs:
+        t0 = time.perf_counter()
         f = matcore.thin_svd(A)
+        t1 = time.perf_counter()
         hp = heavy_pairs(f.U, kappa)
+        hp.timings_ms = {"svd_ms": (t1 - t0) * 1e3,
+                         "search_ms": (time.perf_counter() - t1) * 1e3}
         if args.off_diagonal_only:
             hp = hp.off_diagonal()
         used_seed = seed
@@ -247,10 +251,11 @@ def _run_cross(args) -> dict:
             seed, args.retries)
         params = {"n": n, "d": d, "kappa": kappa, "exact": False,
                   **_plan_params(plan)}
-    return {"params": params, "seed": used_seed, "timings_ms": {},
+    return {"params": params, "seed": used_seed, "timings_ms": hp.timings_ms,
             "result": {"pairs": [[i, j, c] for i, j, c in hp.pairs],
                        "threshold": hp.threshold,
-                       "gram_fro_sq": hp.gram_fro_sq}}
+                       "gram_fro_sq": hp.gram_fro_sq,
+                       "candidates": hp.candidates}}
 
 
 def _run_rankk(args) -> dict:

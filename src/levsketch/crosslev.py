@@ -1,15 +1,18 @@
 """Heavy-pair search and large cross-leverage score approximation.
 
-The two-pointer search enumerates exactly the pairs of rows of X whose
-squared inner product clears ||X^T X||_F^2 / kappa, examining only
-norm-heavy candidates (a Cauchy-Schwarz superset of bounded size). The
-sketched variant runs it on the leverage sketch Omega with kappa rescaled
-by ||Omega^T Omega||_F^2 / d, giving an effective cutoff of d / kappa.
+The search enumerates exactly the pairs of rows of X whose squared inner
+product clears ||X^T X||_F^2 / kappa, examining only norm-heavy candidates
+(a Cauchy-Schwarz superset of bounded size) with blocked matrix products.
+The sketched variant searches a factor of the leverage sketch
+Omega = A R^{-1} Pi2 that has Omega's row inner products but is no wider
+than rank(A), with kappa rescaled by ||Omega^T Omega||_F^2 / d, giving an
+effective cutoff of d / kappa.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -17,19 +20,29 @@ import numpy as np
 
 from . import errors
 from ._kernels import row_sq_norms
-from .levscore import approx_leverage
+from .levscore import _stage1, _stage2_operator
 from .matcore import validate_matrix
-from .sketch import SketchPlan
+from .sketch import SketchPlan, _sparse_jlt_matrix
+
+# float64 elements in one tile of inner products or of gathered rows (4 MB)
+_BLOCK_ELEMS = 1 << 19
 
 
 @dataclass
 class HeavyPairSet:
-    """Unordered pairs (i <= j) with squared inner products above threshold."""
+    """Unordered pairs (i <= j) with squared inner products above threshold.
+
+    ``candidates`` counts the norm-heavy pairs the search examined;
+    ``timings_ms`` holds per-phase wall-clock times where the producer
+    measured them.
+    """
 
     pairs: List[Tuple[int, int, float]] = field(default_factory=list)
     threshold: float = 0.0
     kappa: float = 0.0
     gram_fro_sq: float = 0.0
+    candidates: int = 0
+    timings_ms: dict = field(default_factory=dict, compare=False)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -41,15 +54,18 @@ class HeavyPairSet:
         return HeavyPairSet(
             pairs=[p for p in self.pairs if p[0] != p[1]],
             threshold=self.threshold, kappa=self.kappa,
-            gram_fro_sq=self.gram_fro_sq)
+            gram_fro_sq=self.gram_fro_sq, candidates=self.candidates,
+            timings_ms=dict(self.timings_ms))
 
 
 def heavy_pairs(x, kappa: float) -> HeavyPairSet:
     """All pairs (i, j), i <= j, with <x_i, x_j>^2 >= ||X^T X||_F^2 / kappa.
 
-    Exact and deterministic: rows are sorted by norm (ties by index), a
-    two-pointer scan emits the norm-heavy candidates, and each candidate is
-    verified by an explicit inner product. O(nr + kappa r^2 + n ln n).
+    Exact and deterministic: rows are ranked by squared norm (ties by
+    index), each ranked row z gets its first partner first[z], the lowest
+    rank j with ||x_z||^2 ||x_j||^2 >= threshold, and the candidates
+    first[z] <= j <= z are verified by blocked matrix products.
+    O(nr + kappa r^2 + n ln n).
     """
     X = validate_matrix(x)
     if not (kappa > 1.0):
@@ -63,38 +79,76 @@ def heavy_pairs(x, kappa: float) -> HeavyPairSet:
 
     norms = row_sq_norms(X)
     order = np.lexsort((np.arange(n), norms))  # ascending norm, ties by index
-    Xs = X[order]
-    ns = norms[order]
+    first = _first_partners(norms[order], threshold)
+    # first[] does not increase with z, so the rows with a partner
+    # (first[z] <= z) are the top ranks z0..n-1; their partners reach down
+    # to first[n-1] and include rows that have no partner of their own.
+    with_partner = np.flatnonzero(first <= np.arange(n))
+    candidates = int(np.sum(with_partner - first[with_partner] + 1))
+    z0 = int(with_partner[0]) if with_partner.size else n
 
-    found: List[Tuple[int, int, float]] = []
-    z1 = n - 1
-    z2 = 0
-    while z2 <= z1:
-        while ns[z1] * ns[z2] < threshold:
-            z2 += 1
-            if z2 > z1:
-                return _finish(found, threshold, kappa, gram_fro_sq, r)
-        # all (z1, j) for j in [z2, z1] are norm-heavy candidates
-        dots = Xs[z2 : z1 + 1] @ Xs[z1]
-        for off, c in enumerate(dots):
-            c_sq = float(c) * float(c)
-            if c_sq >= threshold:
-                a, b = int(order[z1]), int(order[z2 + off])
-                if a > b:
-                    a, b = b, a
-                found.append((a, b, c_sq))
-        z1 -= 1
-    return _finish(found, threshold, kappa, gram_fro_sq, r)
+    rows_per = max(1, min(n - z0, math.isqrt(_BLOCK_ELEMS),
+                          _BLOCK_ELEMS // r))
+    found_i, found_j = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    found_c = [np.empty(0)]
+    for a in range(z0, n, rows_per):
+        b = min(a + rows_per, n)
+        xa = X[order[a:b]]
+        za = np.arange(a, b)[:, None]
+        cols_per = max(1, _BLOCK_ELEMS // max(b - a, r))
+        for c0 in range(int(first[b - 1]), b, cols_per):
+            c1 = min(c0 + cols_per, b)
+            jc = np.arange(c0, c1)
+            sq = xa @ X[order[c0:c1]].T
+            sq *= sq
+            hit = (jc <= za) & (jc >= first[a:b, None]) & (sq >= threshold)
+            zi, ji = np.nonzero(hit)
+            found_i.append(order[a + zi])
+            found_j.append(order[c0 + ji])
+            found_c.append(sq[zi, ji])
+    i, j = np.concatenate(found_i), np.concatenate(found_j)
+    return _finish(np.minimum(i, j), np.maximum(i, j), np.concatenate(found_c),
+                   threshold, kappa, gram_fro_sq, r, candidates)
 
 
-def _finish(found, threshold, kappa, gram_fro_sq, r) -> HeavyPairSet:
-    found.sort()
+def _first_partners(ns: np.ndarray, threshold: float) -> np.ndarray:
+    """first[z] = min{j : ns[z] * ns[j] >= threshold}, or n; ns ascending.
+
+    Rounded products are monotone in each factor, so each row's partners
+    are a suffix of ``ns``. ``searchsorted`` on threshold / ns finds its
+    start up to the rounding of the quotient; the loops then move each
+    start across whole runs of equal norms until the product test itself
+    agrees, so the candidates are exactly those the test admits.
+    """
+    n = ns.size
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        first = np.searchsorted(ns, threshold / ns, side="left")
+    while True:
+        prev = np.maximum(first - 1, 0)
+        down = (first > 0) & (ns * ns[prev] >= threshold)
+        if not down.any():
+            break
+        first[down] = np.searchsorted(ns, ns[prev[down]], side="left")
+    while True:
+        at = np.minimum(first, n - 1)
+        up = (first < n) & (ns * ns[at] < threshold)
+        if not up.any():
+            break
+        first[up] = np.searchsorted(ns, ns[at[up]], side="right")
+    return first
+
+
+def _finish(i, j, c_sq, threshold, kappa, gram_fro_sq, r,
+            candidates=0) -> HeavyPairSet:
+    """Check the count bound and order the pairs (i, j, c_sq) by (i, j)."""
     bound = math.ceil(kappa * r)
-    if len(found) > bound:
-        raise AssertionError(
-            f"heavy-pair count {len(found)} exceeds the kappa*r bound {bound}")
-    return HeavyPairSet(pairs=found, threshold=threshold, kappa=kappa,
-                        gram_fro_sq=gram_fro_sq)
+    if len(i) > bound:
+        raise errors.HeavyPairBoundExceeded(
+            f"heavy-pair count {len(i)} exceeds the kappa*r bound {bound}")
+    idx = np.lexsort((j, i))
+    pairs = list(zip(i[idx].tolist(), j[idx].tolist(), c_sq[idx].tolist()))
+    return HeavyPairSet(pairs=pairs, threshold=threshold, kappa=kappa,
+                        gram_fro_sq=gram_fro_sq, candidates=candidates)
 
 
 def heavy_pairs_brute(x, kappa: float) -> HeavyPairSet:
@@ -123,21 +177,40 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float, seed: int,
                           off_diagonal_only: bool = False) -> HeavyPairSet:
     """Large cross-leverage scores via the leverage sketch.
 
-    Builds Omega with ``approx_leverage`` and searches it for heavy pairs at
-    the rescaled threshold kappa' = kappa ||Omega^T Omega||_F^2 / d, so that
-    the effective cutoff on sketched inner products is exactly d / kappa.
-    Since ||Omega^T Omega||_F^2 <= d (1 + 30 d eps) whenever the sketch
-    preserves pairwise inner products, kappa' <= kappa (1 + 30 d eps).
+    Runs stage 1 of the leverage sketch and searches X = A R^{-1} T^T for
+    heavy pairs, where T is the triangular factor of qr(Pi2^T) for the
+    seeded stage-2 map Pi2 (X = A R^{-1} when Pi2 is the identity). Since
+    Pi2 = T^T Q^T with Q^T Q = I, X X^T = Omega Omega^T for the sketch
+    Omega = A R^{-1} Pi2 that ``approx_leverage`` builds with the same
+    seed: X has Omega's row inner products and ||X^T X||_F, but only
+    min(rank, r2) columns. The search runs at the rescaled threshold
+    kappa' = kappa ||Omega^T Omega||_F^2 / d, so that the effective cutoff
+    on sketched inner products is exactly d / kappa. Since
+    ||Omega^T Omega||_F^2 <= d (1 + 30 d eps) whenever the sketch preserves
+    pairwise inner products, kappa' <= kappa (1 + 30 d eps).
     """
     A = validate_matrix(a)
     if not (kappa > 1.0):
         raise errors.InvalidKappa(f"kappa must exceed 1, got {kappa}")
     d = A.shape[1]
-    _, basis = approx_leverage(A, plan, seed)
-    gram = basis.omega.T @ basis.omega
+    t0 = time.perf_counter()
+    AR, _ = _stage1(A, plan, seed)
+    if plan.pi2_kind == "identity":
+        X = AR
+    elif plan.pi2_kind == "sparse":
+        pi2 = _sparse_jlt_matrix(_stage2_operator(plan, AR.shape[1], seed))
+        X = AR @ np.linalg.qr(pi2.T, mode="r").T
+    else:
+        raise errors.InvalidParameter(f"unknown pi2_kind {plan.pi2_kind!r}")
+    del AR  # free A R^{-1} before the search
+    gram = X.T @ X
     kappa_prime = kappa * float(np.sum(gram * gram)) / d
-    result = heavy_pairs(basis.omega, kappa_prime)
+    t1 = time.perf_counter()
+    result = heavy_pairs(X, kappa_prime)
+    t2 = time.perf_counter()
     result.kappa = kappa
+    result.timings_ms = {"sketch_ms": (t1 - t0) * 1e3,
+                         "search_ms": (t2 - t1) * 1e3}
     if off_diagonal_only:
         result = result.off_diagonal()
     return result

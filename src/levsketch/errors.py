@@ -51,3 +51,7 @@ class RankTooLow(LevsketchError):
 
 class ParseError(LevsketchError):
     """Input file could not be parsed."""
+
+
+class HeavyPairBoundExceeded(LevsketchError):
+    """Heavy-pair search returned more than ceil(kappa * r) pairs."""

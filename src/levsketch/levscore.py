@@ -38,7 +38,7 @@ class Orthogonalizer:
 
 @dataclass
 class SketchedBasis:
-    """The n x r2 sketch Omega = A R^{-1} Pi2, reusable for cross-leverage."""
+    """The n x r2 sketch Omega = A R^{-1} Pi2 behind the scores."""
 
     omega: np.ndarray
     plan: SketchPlan
@@ -84,18 +84,19 @@ def _stage1_operator(plan: SketchPlan, n: int, seed: int) -> SketchOperator:
     return SketchOperator("SRHT", seed, n, min(plan.r1, next_pow2(n)))
 
 
-def approx_leverage(a, plan: SketchPlan, seed: int,
-                    rank_tolerance: float = DEFAULT_RANK_TOL,
-                    source: str = "svd",
-                    allow_rank_deficient: bool = False,
-                    timings: Optional[dict] = None):
-    """Sketched leverage scores of a tall matrix.
+def _stage2_operator(plan: SketchPlan, rank: int, seed: int) -> SketchOperator:
+    return SketchOperator("SparseJLT", seed, rank, plan.r2)
 
-    Returns ``(LeverageReport, SketchedBasis)``; the basis carries the
-    n x r2 sketch for reuse by the heavy-pair search. If ``timings`` is a
-    dict it receives per-phase wall-clock milliseconds.
+
+def _stage1(A: np.ndarray, plan: SketchPlan, seed: int,
+            rank_tolerance: float = DEFAULT_RANK_TOL, source: str = "svd",
+            allow_rank_deficient: bool = False,
+            timings: Optional[dict] = None):
+    """Stage 1 on a validated tall A: the SRHT, R^{-1} and A R^{-1}.
+
+    Returns ``(A R^{-1}, r1)``. If ``timings`` is a dict it receives
+    ``sketch_apply_ms``, ``factorization_ms`` and ``product_ms``.
     """
-    A = validate_matrix(a)
     n, d = A.shape
     if n <= d:
         raise errors.ShapeError(f"need n > d, got shape {A.shape}")
@@ -107,21 +108,44 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
                                 allow_rank_deficient=allow_rank_deficient)
     t2 = time.perf_counter()
     AR = A @ orth.Rinv
+    t3 = time.perf_counter()
+    if timings is not None:
+        timings.update(sketch_apply_ms=(t1 - t0) * 1e3,
+                       factorization_ms=(t2 - t1) * 1e3,
+                       product_ms=(t3 - t2) * 1e3)
+    return AR, op1.out_dim
+
+
+def approx_leverage(a, plan: SketchPlan, seed: int,
+                    rank_tolerance: float = DEFAULT_RANK_TOL,
+                    source: str = "svd",
+                    allow_rank_deficient: bool = False,
+                    timings: Optional[dict] = None):
+    """Sketched leverage scores of a tall matrix.
+
+    Returns ``(LeverageReport, SketchedBasis)``; the basis carries the
+    n x r2 sketch. If ``timings`` is a dict it receives per-phase
+    wall-clock milliseconds.
+    """
+    A = validate_matrix(a)
+    AR, r1 = _stage1(A, plan, seed, rank_tolerance=rank_tolerance,
+                     source=source, allow_rank_deficient=allow_rank_deficient,
+                     timings=timings)
+    rank = AR.shape[1]
+    t2 = time.perf_counter()
     if plan.pi2_kind == "identity":
         omega = AR
     elif plan.pi2_kind == "sparse":
-        op2 = SketchOperator("SparseJLT", seed, orth.rank, plan.r2)
-        omega = apply_sparse_jlt(op2, AR, side="right")
+        omega = apply_sparse_jlt(_stage2_operator(plan, rank, seed), AR,
+                                 side="right")
     else:
         raise errors.InvalidParameter(f"unknown pi2_kind {plan.pi2_kind!r}")
     t3 = time.perf_counter()
     scores = row_sq_norms(omega)
     t4 = time.perf_counter()
     if timings is not None:
-        timings.update(sketch_apply_ms=(t1 - t0) * 1e3,
-                       factorization_ms=(t2 - t1) * 1e3,
-                       product_ms=(t3 - t2) * 1e3,
-                       norms_ms=(t4 - t3) * 1e3)
+        timings["product_ms"] += (t3 - t2) * 1e3
+        timings["norms_ms"] = (t4 - t3) * 1e3
     # structural zero rows stay exactly zero
     scores[~np.any(A, axis=1)] = 0.0
     total = float(scores.sum())
@@ -132,7 +156,7 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
         method="sketched",
         params=plan,
         seed=int(seed),
-        extras={"rank": orth.rank, "r1": op1.out_dim, "r2": omega.shape[1]},
+        extras={"rank": rank, "r1": r1, "r2": omega.shape[1]},
     )
     return report, SketchedBasis(omega=omega, plan=plan, seed1=int(seed),
                                  seed2=int(seed))

@@ -1,11 +1,27 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from levsketch import (approx_cross_leverage, errors, exact_cross_leverage,
-                       exact_leverage, heavy_pairs, make_plan, thin_svd)
-from levsketch.crosslev import heavy_pairs_brute
+from levsketch import (approx_cross_leverage, approx_leverage, crosslev,
+                       errors, exact_cross_leverage, exact_leverage,
+                       heavy_pairs, make_plan, thin_svd)
+from levsketch.crosslev import _finish, heavy_pairs_brute
+
+
+def assert_same_as_brute(X, kappa):
+    """heavy_pairs equals the O(n^2 r) oracle, and its candidate count is
+    the number of pairs i <= j whose squared norms clear the threshold."""
+    fast = heavy_pairs(X, kappa)
+    brute = heavy_pairs_brute(X, kappa)
+    assert fast.indices() == brute.indices()
+    np.testing.assert_allclose([c for _, _, c in fast.pairs],
+                               [c for _, _, c in brute.pairs], rtol=1e-12)
+    norms = np.einsum("ij,ij->i", X, X)
+    norm_test = np.outer(norms, norms) >= fast.threshold
+    assert fast.candidates == int(np.triu(norm_test).sum())
+    return fast
 
 
 def test_two_basis_rows_empty():
@@ -55,6 +71,107 @@ def test_zero_matrix_raises():
 def test_invalid_kappa():
     with pytest.raises(errors.InvalidKappa):
         heavy_pairs(np.eye(3), kappa=1.0)
+
+
+def test_heavy_rows_with_many_light_partners():
+    # an orthonormal basis with two high-leverage rows: at kappa = n ln n
+    # they clear the norm test against most light rows, while no two light
+    # rows do; the light partners have no partner of their own but must
+    # still be searched
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((400, 4))
+    A[:2] *= 10.0
+    X = np.linalg.qr(A)[0]
+    n = X.shape[0]
+    hp = assert_same_as_brute(X, n * math.log(n))
+    norms = np.einsum("ij,ij->i", X, X)
+    assert np.max(norms[2:]) ** 2 < hp.threshold
+    assert hp.candidates > n
+    assert sum(j >= 2 for _, j, _ in hp.pairs) > 10
+
+
+@pytest.mark.parametrize("case", ["zero_rows", "tied_norms", "one_row",
+                                  "one_column", "duplicates"])
+def test_degenerate_shapes_match_brute_force(case):
+    rng = np.random.default_rng(8)
+    if case == "zero_rows":
+        X = rng.standard_normal((50, 4))
+        X[::3] = 0.0
+        X[1] = X[2] * 6.0
+    elif case == "tied_norms":
+        # rows of one Hadamard-like pattern: every squared norm is 4
+        X = rng.choice([-1.0, 1.0], size=(64, 4))
+    elif case == "one_row":
+        X = rng.standard_normal((1, 5))
+    elif case == "one_column":
+        X = rng.standard_normal((80, 1))
+    else:
+        X = np.repeat(rng.standard_normal((5, 3)), 6, axis=0)
+    for kappa in (1.5, 4.0, 30.0, 1e4):
+        assert_same_as_brute(X, kappa)
+
+
+def test_first_partners_follow_the_product_test_at_exact_ties():
+    # thresholds equal to a product of two norms are where the rounded
+    # quotient threshold / ns can land one place off the product test
+    rng = np.random.default_rng(12)
+    ns = np.sort(rng.random(300) * 10.0)
+    ns[50:60] = ns[50]
+    ns[:5] = 0.0
+    for z, j in rng.integers(5, 300, size=(300, 2)):
+        threshold = ns[z] * ns[j]
+        ok = ns[:, None] * ns[None, :] >= threshold
+        expect = np.where(ok.any(axis=1), ok.argmax(axis=1), ns.size)
+        np.testing.assert_array_equal(
+            crosslev._first_partners(ns, threshold), expect)
+
+
+def test_blocked_search_across_many_blocks(monkeypatch):
+    # a 16-element tile holds 4 rows of a 4-column X: the rows with a
+    # partner span several row blocks and their partners several tiles
+    monkeypatch.setattr(crosslev, "_BLOCK_ELEMS", 16)
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((300, 4))
+    X[:40] *= np.linspace(3.0, 12.0, 40)[:, None]
+    X[41] = X[0]
+    kappa = 300 * math.log(300)
+    hp = assert_same_as_brute(X, kappa)
+    norms = np.einsum("ij,ij->i", X, X)
+    # ranked row z has a partner j <= z exactly when its own norm test passes
+    with_partner = int(np.sum(norms * norms >= hp.threshold))
+    assert with_partner >= 3 * 4
+    assert len(hp) > 0
+
+
+def test_search_memory_stays_below_half_the_input():
+    rng = np.random.default_rng(10)
+    X = rng.standard_normal((60_000, 256))
+    X[rng.choice(60_000, size=16, replace=False)] *= 30.0
+    n = X.shape[0]
+    tracemalloc.start()
+    try:
+        hp = heavy_pairs(X, n * math.log(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hp.candidates > 16 * (n - 16)
+    assert peak < 0.5 * X.nbytes, f"peak {peak / X.nbytes:.2f} x input"
+
+
+def test_pair_bound_raises_typed_error():
+    i = np.array([0, 0, 1])
+    j = np.array([0, 1, 1])
+    with pytest.raises(errors.HeavyPairBoundExceeded, match="exceeds"):
+        _finish(i, j, np.ones(3), threshold=1.0, kappa=1.5, gram_fro_sq=1.5,
+                r=1)
+    assert len(_finish(i, j, np.ones(3), 1.0, 3.0, 3.0, 1)) == 3
+
+
+def test_off_diagonal_keeps_counters():
+    X = np.repeat(np.eye(3), 2, axis=0)
+    hp = heavy_pairs(X, kappa=20.0)
+    off = hp.off_diagonal()
+    assert off.candidates == hp.candidates > len(hp) > len(off) > 0
 
 
 def test_deterministic_output():
@@ -125,6 +242,30 @@ def test_degenerate_sketch_equals_exact_search():
     exact = heavy_pairs(U, kappa)
     assert hp.indices() == exact.indices()
     assert hp.threshold == pytest.approx(5 / kappa)
+
+
+@pytest.mark.parametrize("pi2_kind, d, r2", [("sparse", 8, None),
+                                             ("identity", 8, None),
+                                             ("sparse", 64, 16)])
+def test_narrow_factor_matches_search_on_full_sketch(pi2_kind, d, r2):
+    # X = A R^-1 T^T has the row inner products of Omega = A R^-1 Pi2, so
+    # searching it returns the pairs of the search on Omega itself
+    A = planted_matrix(seed=4, n=512, d=d, scale=25.0)
+    n = A.shape[0]
+    kappa = n * math.log(n)
+    plan = make_plan(n, d, 0.5, r2=r2, pi2_kind=pi2_kind)
+    for seed in range(3):
+        hp = approx_cross_leverage(A, plan, kappa, seed)
+        omega = approx_leverage(A, plan, seed)[1].omega
+        gram = omega.T @ omega
+        ref = heavy_pairs(omega, kappa * float(np.sum(gram * gram)) / d)
+        assert (3, 7) in hp.indices()
+        assert hp.indices() == ref.indices()
+        np.testing.assert_allclose([c for _, _, c in hp.pairs],
+                                   [c for _, _, c in ref.pairs], rtol=1e-12)
+        assert hp.gram_fro_sq == pytest.approx(ref.gram_fro_sq, rel=1e-12)
+        assert hp.candidates == ref.candidates
+        assert set(hp.timings_ms) == {"sketch_ms", "search_ms"}
 
 
 def test_effective_threshold_is_d_over_kappa():

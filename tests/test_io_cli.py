@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from levsketch import errors, exact_leverage, hadamard_matrix
+from levsketch import cli, errors, exact_leverage, hadamard_matrix
 from levsketch.cli import main
+from levsketch.crosslev import _finish
 from levsketch.io import load_matrix, save_matrix
 
 
@@ -142,6 +143,28 @@ def test_cli_cross_schema(tmp_path, capsys, rng):
         i, j, c_sq = entry
         assert isinstance(i, int) and isinstance(j, int)
         assert c_sq >= doc["result"]["threshold"]
+    assert doc["result"]["candidates"] >= len(doc["result"]["pairs"]) > 0
+    assert set(doc["timings_ms"]) == {"sketch_ms", "search_ms"}
+    code, exact = run_cli(capsys, ["cross", path, "--kappa", "nlogn",
+                                   "--exact-pairs"])
+    assert code == 0
+    assert exact["result"]["candidates"] >= len(exact["result"]["pairs"]) > 0
+    assert set(exact["timings_ms"]) == {"svd_ms", "search_ms"}
+
+
+def test_cli_cross_pair_bound_exceeded_exits_hard(tmp_path, capsys,
+                                                  monkeypatch, rng):
+    def too_many_pairs(*args, **kwargs):
+        return _finish(np.array([0, 0]), np.array([0, 1]), np.ones(2),
+                       threshold=1.0, kappa=1.0, gram_fro_sq=1.0, r=1)
+
+    monkeypatch.setattr(cli, "approx_cross_leverage", too_many_pairs)
+    path = write_fixture(tmp_path, rng.standard_normal((40, 3)))
+    code = main(["cross", path, "--kappa", "5", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "exceeds the kappa*r bound" in captured.err
 
 
 def test_cli_cross_off_diagonal_filter(tmp_path, capsys, rng):
