@@ -21,7 +21,7 @@ from . import errors
 from ._kernels import row_sq_norms
 from .matcore import DEFAULT_RANK_TOL, LeverageReport, validate_matrix
 from .sketch import (SketchOperator, SketchPlan, apply_sparse_jlt, apply_srht,
-                     next_pow2, srht_matrix)
+                     _srht_transpose, next_pow2)
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,7 @@ def mi_estimate(a, seed: int,
     Estimates the i-th score as A_(i) . ((Pi A)^+ Pi)_(:,i) with a single
     SRHT of O(n ln d / ln^2 n) rows, then truncates each estimate below at
     d ln^2 n / (4 n) and renormalizes. Only an O(ln^2 n)-factor guarantee.
+    Row-wise dots of A with Pi^T (Pi A)^{+T}, in O(n d) memory.
     """
     A = validate_matrix(a)
     n, d = A.shape
@@ -184,8 +185,7 @@ def mi_estimate(a, seed: int,
     if not keep.any():
         raise errors.RankDeficient("sketched matrix is numerically zero")
     M = (Vt[keep].T / s[keep]) @ U[:, keep].T          # (Pi A)^+, d x r
-    Pi = srht_matrix(op)                               # r x n
-    w_raw = np.einsum("ts,st->t", A @ M, Pi)
+    w_raw = np.einsum("ts,ts->t", A, _srht_transpose(op, M.T))
     floor = d * ln_n**2 / (4.0 * n)
     w = np.maximum(w_raw, floor)
     return LeverageReport(

@@ -58,22 +58,27 @@ def power_q(n: int, d: int, k: int, epsilon: float) -> int:
     return max(1, math.ceil(num / den))
 
 
-def _power_sketch(A: np.ndarray, k: int, q: int, seed: int,
-                  reorthonormalize: bool = False) -> np.ndarray:
-    """B = (A A^T)^q A Pi with Pi a seeded d x 2k Gaussian."""
-    d = A.shape[1]
-    op = SketchOperator("Gaussian", seed, d, 2 * k)
-    B = A @ gaussian_matrix(op)
+def _power_sketch(A: np.ndarray, k: int, epsilon: float, seed: int,
+                  q_override: Optional[int]) -> np.ndarray:
+    """B = (A A^T)^q A Pi with Pi a seeded d x 2k Gaussian and q from
+    ``power_q`` unless ``q_override`` is given."""
+    n, d = A.shape
+    _check_k(n, d, k)
+    q = int(q_override) if q_override is not None else power_q(n, d, k, epsilon)
+    B = A @ gaussian_matrix(SketchOperator("Gaussian", seed, d, 2 * k))
     for _ in range(q):
-        if reorthonormalize:
-            B, _ = np.linalg.qr(B)
         B = A @ (A.T @ B)
     return B
 
 
+def _top_k_factors(Q: np.ndarray, A: np.ndarray, k: int):
+    """Factors (Q U_k, S_k V_k^T) of X = Q (Q^T A)_k for orthonormal Q."""
+    U, s, Vt = np.linalg.svd(Q.T @ A, full_matrices=False)
+    return Q @ U[:, :k], s[:k, None] * Vt[:k]
+
+
 def spectral_rankk(a, k: int, epsilon: float, seed: int,
-                   q_override: Optional[int] = None,
-                   reorthonormalize: bool = False) -> NormalizedLevReport:
+                   q_override: Optional[int] = None) -> NormalizedLevReport:
     """Normalized rank-k leverage estimates, spectral-norm flavor.
 
     Sketches B = (A A^T)^q A Pi (Pi Gaussian d x 2k), estimates the leverage
@@ -81,11 +86,9 @@ def spectral_rankk(a, k: int, epsilon: float, seed: int,
     beta_claim = (1 - eps) / (2 (1 + eps)) with probability >= 0.7.
     """
     A = validate_matrix(a)
-    n, d = A.shape
-    _check_k(n, d, k)
-    q = int(q_override) if q_override is not None else power_q(n, d, k, epsilon)
-    B = _power_sketch(A, k, q, seed, reorthonormalize)
-    plan = make_plan(n, 2 * k, epsilon=min(epsilon, 0.5), mode="practical")
+    B = _power_sketch(A, k, epsilon, seed, q_override)
+    plan = make_plan(A.shape[0], 2 * k, epsilon=min(epsilon, 0.5),
+                     mode="practical")
     # B may have rank < 2k when rank(A) < 2k; truncate instead of erroring.
     report, _ = approx_leverage(B, plan, seed, allow_rank_deficient=True)
     total = float(report.scores.sum())
@@ -116,12 +119,7 @@ def _frobenius_factors(A: np.ndarray, k: int, epsilon: float, seed: int):
     if keep.sum() < k:
         raise errors.RankTooLow(
             f"sketch B has numerical rank {int(keep.sum())} < k={k}")
-    Q = Q[:, keep]
-    C = Q.T @ A
-    U, s, Vt = np.linalg.svd(C, full_matrices=False)
-    left = Q @ U[:, :k]                    # n x k, orthonormal columns
-    right = s[:k, None] * Vt[:k]           # k x d
-    return left, right
+    return _top_k_factors(Q[:, keep], A, k)
 
 
 def frobenius_rankk(a, k: int, epsilon: float, seed: int) -> NormalizedLevReport:
@@ -152,8 +150,7 @@ def frobenius_sketch_matrix(a, k: int, epsilon: float, seed: int
 
 
 def spectral_sketch_matrix(a, k: int, epsilon: float, seed: int,
-                           q_override: Optional[int] = None,
-                           reorthonormalize: bool = False
+                           q_override: Optional[int] = None
                            ) -> Tuple[np.ndarray, np.ndarray]:
     """B from the spectral sketch plus the best rank-k X within col(B).
 
@@ -161,12 +158,6 @@ def spectral_sketch_matrix(a, k: int, epsilon: float, seed: int,
     leverage scores the spectral estimates lower-bound.
     """
     A = validate_matrix(a)
-    n, d = A.shape
-    _check_k(n, d, k)
-    q = int(q_override) if q_override is not None else power_q(n, d, k, epsilon)
-    B = _power_sketch(A, k, q, seed, reorthonormalize)
-    Q, _ = np.linalg.qr(B)
-    C = Q.T @ A
-    U, s, Vt = np.linalg.svd(C, full_matrices=False)
-    X = (Q @ U[:, :k]) @ (s[:k, None] * Vt[:k])
-    return B, X
+    B = _power_sketch(A, k, epsilon, seed, q_override)
+    left, right = _top_k_factors(np.linalg.qr(B)[0], A, k)
+    return B, left @ right

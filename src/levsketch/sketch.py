@@ -9,7 +9,7 @@ formulas for the JLT and FJLT guarantees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -77,11 +77,6 @@ class SketchPlan:
     c2: float = DEFAULT_C2
     pi1_kind: str = "srht"      # "srht" | "fullrht"
     pi2_kind: str = "sparse"    # "sparse" | "identity"
-
-    def with_kinds(self, pi1_kind: Optional[str] = None,
-                   pi2_kind: Optional[str] = None) -> "SketchPlan":
-        return replace(self, pi1_kind=pi1_kind or self.pi1_kind,
-                       pi2_kind=pi2_kind or self.pi2_kind)
 
 
 def make_plan(n: int, d: int, epsilon: float, delta: float = DEFAULT_DELTA,
@@ -184,9 +179,14 @@ def apply_srht(op: SketchOperator, a) -> np.ndarray:
     return buf[idx] * math.sqrt(n_pad / r)
 
 
-def srht_matrix(op: SketchOperator) -> np.ndarray:
-    """Materialize the r x n SRHT operator (columns restricted to real rows)."""
-    return apply_srht(op, np.eye(op.in_dim))
+def _srht_transpose(op: SketchOperator, y: np.ndarray) -> np.ndarray:
+    """Pi^T y for the SRHT Pi = ``op`` and a trusted r x m ``y``, in one
+    FWHT of an n_pad x m buffer instead of forming the r x n Pi."""
+    buf = np.zeros((next_pow2(op.in_dim), y.shape[1]), dtype=np.float64)
+    buf[_srht_selection(op, buf.shape[0])] = y
+    fwht_inplace(buf)
+    signs = rademacher(op.seed, op.in_dim, 0)
+    return buf[:op.in_dim] * (signs[:, None] / math.sqrt(op.out_dim))
 
 
 def _sparse_jlt_matrix(op: SketchOperator) -> np.ndarray:

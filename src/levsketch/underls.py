@@ -16,8 +16,7 @@ import numpy as np
 
 from . import errors
 from .levscore import approx_leverage
-from .matcore import (DEFAULT_RANK_TOL, exact_leverage, pseudoinverse,
-                      validate_matrix)
+from .matcore import DEFAULT_RANK_TOL, exact_leverage, validate_matrix
 from .rng import substream
 from .sketch import SketchPlan
 
@@ -48,10 +47,6 @@ class SamplingMatrix:
     r: int
     selected: np.ndarray   # r column indices
     weights: np.ndarray    # r rescaling factors
-
-    def apply_right(self, a: np.ndarray) -> np.ndarray:
-        """A S: gather and rescale the sampled columns of A."""
-        return a[:, self.selected] * self.weights
 
     def dense(self) -> np.ndarray:
         S = np.zeros((self.d, self.r))
@@ -113,7 +108,8 @@ def underls_solve(a, b, p: SamplingProbabilities, epsilon: float,
     """Approximate minimal-norm solution of min ||A x - b|| for n < d.
 
     Samples r = sample_size(n, beta, eps, delta) columns and returns
-    A^T (AS)^{+T} (AS)^+ b.
+    A^T (AS)^{+T} (AS)^+ b = A^T (AS AS^T)^+ b from one thin SVD of the
+    distinct drawn columns, column j scaled by sqrt(draws_j / (r p_j)).
     """
     A = validate_matrix(a)
     n, d = A.shape
@@ -127,12 +123,11 @@ def underls_solve(a, b, p: SamplingProbabilities, epsilon: float,
             f"probabilities cover {p.p.size} columns, matrix has {d}")
     r = sample_size(n, p.beta, epsilon, delta)
     S = draw_sampling_matrix(p, r, seed)
-    AS = S.apply_right(A)
-    sv = np.linalg.svd(AS, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0 or sv[-1] <= rank_tolerance * sv[0] \
-            or int(np.sum(sv > rank_tolerance * sv[0])) < n:
+    counts = np.bincount(S.selected, minlength=d)
+    cols = np.flatnonzero(counts)
+    C = A[:, cols] * np.sqrt(counts[cols] / (r * p.p[cols]))
+    U, sv, _ = np.linalg.svd(C, full_matrices=False)
+    if sv.size < n or sv[-1] <= rank_tolerance * sv[0]:
         raise errors.RankDeficient(
             "sampled matrix AS lost rank; retry with a new seed")
-    AS_pinv = pseudoinverse(AS, rank_tolerance)
-    y = AS_pinv @ bvec
-    return A.T @ (AS_pinv.T @ y)
+    return A.T @ (U @ ((U.T @ bvec) / sv**2))

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from levsketch import (approx_leverage, build_orthogonalizer, coherence,
-                       errors, exact_leverage, hadamard_matrix, make_plan,
-                       mi_estimate)
+from levsketch import (SketchOperator, apply_srht, approx_leverage,
+                       build_orthogonalizer, coherence, errors,
+                       exact_leverage, hadamard_matrix, make_plan,
+                       mi_estimate, pseudoinverse)
 
 
 def degenerate_plan(n, d, eps=0.5):
@@ -164,6 +166,35 @@ def test_mi_estimate_top_rows_within_log_factor():
     mass_est = report.normalized[top].sum()
     assert mass_est >= mass_exact / ratio_bound
     assert mass_est <= min(1.0, mass_exact * ratio_bound)
+
+
+@pytest.mark.parametrize("n", [256, 1000])
+def test_mi_estimate_matches_dense_operator_formula(n):
+    # diag(A (Pi A)^+ Pi) with the r x n SRHT Pi materialized column by column
+    rng = np.random.default_rng(11)
+    d, seed = 8, 3
+    A = rng.standard_normal((n, d)) * rng.standard_t(1.5, size=(n, 1))
+    report = mi_estimate(A, seed=seed)
+    op = SketchOperator("SRHT", seed, n, report.extras["r"])
+    Pi = apply_srht(op, np.eye(n))
+    w_raw = np.einsum("ts,st->t", A @ pseudoinverse(apply_srht(op, A)), Pi)
+    assert np.sum(w_raw > report.extras["floor"]) >= d  # not all floored
+    np.testing.assert_allclose(
+        report.scores, np.maximum(w_raw, report.extras["floor"]),
+        rtol=1e-12, atol=0)
+
+
+def test_mi_estimate_memory_is_linear_in_n():
+    # forming the r x n operator through n x n intermediates takes ~1.5 GB
+    n, d = 8192, 8
+    A = np.random.default_rng(12).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        mi_estimate(A, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_coherence_accessor():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,3 +198,45 @@ def test_shape_and_dimension_errors():
     p = SamplingProbabilities(p=np.full(4, 0.25))
     with pytest.raises(errors.DimensionMismatch):
         underls_solve(np.ones((2, 4)), np.ones(3), p, 0.5, 0.1, 0)
+
+
+def test_solve_matches_explicit_sample_formula():
+    # r >> d: most draws repeat a column, and merging repeats must not
+    # change A^T (AS)^{+T} (AS)^+ b with AS built from every draw
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((8, 64))
+    A[:, :3] *= 10.0
+    b = rng.standard_normal(8)
+    p = leverage_probs_for_columns(A, "exact")
+    r = sample_size(8, p.beta, 0.5, 0.1)
+    assert r > 100 * 64
+    for seed in range(3):
+        S = draw_sampling_matrix(p, r, seed)
+        AS_pinv = pseudoinverse(A[:, S.selected] * S.weights)
+        ref = A.T @ (AS_pinv.T @ (AS_pinv @ b))
+        x = underls_solve(A, b, p, epsilon=0.5, delta=0.1, seed=seed)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_too_few_distinct_columns_is_rank_deficient():
+    # every draw hits column 1, so the sample spans one of two dimensions
+    A = np.random.default_rng(7).standard_normal((2, 5))
+    p = SamplingProbabilities(p=np.eye(5)[1])
+    with pytest.raises(errors.RankDeficient):
+        underls_solve(A, np.ones(2), p, epsilon=0.5, delta=0.1, seed=0)
+
+
+def test_solve_memory_does_not_grow_with_sample_size():
+    # the r-column sample AS alone would take 16 * r * 8 bytes = 7.8 MB
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((16, 2048))
+    b = rng.standard_normal(16)
+    p = leverage_probs_for_columns(A, "exact")
+    assert sample_size(16, p.beta, 0.5, 0.1) == 60670
+    tracemalloc.start()
+    try:
+        underls_solve(A, b, p, epsilon=0.5, delta=0.1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
