@@ -3,10 +3,11 @@
 The search enumerates exactly the pairs of rows of X whose squared inner
 product clears ||X^T X||_F^2 / kappa, examining only norm-heavy candidates
 (a Cauchy-Schwarz superset of bounded size) with blocked matrix products.
-The sketched variant searches a factor of the leverage sketch
-Omega = A R^{-1} Pi2 that has Omega's row inner products but is no wider
-than rank(A), with kappa rescaled by ||Omega^T Omega||_F^2 / d, giving an
-effective cutoff of d / kappa.
+The sketched variant searches the factor of the leverage sketch
+Omega = A R^{-1} Pi2 that ``approx_leverage`` returns: it has Omega's row
+inner products but is no wider than rank(A). The search runs with kappa
+rescaled by ||Omega^T Omega||_F^2 / d, giving an effective cutoff of
+d / kappa.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import numpy as np
 
 from . import errors
 from ._kernels import row_sq_norms
-from .levscore import _stage1, _stage2_operator
+from .levscore import approx_leverage
 from .matcore import validate_matrix
-from .sketch import SketchPlan, _sparse_jlt_matrix
+from .sketch import SketchPlan
 
 # float64 elements in one tile of inner products or of gathered rows (4 MB)
 _BLOCK_ELEMS = 1 << 19
@@ -177,32 +178,23 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float, seed: int,
                           off_diagonal_only: bool = False) -> HeavyPairSet:
     """Large cross-leverage scores via the leverage sketch.
 
-    Runs stage 1 of the leverage sketch and searches X = A R^{-1} T^T for
+    Runs ``approx_leverage`` and searches its factor X = A R^{-1} T^T for
     heavy pairs, where T is the triangular factor of qr(Pi2^T) for the
     seeded stage-2 map Pi2 (X = A R^{-1} when Pi2 is the identity). Since
-    Pi2 = T^T Q^T with Q^T Q = I, X X^T = Omega Omega^T for the sketch
-    Omega = A R^{-1} Pi2 that ``approx_leverage`` builds with the same
-    seed: X has Omega's row inner products and ||X^T X||_F, but only
-    min(rank, r2) columns. The search runs at the rescaled threshold
+    X X^T = Omega Omega^T for the sketch Omega = A R^{-1} Pi2, X has
+    Omega's row inner products and ||X^T X||_F, but only min(rank, r2)
+    columns. The search runs at the rescaled threshold
     kappa' = kappa ||Omega^T Omega||_F^2 / d, so that the effective cutoff
     on sketched inner products is exactly d / kappa. Since
     ||Omega^T Omega||_F^2 <= d (1 + 30 d eps) whenever the sketch preserves
     pairwise inner products, kappa' <= kappa (1 + 30 d eps).
     """
-    A = validate_matrix(a)
     if not (kappa > 1.0):
         raise errors.InvalidKappa(f"kappa must exceed 1, got {kappa}")
-    d = A.shape[1]
     t0 = time.perf_counter()
-    AR, _ = _stage1(A, plan, seed)
-    if plan.pi2_kind == "identity":
-        X = AR
-    elif plan.pi2_kind == "sparse":
-        pi2 = _sparse_jlt_matrix(_stage2_operator(plan, AR.shape[1], seed))
-        X = AR @ np.linalg.qr(pi2.T, mode="r").T
-    else:
-        raise errors.InvalidParameter(f"unknown pi2_kind {plan.pi2_kind!r}")
-    del AR  # free A R^{-1} before the search
+    report, basis = approx_leverage(a, plan, seed)
+    d = report.extras["rank"]  # equals d: a rank-deficient sketch raises
+    X = basis.factor
     gram = X.T @ X
     kappa_prime = kappa * float(np.sum(gram * gram)) / d
     t1 = time.perf_counter()

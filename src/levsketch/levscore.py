@@ -2,8 +2,10 @@
 
 The two-stage sketch: an SRHT compresses the rows of A so that a cheap
 d x d orthogonalizer R^{-1} of the compressed matrix makes A R^{-1}
-approximately orthonormal; a sparse JLT then compresses the columns so
-per-row squared norms (the leverage estimates) can be read off quickly.
+approximately orthonormal; a sparse JLT Pi2 then compresses the columns,
+and the leverage estimates are the squared row norms of
+Omega = A R^{-1} Pi2. They are read off a factor no wider than rank(A)
+with Omega's row inner products, so Omega itself is never formed.
 Also includes the simpler single-projection inner-product estimator that
 we use as a comparison baseline.
 """
@@ -20,16 +22,21 @@ import numpy as np
 from . import errors
 from ._kernels import row_sq_norms
 from .matcore import DEFAULT_RANK_TOL, LeverageReport, validate_matrix
-from .sketch import (SketchOperator, SketchPlan, apply_sparse_jlt, apply_srht,
+from .sketch import (SketchOperator, SketchPlan, apply_srht, _sparse_jlt_matrix,
                      _srht_transpose, next_pow2)
 
 
 @dataclass(frozen=True)
 class Orthogonalizer:
-    """d x rho map making the sketched matrix orthonormal: Q = PA . Rinv."""
+    """d x rho map making the sketched matrix orthonormal: Q = PA . Rinv.
+
+    ``route`` names the factorization that produced R: "cholesky_qr2" or
+    "householder".
+    """
 
     Rinv: np.ndarray
     source: str  # "svd" | "qr"
+    route: str = "householder"
 
     @property
     def rank(self) -> int:
@@ -38,12 +45,46 @@ class Orthogonalizer:
 
 @dataclass
 class SketchedBasis:
-    """The n x r2 sketch Omega = A R^{-1} Pi2 behind the scores."""
+    """An n x min(rank, r2) factor X of the sketch Omega = A R^{-1} Pi2.
 
-    omega: np.ndarray
+    X = A R^{-1} T^T for the triangular factor T of qr(Pi2^T), so that
+    X X^T = Omega Omega^T: X has Omega's row norms and row inner products
+    without Omega's r2 columns. X = A R^{-1} when Pi2 is the identity.
+    """
+
+    factor: np.ndarray
     plan: SketchPlan
     seed1: int
     seed2: int
+
+
+# CholeskyQR2's R is trusted only while R is this well conditioned
+# (cond(PA) well below u^{-1/2}); otherwise Householder QR decides.
+_CHOLQR_MIN_RCOND = 1e-6
+
+
+def _cholesky_qr2(PA: np.ndarray) -> Optional[np.ndarray]:
+    """R of PA from two Cholesky passes, or None where it cannot be trusted.
+
+    R1 = chol(PA^T PA), Q1 = PA R1^{-1}, R = chol(Q1^T Q1) R1: two Gram
+    products and one product with the d x d inverse of R1, all BLAS-3 in
+    numpy's own BLAS. None when a Cholesky fails, R is not finite, or
+    sigma_min(R) / sigma_max(R) < 1e-6. Overflow or underflow of the Gram
+    matrix at extreme scales lands in one of these cases silently.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            R1 = np.linalg.cholesky(PA.T @ PA).T
+            Q1 = PA @ np.linalg.inv(R1)
+            R = np.linalg.cholesky(Q1.T @ Q1).T @ R1
+        except np.linalg.LinAlgError:
+            return None
+    if not np.all(np.isfinite(R)):
+        return None
+    s = np.linalg.svd(R, compute_uv=False)
+    if not s[-1] >= _CHOLQR_MIN_RCOND * s[0]:
+        return None
+    return R
 
 
 def build_orthogonalizer(pa, source: str = "svd",
@@ -51,14 +92,23 @@ def build_orthogonalizer(pa, source: str = "svd",
                          allow_rank_deficient: bool = False) -> Orthogonalizer:
     """Compute R^{-1} from the sketched matrix Pi1 A.
 
-    The SVD route uses V Sigma^{-1}; the QR route inverts the triangular
-    factor. Both make ``pa @ Rinv`` orthonormal and yield identical row
-    norms for A R^{-1} downstream.
+    The SVD route takes R from guarded CholeskyQR2, falling back to
+    Householder ``qr(PA)`` when CholeskyQR2 fails or R has condition
+    number above 1e6, and returns V Sigma^{-1} from the d x d ``svd(R)``
+    (V's columns signed so that each one's largest-magnitude entry is
+    positive, whichever route produced R). Rank decisions at
+    ``rank_tolerance`` therefore always come from a backward-stable R.
+    The QR route inverts the Householder triangular factor. Both make
+    ``pa @ Rinv`` orthonormal and yield identical row norms for A R^{-1}
+    downstream.
     """
     PA = validate_matrix(pa)
     d = PA.shape[1]
     if source == "svd":
-        U, s, Vt = np.linalg.svd(PA, full_matrices=False)
+        R, route = _cholesky_qr2(PA), "cholesky_qr2"
+        if R is None:
+            R, route = np.linalg.qr(PA, mode="r"), "householder"
+        _, s, Vt = np.linalg.svd(R)
         keep = s > rank_tolerance * s[0] if s[0] > 0 else np.zeros_like(s, bool)
         rho = int(keep.sum())
         if rho < d and not allow_rank_deficient:
@@ -66,7 +116,9 @@ def build_orthogonalizer(pa, source: str = "svd",
                 f"sketched matrix has rank {rho} < {d}; resample with a new seed")
         if rho == 0:
             raise errors.RankDeficient("sketched matrix is numerically zero")
-        return Orthogonalizer(Rinv=Vt[:rho].T / s[:rho], source="svd")
+        V = Vt[:rho].T
+        V *= np.sign(V[np.abs(V).argmax(axis=0), np.arange(rho)])
+        return Orthogonalizer(Rinv=V / s[:rho], source="svd", route=route)
     if source == "qr":
         R = np.linalg.qr(PA, mode="r")
         diag = np.abs(np.diag(R))
@@ -84,36 +136,13 @@ def _stage1_operator(plan: SketchPlan, n: int, seed: int) -> SketchOperator:
     return SketchOperator("SRHT", seed, n, min(plan.r1, next_pow2(n)))
 
 
-def _stage2_operator(plan: SketchPlan, rank: int, seed: int) -> SketchOperator:
-    return SketchOperator("SparseJLT", seed, rank, plan.r2)
+def _stage2_factor(plan: SketchPlan, rank: int, seed: int) -> np.ndarray:
+    """T^T for the triangular factor T of qr(Pi2^T), rank x min(rank, r2).
 
-
-def _stage1(A: np.ndarray, plan: SketchPlan, seed: int,
-            rank_tolerance: float = DEFAULT_RANK_TOL, source: str = "svd",
-            allow_rank_deficient: bool = False,
-            timings: Optional[dict] = None):
-    """Stage 1 on a validated tall A: the SRHT, R^{-1} and A R^{-1}.
-
-    Returns ``(A R^{-1}, r1)``. If ``timings`` is a dict it receives
-    ``sketch_apply_ms``, ``factorization_ms`` and ``product_ms``.
+    Pi2 = T^T Q^T with Q^T Q = I, so Pi2 Pi2^T = T^T T.
     """
-    n, d = A.shape
-    if n <= d:
-        raise errors.ShapeError(f"need n > d, got shape {A.shape}")
-    t0 = time.perf_counter()
-    op1 = _stage1_operator(plan, n, seed)
-    PA = apply_srht(op1, A)
-    t1 = time.perf_counter()
-    orth = build_orthogonalizer(PA, source=source, rank_tolerance=rank_tolerance,
-                                allow_rank_deficient=allow_rank_deficient)
-    t2 = time.perf_counter()
-    AR = A @ orth.Rinv
-    t3 = time.perf_counter()
-    if timings is not None:
-        timings.update(sketch_apply_ms=(t1 - t0) * 1e3,
-                       factorization_ms=(t2 - t1) * 1e3,
-                       product_ms=(t3 - t2) * 1e3)
-    return AR, op1.out_dim
+    pi2 = _sparse_jlt_matrix(SketchOperator("SparseJLT", seed, rank, plan.r2))
+    return np.linalg.qr(pi2.T, mode="r").T
 
 
 def approx_leverage(a, plan: SketchPlan, seed: int,
@@ -123,29 +152,47 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
                     timings: Optional[dict] = None):
     """Sketched leverage scores of a tall matrix.
 
-    Returns ``(LeverageReport, SketchedBasis)``; the basis carries the
-    n x r2 sketch. If ``timings`` is a dict it receives per-phase
-    wall-clock milliseconds.
+    Stage 1 factors the SRHT of A, or A itself when ``plan.r1 >= n``
+    (the SRHT cannot compress there; r1 is then n). The scores are the
+    squared row norms of Omega = A R^{-1} Pi2, read off the narrow factor
+    X = A R^{-1} T^T (see ``SketchedBasis``), so the n x r2 Omega is never
+    formed and stage 2 costs O(n rank^2) whatever r2 is. Returns
+    ``(LeverageReport, SketchedBasis)``; ``extras["r2"]`` is ``plan.r2``,
+    or the rank when Pi2 is the identity. If ``timings`` is a dict it
+    receives ``sketch_apply_ms``, ``factorization_ms``, ``product_ms``
+    (A R^{-1} and stage 2) and ``norms_ms``.
     """
     A = validate_matrix(a)
-    AR, r1 = _stage1(A, plan, seed, rank_tolerance=rank_tolerance,
-                     source=source, allow_rank_deficient=allow_rank_deficient,
-                     timings=timings)
-    rank = AR.shape[1]
+    n, d = A.shape
+    if n <= d:
+        raise errors.ShapeError(f"need n > d, got shape {A.shape}")
+    t0 = time.perf_counter()
+    if plan.r1 >= n:
+        PA = A
+    else:
+        PA = apply_srht(_stage1_operator(plan, n, seed), A)
+    t1 = time.perf_counter()
+    orth = build_orthogonalizer(PA, source=source, rank_tolerance=rank_tolerance,
+                                allow_rank_deficient=allow_rank_deficient)
+    r1 = PA.shape[0]
+    del PA  # free the sketched matrix before the n x rank products
     t2 = time.perf_counter()
+    AR = A @ orth.Rinv
+    rank = orth.rank
     if plan.pi2_kind == "identity":
-        omega = AR
+        X, r2 = AR, rank
     elif plan.pi2_kind == "sparse":
-        omega = apply_sparse_jlt(_stage2_operator(plan, rank, seed), AR,
-                                 side="right")
+        X, r2 = AR @ _stage2_factor(plan, rank, seed), plan.r2
     else:
         raise errors.InvalidParameter(f"unknown pi2_kind {plan.pi2_kind!r}")
     t3 = time.perf_counter()
-    scores = row_sq_norms(omega)
+    scores = row_sq_norms(X)
     t4 = time.perf_counter()
     if timings is not None:
-        timings["product_ms"] += (t3 - t2) * 1e3
-        timings["norms_ms"] = (t4 - t3) * 1e3
+        timings.update(sketch_apply_ms=(t1 - t0) * 1e3,
+                       factorization_ms=(t2 - t1) * 1e3,
+                       product_ms=(t3 - t2) * 1e3,
+                       norms_ms=(t4 - t3) * 1e3)
     # structural zero rows stay exactly zero
     scores[~np.any(A, axis=1)] = 0.0
     total = float(scores.sum())
@@ -156,9 +203,9 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
         method="sketched",
         params=plan,
         seed=int(seed),
-        extras={"rank": rank, "r1": r1, "r2": omega.shape[1]},
+        extras={"rank": rank, "r1": r1, "r2": r2},
     )
-    return report, SketchedBasis(omega=omega, plan=plan, seed1=int(seed),
+    return report, SketchedBasis(factor=X, plan=plan, seed1=int(seed),
                                  seed2=int(seed))
 
 

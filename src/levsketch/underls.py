@@ -55,7 +55,10 @@ class SamplingMatrix:
 
 
 def sample_size(n: int, beta: float, epsilon: float, delta: float) -> int:
-    """r = ceil((96 n / (beta eps^2)) ln(96 n / (beta eps^2 sqrt(delta))))."""
+    """r = ceil((96 n / (beta eps^2)) ln(96 n / (beta eps^2 sqrt(delta)))).
+
+    Raises ``InvalidParameter`` when r does not fit in int64.
+    """
     if n < 1:
         raise errors.InvalidParameter(f"n must be >= 1, got {n}")
     if not (0.0 < beta <= 1.0):
@@ -64,8 +67,13 @@ def sample_size(n: int, beta: float, epsilon: float, delta: float) -> int:
         raise errors.InvalidParameter(f"epsilon must be in (0, 0.5], got {epsilon}")
     if not (0.0 < delta < 1.0):
         raise errors.InvalidParameter(f"delta must be in (0, 1), got {delta}")
-    base = 96.0 * n / (beta * epsilon**2)
-    return math.ceil(base * math.log(base / math.sqrt(delta)))
+    base = 96.0 * n / beta / epsilon**2
+    r = base * math.log(base / math.sqrt(delta))
+    if not r < 2.0**63:
+        raise errors.InvalidParameter(
+            f"beta={beta} (with epsilon={epsilon}) asks for {r:.3g} column "
+            "draws, beyond the int64 range; use a larger beta")
+    return math.ceil(r)
 
 
 def draw_sampling_matrix(p: SamplingProbabilities, r: int,

@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from levsketch import (approx_cross_leverage, approx_leverage, crosslev,
-                       errors, exact_cross_leverage, exact_leverage,
-                       heavy_pairs, make_plan, thin_svd)
+from levsketch import (SketchOperator, approx_cross_leverage,
+                       approx_leverage, crosslev, errors,
+                       exact_cross_leverage, exact_leverage, heavy_pairs,
+                       make_plan, thin_svd)
 from levsketch.crosslev import _finish, heavy_pairs_brute
+from levsketch.sketch import _sparse_jlt_matrix
 
 
 def assert_same_as_brute(X, kappa):
@@ -254,9 +256,14 @@ def test_narrow_factor_matches_search_on_full_sketch(pi2_kind, d, r2):
     n = A.shape[0]
     kappa = n * math.log(n)
     plan = make_plan(n, d, 0.5, r2=r2, pi2_kind=pi2_kind)
+    stage1_only = make_plan(n, d, 0.5, pi2_kind="identity")
     for seed in range(3):
         hp = approx_cross_leverage(A, plan, kappa, seed)
-        omega = approx_leverage(A, plan, seed)[1].omega
+        # Omega = (A R^-1) Pi2, with A R^-1 from the same seed's stage 1
+        omega = approx_leverage(A, stage1_only, seed)[1].factor
+        if pi2_kind == "sparse":
+            omega = omega @ _sparse_jlt_matrix(
+                SketchOperator("SparseJLT", seed, d, plan.r2))
         gram = omega.T @ omega
         ref = heavy_pairs(omega, kappa * float(np.sum(gram * gram)) / d)
         assert (3, 7) in hp.indices()

@@ -199,6 +199,19 @@ def test_cli_underls(tmp_path, capsys, rng):
     assert doc["result"]["residual"] <= 1.0
 
 
+def test_cli_underls_tiny_beta_is_a_typed_error(tmp_path, capsys, rng):
+    # the theory sample size for beta = 1e-300 does not fit in int64
+    pa = write_fixture(tmp_path, rng.standard_normal((4, 40)), "a.csv")
+    pb = write_fixture(tmp_path, rng.standard_normal((4, 1)), "b.csv")
+    code = main(["underls", pa, "--rhs", pb, "--beta", "1e-300",
+                 "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: beta=1e-300")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_mi_estimator(tmp_path, capsys, rng):
     A = rng.standard_normal((128, 4))
     path = write_fixture(tmp_path, A)

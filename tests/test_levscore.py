@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from levsketch import (SketchOperator, apply_srht, approx_leverage,
                        build_orthogonalizer, coherence, errors,
                        exact_leverage, hadamard_matrix, make_plan,
                        mi_estimate, pseudoinverse)
+from levsketch.matcore import DEFAULT_RANK_TOL
+from levsketch.sketch import _sparse_jlt_matrix
 
 
 def degenerate_plan(n, d, eps=0.5):
@@ -65,7 +68,16 @@ def test_report_metadata():
     assert report.method == "sketched"
     assert report.seed == 3
     assert report.params is plan
-    assert basis.omega.shape == (64, plan.r2)
+    rank = report.extras["rank"]
+    assert report.extras["r2"] == plan.r2
+    assert basis.factor.shape == (64, min(rank, plan.r2))
+    # X X^T = Omega Omega^T for Omega = (A R^-1) Pi2 built explicitly
+    ar = approx_leverage(A, make_plan(64, 4, 0.5, pi2_kind="identity"),
+                         seed=3)[1].factor
+    omega = ar @ _sparse_jlt_matrix(SketchOperator("SparseJLT", 3, rank,
+                                                   plan.r2))
+    np.testing.assert_allclose(basis.factor @ basis.factor.T,
+                               omega @ omega.T, rtol=1e-12, atol=1e-12)
     assert abs(report.normalized.sum() - 1.0) <= 1e-12
     assert report.coherence == pytest.approx(report.scores.max())
 
@@ -85,13 +97,35 @@ def test_zero_rows_score_exactly_zero():
 
 
 def test_scale_invariance_same_seed():
+    # 128x6 and 3000x20 have r1 >= n and factor A itself, 20000x32 goes
+    # through the SRHT; the Gram products behind CholeskyQR2 overflow at
+    # c >= 1e160 and underflow at 1e-300, moving R to Householder QR
     rng = np.random.default_rng(4)
-    A = rng.standard_normal((128, 6))
-    plan = make_plan(128, 6, 0.5)
-    base, _ = approx_leverage(A, plan, seed=9)
-    for c in (7.5, 1e-4, 300.0):
-        scaled, _ = approx_leverage(c * A, plan, seed=9)
-        np.testing.assert_allclose(scaled.scores, base.scores, rtol=1e-9)
+    for n, d in ((128, 6), (3000, 20), (20000, 32)):
+        A = rng.standard_normal((n, d))
+        plan = make_plan(n, d, 0.5)
+        base, _ = approx_leverage(A, plan, seed=9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in (1e-300, 1e-160, 1e-8, 1e-4, 7.5, 300.0, 1e8, 1e160,
+                      1e300):
+                scaled, _ = approx_leverage(c * A, plan, seed=9)
+                np.testing.assert_allclose(scaled.scores, base.scores,
+                                           rtol=1e-9, err_msg=f"{n}x{d}, c={c}")
+
+
+def test_memory_is_linear_without_omega():
+    # the n x r2 Omega alone would be 60000 x 529 doubles, 16.5 A.nbytes
+    n, d = 60000, 32
+    A = np.random.default_rng(14).standard_normal((n, d))
+    plan = make_plan(n, d, 0.5)
+    tracemalloc.start()
+    try:
+        approx_leverage(A, plan, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * A.nbytes, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_determinism_same_seed():
@@ -139,6 +173,58 @@ def test_orthogonalizer_rank_deficient_raises():
         build_orthogonalizer(PA, "qr")
     orth = build_orthogonalizer(PA, "svd", allow_rank_deficient=True)
     assert orth.rank == 1
+
+
+def with_spectrum(rng, m, sv):
+    """An m x len(sv) matrix with singular values ``sv``."""
+    U, _ = np.linalg.qr(rng.standard_normal((m, len(sv))))
+    V, _ = np.linalg.qr(rng.standard_normal((len(sv), len(sv))))
+    return (U * sv) @ V.T
+
+
+def test_orthogonalizer_well_conditioned_matches_svd_of_sketch():
+    rng = np.random.default_rng(15)
+    A = rng.standard_normal((300, 8))
+    PA = with_spectrum(rng, 120, np.logspace(0, -3, 8))
+    orth = build_orthogonalizer(PA, "svd")
+    assert orth.route == "cholesky_qr2"
+    _, s, Vt = np.linalg.svd(PA, full_matrices=False)
+    expected = np.sum((A @ (Vt.T / s)) ** 2, axis=1)
+    np.testing.assert_allclose(np.sum((A @ orth.Rinv) ** 2, axis=1),
+                               expected, rtol=1e-12, atol=0)
+
+
+def test_orthogonalizer_routes_agree_column_for_column():
+    # at scale 1e200 the Gram overflows and R comes from Householder QR;
+    # canonical column signs make both routes give the same R^-1
+    rng = np.random.default_rng(16)
+    PA = with_spectrum(rng, 90, np.logspace(0, -2, 6))
+    chol = build_orthogonalizer(PA, "svd")
+    house = build_orthogonalizer(1e200 * PA, "svd")
+    assert (chol.route, house.route) == ("cholesky_qr2", "householder")
+    np.testing.assert_allclose(house.Rinv * 1e200, chol.Rinv, rtol=1e-10,
+                               atol=0)
+
+
+@pytest.mark.parametrize("cond", [1e7, 1e9, 1e14])
+def test_orthogonalizer_ill_conditioned_falls_back_to_householder(cond):
+    # at 1e7 CholeskyQR2 completes but its R is not trusted; at 1e9 and
+    # beyond the first Cholesky fails outright
+    rng = np.random.default_rng(17)
+    PA = with_spectrum(rng, 200, np.logspace(0, -math.log10(cond), 6))
+    s = np.linalg.svd(PA, compute_uv=False)
+    expected = int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
+    assert expected == (6 if cond < 1 / DEFAULT_RANK_TOL else 5)
+    orth = build_orthogonalizer(PA, "svd", allow_rank_deficient=True)
+    assert orth.route == "householder"
+    assert orth.rank == expected
+    Q = PA @ orth.Rinv
+    kept_cond = s[0] / s[expected - 1]
+    np.testing.assert_allclose(Q.T @ Q, np.eye(expected),
+                               atol=100 * np.finfo(float).eps * kept_cond)
+    if expected < 6:
+        with pytest.raises(errors.RankDeficient):
+            build_orthogonalizer(PA, "svd")
 
 
 # ---------------------------------------------------------- mi estimator

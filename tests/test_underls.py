@@ -34,6 +34,12 @@ def test_sample_size_validation():
         sample_size(10, 1.0, 0.7, 0.1)
 
 
+def test_sample_size_beyond_int64_names_beta():
+    for beta in (1e-300, 5e-324):
+        with pytest.raises(errors.InvalidParameter, match="beta="):
+            sample_size(10, beta, 0.5, 0.1)
+
+
 def test_probabilities_validation():
     with pytest.raises(errors.InvalidParameter):
         SamplingProbabilities(p=np.array([0.5, 0.4]))  # sums to 0.9
