@@ -10,9 +10,9 @@ from .matcore import (LeverageReport, ThinSVD, exact_cross_leverage,
 from .rankklev import (NormalizedLevReport, frobenius_rankk,
                        frobenius_sketch_matrix, power_q, spectral_rankk,
                        spectral_sketch_matrix)
-from .sketch import (SketchOperator, SketchPlan, apply_gaussian,
-                     apply_sparse_jlt, apply_srht, fjlt_dim, fwht,
-                     hadamard_matrix, jlt_dim, make_plan)
+from .sketch import (SketchOperator, SketchPlan, apply_sparse_jlt,
+                     apply_srht, fjlt_dim, fwht, hadamard_matrix, jlt_dim,
+                     make_plan)
 from .underls import (SamplingMatrix, SamplingProbabilities,
                       draw_sampling_matrix, leverage_probs_for_columns,
                       sample_size, underls_solve)
@@ -28,9 +28,8 @@ __all__ = [
     "pseudoinverse", "thin_svd",
     "NormalizedLevReport", "frobenius_rankk", "frobenius_sketch_matrix",
     "power_q", "spectral_rankk", "spectral_sketch_matrix",
-    "SketchOperator", "SketchPlan", "apply_gaussian", "apply_sparse_jlt",
-    "apply_srht", "fjlt_dim", "fwht", "hadamard_matrix", "jlt_dim",
-    "make_plan",
+    "SketchOperator", "SketchPlan", "apply_sparse_jlt", "apply_srht",
+    "fjlt_dim", "fwht", "hadamard_matrix", "jlt_dim", "make_plan",
     "SamplingMatrix", "SamplingProbabilities", "draw_sampling_matrix",
     "leverage_probs_for_columns", "sample_size", "underls_solve",
 ]

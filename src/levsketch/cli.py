@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands cover every library operation plus a benchmark harness. All
-output documents share the schema {"params", "seed", "timings_ms",
-"result"} with 0-based indices; runs with the same seed are byte-identical
-apart from the timing fields.
+Subcommands cover every library operation. All output documents share
+the schema {"params", "seed", "timings_ms", "result"} with 0-based
+indices; runs with the same seed are byte-identical apart from the timing
+fields.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r2", type=int, default=None)
     p.add_argument("--c1", type=float, default=20.0)
     p.add_argument("--c2", type=float, default=12.0)
-    p.add_argument("--pi1", default="srht", choices=["srht", "fullrht"])
-    p.add_argument("--pi2", default="sparse", choices=["sparse", "identity"])
     p.add_argument("--retries", type=int, default=3)
     p.add_argument("--output", "-o", default=None, help="write JSON/CSV here")
     p.add_argument("--output-format", default="json", choices=["json", "csv"])
@@ -92,16 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probs", default="exact", choices=["exact", "sketched"])
     p.add_argument("--beta", type=float, default=None,
                    help="override the probability quality factor")
-
-    p = sub.add_parser("bench", help="exact-vs-sketched benchmark grid")
-    p.add_argument("--n-grid", default="1024,2048,4096,8192")
-    p.add_argument("--d-grid", default="8,16,32,64")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--mode", default="practical", choices=["theory", "practical"])
-    p.add_argument("--output", "-o", default=None)
-    p.add_argument("--output-format", default="csv", choices=["json", "csv"])
     return ap
 
 
@@ -137,13 +125,7 @@ def _json_default(obj):
 def _emit_csv(doc: dict, path: str) -> None:
     result = doc.get("result", {})
     with open(path, "w") as fh:
-        if "rows" in result:  # bench table
-            cols = result["columns"]
-            fh.write(",".join(cols) + "\n")
-            for row in result["rows"]:
-                fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
-        elif "pairs" in result:
+        if "pairs" in result:
             fh.write("i,j,c_sq\n")
             for i, j, c in result["pairs"]:
                 fh.write(f"{i},{j},{c:.17g}\n")
@@ -173,14 +155,12 @@ class _RetriesExhausted(errors.LevsketchError):
 
 def _plan_for(args, n: int, d: int):
     return make_plan(n, d, epsilon=args.eps, delta=args.delta, mode=args.mode,
-                     c1=args.c1, c2=args.c2, r1=args.r1, r2=args.r2,
-                     pi1_kind=args.pi1, pi2_kind=args.pi2)
+                     c1=args.c1, c2=args.c2, r1=args.r1, r2=args.r2)
 
 
 def _plan_params(plan) -> dict:
     return {"epsilon": plan.epsilon, "delta": plan.delta, "r1": plan.r1,
-            "r2": plan.r2, "mode": plan.mode, "c1": plan.c1, "c2": plan.c2,
-            "pi1_kind": plan.pi1_kind, "pi2_kind": plan.pi2_kind}
+            "r2": plan.r2, "mode": plan.mode, "c1": plan.c1, "c2": plan.c2}
 
 
 def _run_leverage(args) -> dict:
@@ -296,49 +276,17 @@ def _run_underls(args) -> dict:
             "result": {"solution": x, "residual": residual}}
 
 
-def _run_bench(args) -> dict:
-    seed = args.seed if args.seed is not None else _default_seed()
-    n_grid = [int(v) for v in args.n_grid.split(",")]
-    d_grid = [int(v) for v in args.d_grid.split(",")]
-    rng = np.random.default_rng(seed)
-    rows = []
-    for n in n_grid:
-        for d in d_grid:
-            if n <= d:
-                continue
-            A = rng.standard_normal((n, d))
-            t0 = time.perf_counter()
-            exact = matcore.exact_leverage(A)
-            t_exact = (time.perf_counter() - t0) * 1e3
-            plan = make_plan(n, d, epsilon=args.eps, mode=args.mode)
-            t_sk = 0.0
-            max_err = 0.0
-            for trial in range(args.trials):
-                t0 = time.perf_counter()
-                report, _ = approx_leverage(A, plan, seed + trial)
-                t_sk += (time.perf_counter() - t0) * 1e3
-                nz = exact.scores > 0
-                max_err = max(max_err, float(np.max(
-                    np.abs(report.scores[nz] - exact.scores[nz])
-                    / exact.scores[nz])))
-            rows.append([n, d, t_exact, t_sk / args.trials, max_err])
-    return {"params": {"eps": args.eps, "mode": args.mode,
-                       "trials": args.trials},
-            "seed": seed, "timings_ms": {},
-            "result": {"columns": ["n", "d", "exact_ms", "sketched_ms",
-                                   "max_rel_err"],
-                       "rows": rows}}
-
-
 _RUNNERS = {"leverage": _run_leverage, "exact": _run_exact,
             "coherence": _run_coherence, "cross": _run_cross,
-            "rankk": _run_rankk, "underls": _run_underls,
-            "bench": _run_bench}
+            "rankk": _run_rankk, "underls": _run_underls}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.retries < 0:
+            raise errors.InvalidParameter(
+                f"--retries must be >= 0, got {args.retries}")
         doc = _RUNNERS[args.command](args)
     except _RetriesExhausted as exc:
         print(f"error: rank-deficient sketch after retries: {exc}",

@@ -3,11 +3,10 @@
 The search enumerates exactly the pairs of rows of X whose squared inner
 product clears ||X^T X||_F^2 / kappa, examining only norm-heavy candidates
 (a Cauchy-Schwarz superset of bounded size) with blocked matrix products.
-The sketched variant searches the factor of the leverage sketch
-Omega = A R^{-1} Pi2 that ``approx_leverage`` returns: it has Omega's row
-inner products but is no wider than rank(A). The search runs with kappa
-rescaled by ||Omega^T Omega||_F^2 / d, giving an effective cutoff of
-d / kappa.
+The sketched variant searches the factor X that ``approx_leverage``
+returns: A R^{-1}, or, when stage 2 compresses, an n x r2 factor with the
+row inner products of Omega = A R^{-1} Pi2. The search runs with kappa
+rescaled by ||X^T X||_F^2 / d, giving an effective cutoff of d / kappa.
 """
 
 from __future__ import annotations
@@ -178,15 +177,15 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float, seed: int,
                           off_diagonal_only: bool = False) -> HeavyPairSet:
     """Large cross-leverage scores via the leverage sketch.
 
-    Runs ``approx_leverage`` and searches its factor X = A R^{-1} T^T for
-    heavy pairs, where T is the triangular factor of qr(Pi2^T) for the
-    seeded stage-2 map Pi2 (X = A R^{-1} when Pi2 is the identity). Since
-    X X^T = Omega Omega^T for the sketch Omega = A R^{-1} Pi2, X has
-    Omega's row inner products and ||X^T X||_F, but only min(rank, r2)
-    columns. The search runs at the rescaled threshold
-    kappa' = kappa ||Omega^T Omega||_F^2 / d, so that the effective cutoff
-    on sketched inner products is exactly d / kappa. Since
-    ||Omega^T Omega||_F^2 <= d (1 + 30 d eps) whenever the sketch preserves
+    Runs ``approx_leverage`` and searches its factor X for heavy pairs.
+    X is A R^{-1} when ``plan.r2 >= rank``; otherwise X = A R^{-1} T^T,
+    where T is the triangular factor of qr(Pi2^T) for the seeded stage-2
+    map Pi2, so that X X^T = Omega Omega^T for the sketch
+    Omega = A R^{-1} Pi2 and X has Omega's row inner products and Frobenius
+    norm in r2 columns. The search runs at the rescaled threshold
+    kappa' = kappa ||X^T X||_F^2 / d, so that the effective cutoff on
+    sketched inner products is exactly d / kappa. Since
+    ||X^T X||_F^2 <= d (1 + 30 d eps) whenever the sketch preserves
     pairwise inner products, kappa' <= kappa (1 + 30 d eps).
     """
     if not (kappa > 1.0):

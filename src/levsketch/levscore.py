@@ -2,10 +2,12 @@
 
 The two-stage sketch: an SRHT compresses the rows of A so that a cheap
 d x d orthogonalizer R^{-1} of the compressed matrix makes A R^{-1}
-approximately orthonormal; a sparse JLT Pi2 then compresses the columns,
-and the leverage estimates are the squared row norms of
-Omega = A R^{-1} Pi2. They are read off a factor no wider than rank(A)
-with Omega's row inner products, so Omega itself is never formed.
+approximately orthonormal; when its target dimension r2 is below the
+rank, a sparse JLT Pi2 then compresses the columns, and the leverage
+estimates are the squared row norms of Omega = A R^{-1} Pi2. They are read
+off an n x r2 factor with Omega's row inner products, so Omega itself is
+never formed. Each stage is skipped where it cannot compress (r1 >= n,
+r2 >= rank), which makes the plan r1 = n, r2 = d exact.
 Also includes the simpler single-projection inner-product estimator that
 we use as a comparison baseline.
 """
@@ -23,7 +25,7 @@ from . import errors
 from ._kernels import row_sq_norms
 from .matcore import DEFAULT_RANK_TOL, LeverageReport, validate_matrix
 from .sketch import (SketchOperator, SketchPlan, apply_srht, _sparse_jlt_matrix,
-                     _srht_transpose, next_pow2)
+                     _srht_transpose)
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,7 @@ class Orthogonalizer:
     """
 
     Rinv: np.ndarray
-    source: str  # "svd" | "qr"
-    route: str = "householder"
+    route: str
 
     @property
     def rank(self) -> int:
@@ -45,17 +46,16 @@ class Orthogonalizer:
 
 @dataclass
 class SketchedBasis:
-    """An n x min(rank, r2) factor X of the sketch Omega = A R^{-1} Pi2.
+    """The n x min(rank, r2) factor X whose squared row norms are the scores.
 
-    X = A R^{-1} T^T for the triangular factor T of qr(Pi2^T), so that
-    X X^T = Omega Omega^T: X has Omega's row norms and row inner products
-    without Omega's r2 columns. X = A R^{-1} when Pi2 is the identity.
+    X = A R^{-1} when r2 >= rank. Otherwise X = A R^{-1} T^T for the
+    triangular factor T of qr(Pi2^T), so that X X^T = Omega Omega^T for
+    the sketch Omega = A R^{-1} Pi2: X has Omega's row norms and row inner
+    products without Omega's r2 columns.
     """
 
     factor: np.ndarray
     plan: SketchPlan
-    seed1: int
-    seed2: int
 
 
 # CholeskyQR2's R is trusted only while R is this well conditioned
@@ -87,57 +87,37 @@ def _cholesky_qr2(PA: np.ndarray) -> Optional[np.ndarray]:
     return R
 
 
-def build_orthogonalizer(pa, source: str = "svd",
-                         rank_tolerance: float = DEFAULT_RANK_TOL,
+def build_orthogonalizer(pa, rank_tolerance: float = DEFAULT_RANK_TOL,
                          allow_rank_deficient: bool = False) -> Orthogonalizer:
     """Compute R^{-1} from the sketched matrix Pi1 A.
 
-    The SVD route takes R from guarded CholeskyQR2, falling back to
-    Householder ``qr(PA)`` when CholeskyQR2 fails or R has condition
-    number above 1e6, and returns V Sigma^{-1} from the d x d ``svd(R)``
-    (V's columns signed so that each one's largest-magnitude entry is
-    positive, whichever route produced R). Rank decisions at
-    ``rank_tolerance`` therefore always come from a backward-stable R.
-    The QR route inverts the Householder triangular factor. Both make
-    ``pa @ Rinv`` orthonormal and yield identical row norms for A R^{-1}
-    downstream.
+    R comes from guarded CholeskyQR2, falling back to Householder
+    ``qr(PA)`` when CholeskyQR2 fails or R has condition number above 1e6,
+    and R^{-1} is V Sigma^{-1} from the d x d ``svd(R)`` (V's columns signed
+    so that each one's largest-magnitude entry is positive, whichever route
+    produced R). Rank decisions at ``rank_tolerance`` therefore always
+    come from a backward-stable R, and ``pa @ Rinv`` is orthonormal.
     """
     PA = validate_matrix(pa)
     d = PA.shape[1]
-    if source == "svd":
-        R, route = _cholesky_qr2(PA), "cholesky_qr2"
-        if R is None:
-            R, route = np.linalg.qr(PA, mode="r"), "householder"
-        _, s, Vt = np.linalg.svd(R)
-        keep = s > rank_tolerance * s[0] if s[0] > 0 else np.zeros_like(s, bool)
-        rho = int(keep.sum())
-        if rho < d and not allow_rank_deficient:
-            raise errors.RankDeficient(
-                f"sketched matrix has rank {rho} < {d}; resample with a new seed")
-        if rho == 0:
-            raise errors.RankDeficient("sketched matrix is numerically zero")
-        V = Vt[:rho].T
-        V *= np.sign(V[np.abs(V).argmax(axis=0), np.arange(rho)])
-        return Orthogonalizer(Rinv=V / s[:rho], source="svd", route=route)
-    if source == "qr":
-        R = np.linalg.qr(PA, mode="r")
-        diag = np.abs(np.diag(R))
-        if diag.min() <= rank_tolerance * max(diag.max(), 1e-300):
-            raise errors.RankDeficient(
-                "triangular factor is singular at tolerance; resample or use svd")
-        return Orthogonalizer(
-            Rinv=np.linalg.solve(R, np.eye(d)), source="qr")
-    raise errors.InvalidParameter(f"unknown orthogonalizer source {source!r}")
-
-
-def _stage1_operator(plan: SketchPlan, n: int, seed: int) -> SketchOperator:
-    if plan.pi1_kind == "fullrht":
-        return SketchOperator("FullRHT", seed, n, next_pow2(n))
-    return SketchOperator("SRHT", seed, n, min(plan.r1, next_pow2(n)))
+    R, route = _cholesky_qr2(PA), "cholesky_qr2"
+    if R is None:
+        R, route = np.linalg.qr(PA, mode="r"), "householder"
+    _, s, Vt = np.linalg.svd(R)
+    keep = s > rank_tolerance * s[0] if s[0] > 0 else np.zeros_like(s, bool)
+    rho = int(keep.sum())
+    if rho < d and not allow_rank_deficient:
+        raise errors.RankDeficient(
+            f"sketched matrix has rank {rho} < {d}; resample with a new seed")
+    if rho == 0:
+        raise errors.RankDeficient("sketched matrix is numerically zero")
+    V = Vt[:rho].T
+    V *= np.sign(V[np.abs(V).argmax(axis=0), np.arange(rho)])
+    return Orthogonalizer(Rinv=V / s[:rho], route=route)
 
 
 def _stage2_factor(plan: SketchPlan, rank: int, seed: int) -> np.ndarray:
-    """T^T for the triangular factor T of qr(Pi2^T), rank x min(rank, r2).
+    """T^T for the triangular factor T of qr(Pi2^T), rank x r2 for r2 < rank.
 
     Pi2 = T^T Q^T with Q^T Q = I, so Pi2 Pi2^T = T^T T.
     """
@@ -147,18 +127,18 @@ def _stage2_factor(plan: SketchPlan, rank: int, seed: int) -> np.ndarray:
 
 def approx_leverage(a, plan: SketchPlan, seed: int,
                     rank_tolerance: float = DEFAULT_RANK_TOL,
-                    source: str = "svd",
                     allow_rank_deficient: bool = False,
                     timings: Optional[dict] = None):
     """Sketched leverage scores of a tall matrix.
 
     Stage 1 factors the SRHT of A, or A itself when ``plan.r1 >= n``
-    (the SRHT cannot compress there; r1 is then n). The scores are the
-    squared row norms of Omega = A R^{-1} Pi2, read off the narrow factor
-    X = A R^{-1} T^T (see ``SketchedBasis``), so the n x r2 Omega is never
-    formed and stage 2 costs O(n rank^2) whatever r2 is. Returns
-    ``(LeverageReport, SketchedBasis)``; ``extras["r2"]`` is ``plan.r2``,
-    or the rank when Pi2 is the identity. If ``timings`` is a dict it
+    (the SRHT cannot compress there; r1 is then n). Stage 2 projects
+    A R^{-1} only when ``plan.r2 < rank``: the scores are then the squared
+    row norms of Omega = A R^{-1} Pi2, read off the n x r2 factor
+    X = A R^{-1} T^T (see ``SketchedBasis``), so Omega is never formed.
+    Otherwise they are the squared row norms of A R^{-1} itself. Returns
+    ``(LeverageReport, SketchedBasis)``; ``extras["r2"]`` is the number of
+    columns of X, ``min(rank, plan.r2)``. If ``timings`` is a dict it
     receives ``sketch_apply_ms``, ``factorization_ms``, ``product_ms``
     (A R^{-1} and stage 2) and ``norms_ms``.
     """
@@ -170,21 +150,17 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     if plan.r1 >= n:
         PA = A
     else:
-        PA = apply_srht(_stage1_operator(plan, n, seed), A)
+        PA = apply_srht(SketchOperator("SRHT", seed, n, plan.r1), A)
     t1 = time.perf_counter()
-    orth = build_orthogonalizer(PA, source=source, rank_tolerance=rank_tolerance,
+    orth = build_orthogonalizer(PA, rank_tolerance=rank_tolerance,
                                 allow_rank_deficient=allow_rank_deficient)
     r1 = PA.shape[0]
     del PA  # free the sketched matrix before the n x rank products
     t2 = time.perf_counter()
-    AR = A @ orth.Rinv
     rank = orth.rank
-    if plan.pi2_kind == "identity":
-        X, r2 = AR, rank
-    elif plan.pi2_kind == "sparse":
-        X, r2 = AR @ _stage2_factor(plan, rank, seed), plan.r2
-    else:
-        raise errors.InvalidParameter(f"unknown pi2_kind {plan.pi2_kind!r}")
+    X = A @ orth.Rinv
+    if plan.r2 < rank:
+        X = X @ _stage2_factor(plan, rank, seed)
     t3 = time.perf_counter()
     scores = row_sq_norms(X)
     t4 = time.perf_counter()
@@ -203,10 +179,9 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
         method="sketched",
         params=plan,
         seed=int(seed),
-        extras={"rank": rank, "r1": r1, "r2": r2},
+        extras={"rank": rank, "r1": r1, "r2": X.shape[1]},
     )
-    return report, SketchedBasis(factor=X, plan=plan, seed1=int(seed),
-                                 seed2=int(seed))
+    return report, SketchedBasis(factor=X, plan=plan)
 
 
 def mi_estimate(a, seed: int,

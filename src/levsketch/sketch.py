@@ -62,10 +62,12 @@ def fjlt_dim(n: int, d: int, epsilon: float) -> int:
 class SketchPlan:
     """Resolved sketch dimensions for the two-stage leverage sketch.
 
-    ``r1`` is the SRHT row budget (stage 1), ``r2`` the JLT target dimension
-    (stage 2). Theory mode evaluates the proof-grade formulas; practical mode uses
-    r1 = ceil(c1 d ln n), r2 = ceil(c2 ln n / eps^2). The degenerate kinds
-    ``fullrht``/``identity`` turn either stage into an exact map.
+    ``r1`` is the SRHT row budget (stage 1), ``r2`` the sparse-JLT target
+    dimension (stage 2). Theory mode evaluates the proof-grade formulas;
+    practical mode uses r1 = ceil(c1 d ln n), r2 = ceil(c2 ln n / eps^2).
+    A stage that cannot compress is skipped: r1 >= n factors A itself and
+    r2 >= rank leaves A R^{-1} unprojected, so ``make_plan(n, d, eps,
+    r1=n, r2=d)`` is the exact plan.
     """
 
     epsilon: float
@@ -75,15 +77,21 @@ class SketchPlan:
     mode: str  # "theory" | "practical"
     c1: float = DEFAULT_C1
     c2: float = DEFAULT_C2
-    pi1_kind: str = "srht"      # "srht" | "fullrht"
-    pi2_kind: str = "sparse"    # "sparse" | "identity"
+
+
+def _check_size(name: str, value) -> int:
+    """An explicit sketch size: an integer >= 1 (bools are not sizes)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise errors.InvalidParameter(
+            f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def make_plan(n: int, d: int, epsilon: float, delta: float = DEFAULT_DELTA,
               mode: str = "practical", c1: float = DEFAULT_C1,
               c2: float = DEFAULT_C2, r1: Optional[int] = None,
-              r2: Optional[int] = None, pi1_kind: str = "srht",
-              pi2_kind: str = "sparse") -> SketchPlan:
+              r2: Optional[int] = None) -> SketchPlan:
     """Resolve r1/r2 for an n x d input, honoring explicit overrides."""
     if not (0.0 < epsilon <= 0.5):
         raise errors.InvalidParameter(f"epsilon must be in (0, 0.5], got {epsilon}")
@@ -91,28 +99,31 @@ def make_plan(n: int, d: int, epsilon: float, delta: float = DEFAULT_DELTA,
         raise errors.InvalidParameter(f"delta must be in (0, 1), got {delta}")
     if mode not in ("theory", "practical"):
         raise errors.InvalidParameter(f"unknown mode {mode!r}")
-    if r1 is None:
-        if mode == "theory":
-            r1 = fjlt_dim(n, d, epsilon)
-        else:
-            r1 = min(n, max(d, math.ceil(c1 * d * math.log(max(n, 2)))))
-    if r2 is None:
-        if mode == "theory":
-            # Pi2 must be a JLT for the n rows and their n^2 - n pairwise sums.
-            r2 = jlt_dim(max(n * n, 2), epsilon, delta)
-        else:
-            r2 = max(1, math.ceil(c2 * math.log(max(n, 2)) / epsilon**2))
-    r1 = max(d, min(int(r1), n))
-    return SketchPlan(epsilon=epsilon, delta=delta, r1=int(r1), r2=int(r2),
-                      mode=mode, c1=c1, c2=c2, pi1_kind=pi1_kind,
-                      pi2_kind=pi2_kind)
+    for name, c in (("c1", c1), ("c2", c2)):
+        if not (math.isfinite(c) and c > 0.0):
+            raise errors.InvalidParameter(f"{name} must be finite and > 0, got {c}")
+    if r1 is not None:
+        r1 = _check_size("r1", r1)
+    elif mode == "theory":
+        r1 = fjlt_dim(n, d, epsilon)
+    else:
+        r1 = min(n, max(d, math.ceil(c1 * d * math.log(max(n, 2)))))
+    if r2 is not None:
+        r2 = _check_size("r2", r2)
+    elif mode == "theory":
+        # Pi2 must be a JLT for the n rows and their n^2 - n pairwise sums.
+        r2 = jlt_dim(max(n * n, 2), epsilon, delta)
+    else:
+        r2 = max(1, math.ceil(c2 * math.log(max(n, 2)) / epsilon**2))
+    return SketchPlan(epsilon=epsilon, delta=delta, r1=max(d, min(r1, n)),
+                      r2=r2, mode=mode, c1=c1, c2=c2)
 
 
 @dataclass(frozen=True)
 class SketchOperator:
     """Immutable description of a seeded random transform."""
 
-    kind: str  # "SRHT" | "FullRHT" | "SparseJLT" | "Gaussian" | "Identity"
+    kind: str  # "SRHT" | "SparseJLT" | "Gaussian"
     seed: int
     in_dim: int
     out_dim: int
@@ -152,9 +163,9 @@ def apply_srht(op: SketchOperator, a) -> np.ndarray:
 
     Rows are zero-padded to the next power of two before the transform; D is
     a seeded +/-1 diagonal and S^T selects r distinct rows uniformly at
-    random (all rows, unscaled, for the FullRHT kind).
+    random (all of them, in order, when r = n_pad).
     """
-    if op.kind not in ("SRHT", "FullRHT"):
+    if op.kind != "SRHT":
         raise errors.InvalidParameter(f"not an SRHT operator: {op.kind}")
     A = validate_matrix(a)
     n, d = A.shape
@@ -162,21 +173,15 @@ def apply_srht(op: SketchOperator, a) -> np.ndarray:
         raise errors.DimensionMismatch(
             f"operator expects {op.in_dim} rows, matrix has {n}")
     n_pad = next_pow2(n)
-    signs = rademacher(op.seed, n, 0)
-    buf = np.zeros((n_pad, d), dtype=np.float64)
-    buf[:n] = A * signs[:, None]
-    fwht_inplace(buf)
-    buf *= 1.0 / math.sqrt(n_pad)
-    if op.kind == "FullRHT":
-        if op.out_dim != n_pad:
-            raise errors.DimensionMismatch(
-                f"FullRHT out_dim must equal padded n={n_pad}, got {op.out_dim}")
-        return buf
     r = op.out_dim
     if not (1 <= r <= n_pad):
         raise errors.DimensionMismatch(f"out_dim {r} not in [1, {n_pad}]")
-    idx = _srht_selection(op, n_pad)
-    return buf[idx] * math.sqrt(n_pad / r)
+    buf = np.zeros((n_pad, d), dtype=np.float64)
+    np.multiply(A, rademacher(op.seed, n, 0)[:, None], out=buf[:n])
+    fwht_inplace(buf)
+    out = buf[_srht_selection(op, n_pad)]
+    out *= 1.0 / math.sqrt(r)  # sqrt(n_pad / r) times H's 1 / sqrt(n_pad)
+    return out
 
 
 def _srht_transpose(op: SketchOperator, y: np.ndarray) -> np.ndarray:
@@ -217,25 +222,6 @@ def apply_sparse_jlt(op: SketchOperator, x, side: str = "right") -> np.ndarray:
             raise errors.DimensionMismatch(
                 f"need {op.in_dim} rows, got {X.shape[0]}")
         return P.T @ X
-    raise errors.InvalidParameter(f"side must be 'left' or 'right', got {side!r}")
-
-
-def apply_gaussian(op: SketchOperator, a, side: str = "right") -> np.ndarray:
-    """Multiply by a seeded standard-normal matrix of shape (in_dim, out_dim)."""
-    if op.kind != "Gaussian":
-        raise errors.InvalidParameter(f"not a Gaussian operator: {op.kind}")
-    A = validate_matrix(a)
-    G = gaussian_matrix(op)
-    if side == "right":
-        if A.shape[1] != op.in_dim:
-            raise errors.DimensionMismatch(
-                f"need {op.in_dim} columns, got {A.shape[1]}")
-        return A @ G
-    if side == "left":
-        if A.shape[0] != op.in_dim:
-            raise errors.DimensionMismatch(
-                f"need {op.in_dim} rows, got {A.shape[0]}")
-        return G.T @ A
     raise errors.InvalidParameter(f"side must be 'left' or 'right', got {side!r}")
 
 

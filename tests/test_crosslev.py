@@ -236,7 +236,7 @@ def test_degenerate_sketch_equals_exact_search():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((64, 5))
     kappa = 40.0
-    plan = make_plan(64, 5, 0.5, pi1_kind="fullrht", pi2_kind="identity")
+    plan = make_plan(64, 5, 0.5, r1=64, r2=5)
     hp = approx_cross_leverage(A, plan, kappa, seed=0)
     U = thin_svd(A).U
     # the exact sketch has an orthonormal Omega, so the search reduces to
@@ -246,22 +246,24 @@ def test_degenerate_sketch_equals_exact_search():
     assert hp.threshold == pytest.approx(5 / kappa)
 
 
-@pytest.mark.parametrize("pi2_kind, d, r2", [("sparse", 8, None),
-                                             ("identity", 8, None),
-                                             ("sparse", 64, 16)])
-def test_narrow_factor_matches_search_on_full_sketch(pi2_kind, d, r2):
+@pytest.mark.parametrize("stage2, d, r2", [("sparse", 16, 8),
+                                           ("identity", 8, None),
+                                           ("sparse", 64, 16)])
+def test_narrow_factor_matches_search_on_full_sketch(stage2, d, r2):
     # X = A R^-1 T^T has the row inner products of Omega = A R^-1 Pi2, so
-    # searching it returns the pairs of the search on Omega itself
+    # searching it returns the pairs of the search on Omega itself; with
+    # r2 >= rank stage 2 is skipped and Omega = A R^-1
     A = planted_matrix(seed=4, n=512, d=d, scale=25.0)
     n = A.shape[0]
     kappa = n * math.log(n)
-    plan = make_plan(n, d, 0.5, r2=r2, pi2_kind=pi2_kind)
-    stage1_only = make_plan(n, d, 0.5, pi2_kind="identity")
+    plan = make_plan(n, d, 0.5, r2=r2)
+    assert (plan.r2 < d) == (stage2 == "sparse")
+    stage1_only = make_plan(n, d, 0.5, r2=d)
     for seed in range(3):
         hp = approx_cross_leverage(A, plan, kappa, seed)
         # Omega = (A R^-1) Pi2, with A R^-1 from the same seed's stage 1
         omega = approx_leverage(A, stage1_only, seed)[1].factor
-        if pi2_kind == "sparse":
+        if stage2 == "sparse":
             omega = omega @ _sparse_jlt_matrix(
                 SketchOperator("SparseJLT", seed, d, plan.r2))
         gram = omega.T @ omega

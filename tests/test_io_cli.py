@@ -110,8 +110,8 @@ def test_cli_degenerate_overrides_match_exact(tmp_path, capsys, rng):
     A = rng.standard_normal((64, 5))
     path = write_fixture(tmp_path, A)
     _, exact_doc = run_cli(capsys, ["exact", path])
-    _, sk_doc = run_cli(capsys, ["leverage", path, "--pi1", "fullrht",
-                                 "--pi2", "identity", "--seed", "3"])
+    _, sk_doc = run_cli(capsys, ["leverage", path, "--r1", "64", "--r2", "5",
+                                 "--seed", "3"])
     np.testing.assert_allclose(sk_doc["result"]["scores"],
                                exact_doc["result"]["scores"], atol=1e-9)
 
@@ -245,23 +245,22 @@ def test_cli_hard_error_exit_code(tmp_path, capsys):
     assert main(["exact", str(bad)]) == 1
 
 
-def test_cli_bench_smoke(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    code = main(["bench", "--n-grid", "256,512", "--d-grid", "4",
-                 "--trials", "1", "--seed", "0", "-o", str(out)])
-    assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "n,d,exact_ms,sketched_ms,max_rel_err"
-    assert len(lines) == 3
+@pytest.mark.parametrize("flag, value", [("--r2", "0"), ("--r2", "-3"),
+                                         ("--r1", "0"), ("--c1", "nan"),
+                                         ("--c2", "inf"), ("--c1", "-1"),
+                                         ("--retries", "-1")])
+def test_cli_bad_sketch_parameter_is_a_usage_error(tmp_path, capsys, rng,
+                                                   flag, value):
+    path = write_fixture(tmp_path, rng.standard_normal((40, 3)))
+    assert main(["leverage", path, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag.lstrip("-") in err
 
 
-def test_cli_bench_json_grid(capsys):
-    code, doc = run_cli(capsys, ["bench", "--n-grid", "256,1024",
-                                 "--d-grid", "8,300", "--trials", "1",
-                                 "--seed", "0", "--output-format", "json"])
-    assert code == 0
-    assert "backend" not in doc["params"]
-    assert doc["result"]["columns"] == ["n", "d", "exact_ms", "sketched_ms",
-                                        "max_rel_err"]
-    assert [row[:2] for row in doc["result"]["rows"]] == [
-        [256, 8], [1024, 8], [1024, 300]]
+@pytest.mark.parametrize("argv", [["leverage", "x.csv", "--pi2", "identity"],
+                                  ["leverage", "x.csv", "--pi1", "srht"],
+                                  ["bench"]])
+def test_cli_removed_switches_do_not_parse(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

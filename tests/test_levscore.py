@@ -1,21 +1,27 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from levsketch import (SketchOperator, apply_srht, approx_leverage,
                        build_orthogonalizer, coherence, errors,
-                       exact_leverage, hadamard_matrix, make_plan,
+                       exact_leverage, hadamard_matrix, levscore, make_plan,
                        mi_estimate, pseudoinverse)
 from levsketch.matcore import DEFAULT_RANK_TOL
 from levsketch.sketch import _sparse_jlt_matrix
 
 
 def degenerate_plan(n, d, eps=0.5):
-    """FullRHT + identity second stage: the sketch becomes exact."""
-    return make_plan(n, d, eps, pi1_kind="fullrht", pi2_kind="identity")
+    """r1 = n factors A itself and r2 = d skips stage 2: the sketch is exact."""
+    return make_plan(n, d, eps, r1=n, r2=d)
+
+
+def householder_only():
+    """Force build_orthogonalizer onto its Householder QR fallback."""
+    return mock.patch.object(levscore, "_cholesky_qr2", lambda PA: None)
 
 
 def test_degenerate_exactness_canonical_rows():
@@ -69,17 +75,40 @@ def test_report_metadata():
     assert report.seed == 3
     assert report.params is plan
     rank = report.extras["rank"]
-    assert report.extras["r2"] == plan.r2
+    assert report.extras["r2"] == min(rank, plan.r2)
     assert basis.factor.shape == (64, min(rank, plan.r2))
-    # X X^T = Omega Omega^T for Omega = (A R^-1) Pi2 built explicitly
-    ar = approx_leverage(A, make_plan(64, 4, 0.5, pi2_kind="identity"),
-                         seed=3)[1].factor
-    omega = ar @ _sparse_jlt_matrix(SketchOperator("SparseJLT", 3, rank,
-                                                   plan.r2))
-    np.testing.assert_allclose(basis.factor @ basis.factor.T,
-                               omega @ omega.T, rtol=1e-12, atol=1e-12)
     assert abs(report.normalized.sum() - 1.0) <= 1e-12
     assert report.coherence == pytest.approx(report.scores.max())
+
+
+def test_stage2_factor_has_the_row_inner_products_of_omega():
+    # X X^T = Omega Omega^T for Omega = (A R^-1) Pi2 built explicitly,
+    # at r2 = 5 < rank = 12, where stage 2 compresses
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((64, 12))
+    plan = make_plan(64, 12, 0.5, r2=5)
+    report, basis = approx_leverage(A, plan, seed=3)
+    assert report.extras["r2"] == 5
+    assert basis.factor.shape == (64, 5)
+    ar = approx_leverage(A, make_plan(64, 12, 0.5, r2=12), seed=3)[1].factor
+    omega = ar @ _sparse_jlt_matrix(SketchOperator("SparseJLT", 3, 12, 5))
+    np.testing.assert_allclose(basis.factor @ basis.factor.T,
+                               omega @ omega.T, rtol=1e-12, atol=1e-12)
+
+
+def test_stage2_skipped_when_r2_reaches_rank():
+    # r1 = 915 < n, r2 = 366 >= rank: the factor is A R^-1 from stage 1
+    rng = np.random.default_rng(13)
+    n, d = 2048, 6
+    A = rng.standard_normal((n, d))
+    plan = make_plan(n, d, 0.5)
+    assert plan.r1 < n and plan.r2 >= d
+    report, basis = approx_leverage(A, plan, seed=5)
+    PA = apply_srht(SketchOperator("SRHT", 5, n, plan.r1), A)
+    np.testing.assert_array_equal(basis.factor,
+                                  A @ build_orthogonalizer(PA).Rinv)
+    assert report.extras["r2"] == report.extras["rank"] == d
+    assert report.extras["r1"] == plan.r1
 
 
 def test_shape_error_for_fat_matrix():
@@ -142,25 +171,30 @@ def test_determinism_same_seed():
 def test_orthogonalizer_makes_sketch_orthonormal():
     rng = np.random.default_rng(6)
     PA = rng.standard_normal((50, 5))
-    for source in ("svd", "qr"):
-        orth = build_orthogonalizer(PA, source=source)
-        Q = PA @ orth.Rinv
+    orth = build_orthogonalizer(PA)
+    with householder_only():
+        house = build_orthogonalizer(PA)
+    assert (orth.route, house.route) == ("cholesky_qr2", "householder")
+    for o in (orth, house):
+        Q = PA @ o.Rinv
         assert np.max(np.abs(Q.T @ Q - np.eye(5))) <= 1e-8
 
 
 def test_orthogonalizer_svd_qr_equivalence():
-    # any orthogonalizer of Pi1 A yields the same row norms for A Rinv
+    # CholeskyQR2's R and the Householder fallback's R give the same row
+    # norms for A Rinv
     rng = np.random.default_rng(7)
     A = rng.standard_normal((80, 6))
     PA = rng.standard_normal((30, 6))
-    svd_norms = np.sum((A @ build_orthogonalizer(PA, "svd").Rinv) ** 2, axis=1)
-    qr_norms = np.sum((A @ build_orthogonalizer(PA, "qr").Rinv) ** 2, axis=1)
-    np.testing.assert_allclose(svd_norms, qr_norms, atol=1e-9)
+    chol_norms = np.sum((A @ build_orthogonalizer(PA).Rinv) ** 2, axis=1)
+    with householder_only():
+        qr_norms = np.sum((A @ build_orthogonalizer(PA).Rinv) ** 2, axis=1)
+    np.testing.assert_allclose(chol_norms, qr_norms, atol=1e-9)
 
 
 def test_orthogonalizer_diagonal_case():
     PA = np.vstack([np.diag([2.0, 3.0]), np.zeros((4, 2))])
-    orth = build_orthogonalizer(PA, "svd")
+    orth = build_orthogonalizer(PA)
     Q = PA @ orth.Rinv
     np.testing.assert_allclose(Q.T @ Q, np.eye(2), atol=1e-12)
 
@@ -168,10 +202,10 @@ def test_orthogonalizer_diagonal_case():
 def test_orthogonalizer_rank_deficient_raises():
     PA = np.ones((10, 3))  # rank 1
     with pytest.raises(errors.RankDeficient):
-        build_orthogonalizer(PA, "svd")
-    with pytest.raises(errors.RankDeficient):
-        build_orthogonalizer(PA, "qr")
-    orth = build_orthogonalizer(PA, "svd", allow_rank_deficient=True)
+        build_orthogonalizer(PA)
+    with householder_only(), pytest.raises(errors.RankDeficient):
+        build_orthogonalizer(PA)
+    orth = build_orthogonalizer(PA, allow_rank_deficient=True)
     assert orth.rank == 1
 
 
@@ -186,7 +220,7 @@ def test_orthogonalizer_well_conditioned_matches_svd_of_sketch():
     rng = np.random.default_rng(15)
     A = rng.standard_normal((300, 8))
     PA = with_spectrum(rng, 120, np.logspace(0, -3, 8))
-    orth = build_orthogonalizer(PA, "svd")
+    orth = build_orthogonalizer(PA)
     assert orth.route == "cholesky_qr2"
     _, s, Vt = np.linalg.svd(PA, full_matrices=False)
     expected = np.sum((A @ (Vt.T / s)) ** 2, axis=1)
@@ -199,8 +233,8 @@ def test_orthogonalizer_routes_agree_column_for_column():
     # canonical column signs make both routes give the same R^-1
     rng = np.random.default_rng(16)
     PA = with_spectrum(rng, 90, np.logspace(0, -2, 6))
-    chol = build_orthogonalizer(PA, "svd")
-    house = build_orthogonalizer(1e200 * PA, "svd")
+    chol = build_orthogonalizer(PA)
+    house = build_orthogonalizer(1e200 * PA)
     assert (chol.route, house.route) == ("cholesky_qr2", "householder")
     np.testing.assert_allclose(house.Rinv * 1e200, chol.Rinv, rtol=1e-10,
                                atol=0)
@@ -215,7 +249,7 @@ def test_orthogonalizer_ill_conditioned_falls_back_to_householder(cond):
     s = np.linalg.svd(PA, compute_uv=False)
     expected = int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
     assert expected == (6 if cond < 1 / DEFAULT_RANK_TOL else 5)
-    orth = build_orthogonalizer(PA, "svd", allow_rank_deficient=True)
+    orth = build_orthogonalizer(PA, allow_rank_deficient=True)
     assert orth.route == "householder"
     assert orth.rank == expected
     Q = PA @ orth.Rinv
@@ -224,7 +258,7 @@ def test_orthogonalizer_ill_conditioned_falls_back_to_householder(cond):
                                atol=100 * np.finfo(float).eps * kept_cond)
     if expected < 6:
         with pytest.raises(errors.RankDeficient):
-            build_orthogonalizer(PA, "svd")
+            build_orthogonalizer(PA)
 
 
 # ---------------------------------------------------------- mi estimator

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levsketch
-from levsketch import (SketchOperator, apply_gaussian, apply_sparse_jlt,
-                       apply_srht, errors, fjlt_dim, fwht, jlt_dim, make_plan)
-from levsketch.sketch import next_pow2
+from levsketch import (SketchOperator, apply_sparse_jlt, apply_srht, errors,
+                       fjlt_dim, fwht, jlt_dim, make_plan)
+from levsketch.sketch import gaussian_matrix, next_pow2
 
 
 def naive_hadamard(n):
@@ -119,23 +120,40 @@ def test_fjlt_dim_monotone_in_d():
 
 # ---------------------------------------------------------------- SRHT
 
-def test_fullrht_preserves_frobenius_norm():
+def test_full_srht_preserves_frobenius_norm():
+    # out_dim = n_pad keeps every row of the transform, unscaled
     rng = np.random.default_rng(0)
     A = rng.standard_normal((16, 3))
-    op = SketchOperator("FullRHT", 5, 16, 16)
+    op = SketchOperator("SRHT", 5, 16, next_pow2(16))
     out = apply_srht(op, A)
     assert out.shape == (16, 3)
     assert abs(np.linalg.norm(out) - np.linalg.norm(A)) <= 1e-12 * np.linalg.norm(A)
 
 
-def test_fullrht_pads_to_power_of_two():
+def test_full_srht_pads_to_power_of_two():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((10, 2))
-    op = SketchOperator("FullRHT", 5, 10, 16)
+    op = SketchOperator("SRHT", 5, 10, next_pow2(10))
     out = apply_srht(op, A)
     assert out.shape == (16, 2)
     # zero-padding adds no energy
     assert abs(np.linalg.norm(out) - np.linalg.norm(A)) <= 1e-12 * np.linalg.norm(A)
+
+
+def test_srht_allocates_no_input_sized_temporary():
+    # the padded n_pad x d buffer (64 MiB here) and the r x d output are
+    # the only large allocations; an n x d product A * D would add 48.8 MiB
+    n, d, r = 100_000, 64, 4096
+    A = np.random.default_rng(2).standard_normal((n, d))
+    op = SketchOperator("SRHT", 3, n, r)
+    tracemalloc.start()
+    try:
+        apply_srht(op, A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = (next_pow2(n) + 2 * r) * d * 8 + 4 * 2**20
+    assert peak < budget, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_srht_deterministic_per_seed():
@@ -258,10 +276,10 @@ def test_sparse_jlt_sides_agree():
 
 def test_gaussian_moments_and_determinism():
     op = SketchOperator("Gaussian", 21, 1000, 1000)
-    G = apply_gaussian(op, np.eye(1000))
+    G = gaussian_matrix(op)
     assert abs(G.mean()) <= 0.01
     assert abs(G.var() - 1.0) <= 0.02
-    assert np.array_equal(G, apply_gaussian(op, np.eye(1000)))
+    assert np.array_equal(G, gaussian_matrix(op))
 
 
 # ---------------------------------------------------------------- plans
@@ -281,8 +299,17 @@ def test_make_plan_theory_uses_proof_grade_formulas():
 def test_make_plan_overrides_and_validation():
     plan = make_plan(100, 5, 0.25, r1=64, r2=9)
     assert (plan.r1, plan.r2) == (64, 9)
+    assert make_plan(100, 5, 0.25, r1=np.int64(64)).r1 == 64
     with pytest.raises(errors.InvalidParameter):
         make_plan(100, 5, 0.75)
+    for bad in (0, -3, 2.5, 9.0, True, "8"):
+        for key in ("r1", "r2"):
+            with pytest.raises(errors.InvalidParameter):
+                make_plan(100, 5, 0.25, **{key: bad})
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        for key in ("c1", "c2"):
+            with pytest.raises(errors.InvalidParameter):
+                make_plan(100, 5, 0.25, **{key: bad})
 
 
 def test_next_pow2():
