@@ -6,14 +6,33 @@ Viewing the rows axis as the index tuple (i1, i2, ...), each factor is one
 dense +/-1 matrix product along its own axis, done in place in tiles of at
 most ``_SCRATCH_BYTES``. A constant block keeps the cost O(n d log n); a
 constant scratch keeps the extra memory independent of n and d.
+
+The subsampled transform computes only the kept rows of H_n [x; 0] for an
+x of n <= n_pad rows. With H_n = H_b (x) H_slab, b the first block and
+slab = n_pad / b, row I * slab + k of H_n [x; 0] is sum_J H_b[I, J] z_J[k],
+where z_J = H_slab x_J is the transform of the J-th slab of x. Only the
+ceil(n / slab) slabs that hold x are stored and transformed, so the
+padding costs less than one slab; the last block is then one product of
+H_b's first ceil(n / slab) columns with each tile of slab positions,
+from which the kept rows are gathered. Its adjoint runs the same steps
+backwards.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MAX_LOG_BLOCK = 6  # blocks of at most 64: one BLAS call outruns 6 butterflies
-_SCRATCH_BYTES = 4 << 20
+# within one core's L2, and small enough that apply_srht's peak stays below
+# that of the padded n_pad x d buffer it replaces
+_SCRATCH_BYTES = 2 << 20
+
+
+def _scratch(size: int) -> np.ndarray:
+    """Float64 scratch for at most ``size`` values."""
+    return np.empty(min(size, _SCRATCH_BYTES // 8))
 
 
 def _sylvester(log_b: int) -> np.ndarray:
@@ -26,10 +45,11 @@ def _sylvester(log_b: int) -> np.ndarray:
 _HADAMARD = tuple(_sylvester(k) for k in range(_MAX_LOG_BLOCK + 1))
 
 
-def _block_logs(log_n: int) -> list[int]:
+@functools.cache  # log_n < 64: a few dozen entries, read on every call
+def _block_logs(log_n: int) -> tuple[int, ...]:
     """Split log2(n) into the fewest, most even parts <= _MAX_LOG_BLOCK."""
     parts = -(-log_n // _MAX_LOG_BLOCK)
-    return [log_n // parts + (i < log_n % parts) for i in range(parts)]
+    return tuple(log_n // parts + (i < log_n % parts) for i in range(parts))
 
 
 def _apply_block(x3: np.ndarray, h: np.ndarray, scratch: np.ndarray) -> None:
@@ -45,6 +65,14 @@ def _apply_block(x3: np.ndarray, h: np.ndarray, scratch: np.ndarray) -> None:
             tile[...] = out
 
 
+def _fwht_slabs(x: np.ndarray, log_slab: int, scratch: np.ndarray) -> None:
+    """x[s] <- H_slab x[s], unnormalized, for each slab of 2^log_slab rows."""
+    outer = x.shape[0] >> log_slab
+    for log_b in _block_logs(log_slab):
+        _apply_block(x.reshape(outer, 1 << log_b, -1), _HADAMARD[log_b], scratch)
+        outer <<= log_b
+
+
 def fwht_inplace(a: np.ndarray) -> None:
     """Apply the unnormalized Walsh-Hadamard transform down axis 0 of ``a``.
 
@@ -54,11 +82,101 @@ def fwht_inplace(a: np.ndarray) -> None:
     """
     if not a.flags.c_contiguous:
         raise ValueError("fwht_inplace needs a C-contiguous array")
-    scratch = np.empty(min(a.size, _SCRATCH_BYTES // a.itemsize))
-    outer = 1
-    for log_b in _block_logs(a.shape[0].bit_length() - 1):
-        _apply_block(a.reshape(outer, 1 << log_b, -1), _HADAMARD[log_b], scratch)
-        outer <<= log_b
+    _fwht_slabs(a, a.shape[0].bit_length() - 1, _scratch(a.size))
+
+
+def _split(n: int, n_pad: int) -> tuple[int, np.ndarray]:
+    """H_{n_pad} = H_b (x) H_slab, b the first of ``_block_logs``' blocks:
+    log2(slab) and the b x ceil(n / slab) columns of H_b for the slabs
+    that hold n rows."""
+    log_n = n_pad.bit_length() - 1
+    log_b = _block_logs(log_n)[0] if log_n else 0
+    log_slab = log_n - log_b
+    return log_slab, _HADAMARD[log_b][:, :-(-n >> log_slab)]
+
+
+def _tiles(rows: np.ndarray, log_slab: int, b: int, cols: int,
+           scratch: np.ndarray) -> list:
+    """(flat, cs, kept, src, buf) for each tile that holds kept ``rows``.
+
+    With the slabs viewed as rows of slab * cols values, ``flat`` slices
+    a tile of whole slab positions, or column slice ``cs`` of a single
+    position when its b output rows overflow ``scratch``. ``kept`` indexes
+    the rows that fall in the tile and ``src`` is their row in ``buf``,
+    the scratch for the tile's output of b * positions rows of ``cs``.
+    """
+    slab = 1 << log_slab
+    width = max(1, min(cols, scratch.size // b))
+    per = scratch.size // (b * cols) if width == cols else 1
+    if width == cols and per >= slab:  # one tile: all positions and columns
+        buf = scratch[:b * slab * cols].reshape(-1, cols)
+        return [(slice(None), slice(None), slice(None), rows, buf)]
+    offset = rows & (slab - 1)
+    order = np.argsort(offset, kind="stable")
+    starts = np.arange(0, slab, per)
+    edges = np.searchsorted(offset[order], np.append(starts, slab))
+    tiles = []
+    for t in np.flatnonzero(np.diff(edges)):
+        k0 = int(starts[t])
+        k1 = min(k0 + per, slab)
+        kept = order[edges[t]:edges[t + 1]]
+        src = (rows[kept] >> log_slab) * (k1 - k0) + offset[kept] - k0
+        for c0 in range(0, cols, width):
+            cs = slice(c0, min(c0 + width, cols))
+            flat = slice(k0 * cols + c0, (k1 - 1) * cols + cs.stop)
+            buf = scratch[:b * (flat.stop - flat.start)]
+            tiles.append((flat, cs, kept, src, buf.reshape(-1, cs.stop - c0)))
+    return tiles
+
+
+def sampled_fwht(a: np.ndarray, weights: np.ndarray, rows: np.ndarray,
+                 n_pad: int) -> np.ndarray:
+    """``(H_{n_pad} [diag(weights) a; 0])[rows]`` without the n_pad rows.
+
+    ``a`` is a trusted n x d float64 array with n <= n_pad (a power of
+    two), ``weights`` its n row weights and ``rows`` distinct row indices
+    below n_pad. H is unnormalized. The only buffer of the input's size
+    holds the ceil(n / slab) slabs of diag(weights) a; the rest is the
+    r x d result and a scratch of at most ``_SCRATCH_BYTES``.
+    """
+    n, d = a.shape
+    log_slab, h = _split(n, n_pad)
+    z = np.empty((h.shape[1] << log_slab, d))
+    np.multiply(a, weights[:, None], out=z[:n])
+    if n < z.shape[0]:
+        z[n:] = 0.0
+    scratch = _scratch(n_pad * d)
+    _fwht_slabs(z, log_slab, scratch)
+    z2 = z.reshape(h.shape[1], -1)
+    out = np.empty((rows.size, d))
+    for flat, cs, kept, src, buf in _tiles(rows, log_slab, h.shape[0], d, scratch):
+        np.matmul(h, z2[:, flat], out=buf.reshape(h.shape[0], -1))
+        if isinstance(kept, slice):  # the only tile: all rows, in order
+            buf.take(src, axis=0, out=out, mode="clip")  # unbuffered
+        else:
+            out[kept, cs] = buf[src]
+    return out
+
+
+def sampled_fwht_adjoint(y: np.ndarray, weights: np.ndarray,
+                         rows: np.ndarray, n_pad: int) -> np.ndarray:
+    """``diag(weights) (H_{n_pad} S^T y)[:n]``, the adjoint of
+    ``sampled_fwht``: S^T places the r rows of the trusted ``y`` at
+    ``rows`` and n = weights.size. Memory as in ``sampled_fwht``.
+    """
+    n, m = weights.size, y.shape[1]
+    log_slab, h = _split(n, n_pad)
+    u = np.zeros((h.shape[1] << log_slab, m))
+    u2 = u.reshape(h.shape[1], -1)
+    scratch = _scratch(n_pad * m)
+    for flat, cs, kept, src, buf in _tiles(rows, log_slab, h.shape[0], m, scratch):
+        buf[...] = 0.0
+        buf[src] = y[kept, cs]
+        np.matmul(h.T, buf.reshape(h.shape[0], -1), out=u2[:, flat])
+    _fwht_slabs(u, log_slab, scratch)
+    out = u[:n]
+    out *= weights[:, None]
+    return out
 
 
 def row_sq_norms(a: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@
 Subcommands cover every library operation. All output documents share
 the schema {"params", "seed", "timings_ms", "result"} with 0-based
 indices; runs with the same seed are byte-identical apart from the timing
-fields.
+fields. Sketched ``leverage`` and ``cross`` runs list the plan's sizes in
+``params`` and, under ``params.run``, the rank and the r1 and r2 the
+sketch used.
 """
 
 from __future__ import annotations
@@ -158,9 +160,11 @@ def _plan_for(args, n: int, d: int):
                      c1=args.c1, c2=args.c2, r1=args.r1, r2=args.r2)
 
 
-def _plan_params(plan) -> dict:
+def _plan_params(plan, extras: dict) -> dict:
+    """The plan's sizes, and under ``run`` the ones the sketch used."""
     return {"epsilon": plan.epsilon, "delta": plan.delta, "r1": plan.r1,
-            "r2": plan.r2, "mode": plan.mode, "c1": plan.c1, "c2": plan.c2}
+            "r2": plan.r2, "mode": plan.mode, "c1": plan.c1, "c2": plan.c2,
+            "run": {k: extras[k] for k in ("rank", "r1", "r2")}}
 
 
 def _run_leverage(args) -> dict:
@@ -178,7 +182,7 @@ def _run_leverage(args) -> dict:
             lambda s: approx_leverage(A, plan, s, timings=timings),
             seed, args.retries)
         params = {"estimator": "sketched", "n": A.shape[0], "d": A.shape[1],
-                  **_plan_params(plan)}
+                  **_plan_params(plan, report.extras)}
     return {"params": params, "seed": used_seed, "timings_ms": timings,
             "result": {"scores": report.scores, "coherence": report.coherence,
                        "normalized": report.normalized,
@@ -230,7 +234,7 @@ def _run_cross(args) -> dict:
                 A, plan, kappa, s, off_diagonal_only=args.off_diagonal_only),
             seed, args.retries)
         params = {"n": n, "d": d, "kappa": kappa, "exact": False,
-                  **_plan_params(plan)}
+                  **_plan_params(plan, hp.extras)}
     return {"params": params, "seed": used_seed, "timings_ms": hp.timings_ms,
             "result": {"pairs": [[i, j, c] for i, j, c in hp.pairs],
                        "threshold": hp.threshold,

@@ -34,7 +34,8 @@ class HeavyPairSet:
 
     ``candidates`` counts the norm-heavy pairs the search examined;
     ``timings_ms`` holds per-phase wall-clock times where the producer
-    measured them.
+    measured them, and ``extras`` the sketch sizes it used (``rank``,
+    ``r1``, ``r2``) where it sketched.
     """
 
     pairs: List[Tuple[int, int, float]] = field(default_factory=list)
@@ -43,6 +44,7 @@ class HeavyPairSet:
     gram_fro_sq: float = 0.0
     candidates: int = 0
     timings_ms: dict = field(default_factory=dict, compare=False)
+    extras: dict = field(default_factory=dict, compare=False)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -55,7 +57,7 @@ class HeavyPairSet:
             pairs=[p for p in self.pairs if p[0] != p[1]],
             threshold=self.threshold, kappa=self.kappa,
             gram_fro_sq=self.gram_fro_sq, candidates=self.candidates,
-            timings_ms=dict(self.timings_ms))
+            timings_ms=dict(self.timings_ms), extras=dict(self.extras))
 
 
 def heavy_pairs(x, kappa: float) -> HeavyPairSet:
@@ -200,6 +202,7 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float, seed: int,
     result = heavy_pairs(X, kappa_prime)
     t2 = time.perf_counter()
     result.kappa = kappa
+    result.extras = dict(report.extras)
     result.timings_ms = {"sketch_ms": (t1 - t0) * 1e3,
                          "search_ms": (t2 - t1) * 1e3}
     if off_diagonal_only:

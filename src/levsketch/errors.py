@@ -29,6 +29,11 @@ class MatrixTooLargeForDenseGram(LevsketchError):
     """Dense n x n output would exceed the configured cap."""
 
 
+class NonFiniteFactor(LevsketchError):
+    """A computed factor overflowed: the input's scale is outside what
+    float64 can invert, although its entries are finite."""
+
+
 class RankDeficient(LevsketchError):
     """Matrix lost rank at the working tolerance; retry with a new seed."""
 

@@ -97,6 +97,8 @@ def build_orthogonalizer(pa, rank_tolerance: float = DEFAULT_RANK_TOL,
     so that each one's largest-magnitude entry is positive, whichever route
     produced R). Rank decisions at ``rank_tolerance`` therefore always
     come from a backward-stable R, and ``pa @ Rinv`` is orthonormal.
+    Raises ``NonFiniteFactor`` where R^{-1} overflows, so that a zero row
+    of A is an exact zero row of A R^{-1}.
     """
     PA = validate_matrix(pa)
     d = PA.shape[1]
@@ -113,7 +115,13 @@ def build_orthogonalizer(pa, rank_tolerance: float = DEFAULT_RANK_TOL,
         raise errors.RankDeficient("sketched matrix is numerically zero")
     V = Vt[:rho].T
     V *= np.sign(V[np.abs(V).argmax(axis=0), np.arange(rho)])
-    return Orthogonalizer(Rinv=V / s[:rho], route=route)
+    with np.errstate(over="ignore"):
+        Rinv = V / s[:rho]
+    if not np.all(np.isfinite(Rinv)):
+        raise errors.NonFiniteFactor(
+            f"R^-1 overflows: smallest kept singular value {s[rho - 1]:.3g}"
+            " of the sketched matrix is below 1 / max float")
+    return Orthogonalizer(Rinv=Rinv, route=route)
 
 
 def _stage2_factor(plan: SketchPlan, rank: int, seed: int) -> np.ndarray:
@@ -136,7 +144,8 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     A R^{-1} only when ``plan.r2 < rank``: the scores are then the squared
     row norms of Omega = A R^{-1} Pi2, read off the n x r2 factor
     X = A R^{-1} T^T (see ``SketchedBasis``), so Omega is never formed.
-    Otherwise they are the squared row norms of A R^{-1} itself. Returns
+    Otherwise they are the squared row norms of A R^{-1} itself; a zero
+    row of A scores exactly 0, as R^{-1} is finite. Returns
     ``(LeverageReport, SketchedBasis)``; ``extras["r2"]`` is the number of
     columns of X, ``min(rank, plan.r2)``. If ``timings`` is a dict it
     receives ``sketch_apply_ms``, ``factorization_ms``, ``product_ms``
@@ -169,8 +178,6 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
                        factorization_ms=(t2 - t1) * 1e3,
                        product_ms=(t3 - t2) * 1e3,
                        norms_ms=(t4 - t3) * 1e3)
-    # structural zero rows stay exactly zero
-    scores[~np.any(A, axis=1)] = 0.0
     total = float(scores.sum())
     report = LeverageReport(
         scores=scores,

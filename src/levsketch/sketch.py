@@ -1,9 +1,10 @@
 """Seeded sketch operators and dimension planning.
 
 Implements the normalized fast Walsh-Hadamard transform, the subsampled
-randomized Hadamard transform (SRHT), the sparse {-1, 0, +1} JL transform,
-and Gaussian sketches, together with the closed-form target-dimension
-formulas for the JLT and FJLT guarantees.
+randomized Hadamard transform (SRHT, which computes only the rows it
+keeps), the sparse {-1, 0, +1} JL transform, and Gaussian sketches,
+together with the closed-form target-dimension formulas for the JLT and
+FJLT guarantees.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from ._kernels import fwht_inplace
+from ._kernels import fwht_inplace, sampled_fwht, sampled_fwht_adjoint
 from .matcore import validate_matrix
 from .rng import rademacher, substream
 
@@ -158,17 +159,29 @@ def _srht_selection(op: SketchOperator, n_pad: int) -> np.ndarray:
     return idx
 
 
+def _srht_weights(op: SketchOperator) -> np.ndarray:
+    """D's seeded signs times sqrt(n_pad / r) and H's 1 / sqrt(n_pad)."""
+    signs = rademacher(op.seed, op.in_dim, 0)
+    signs *= 1.0 / math.sqrt(op.out_dim)
+    return signs
+
+
 def apply_srht(op: SketchOperator, a) -> np.ndarray:
     """Apply sqrt(n_pad/r) S^T H D to the rows of ``a``.
 
-    Rows are zero-padded to the next power of two before the transform; D is
-    a seeded +/-1 diagonal and S^T selects r distinct rows uniformly at
-    random (all of them, in order, when r = n_pad).
+    H is the normalized Hadamard transform of order n_pad, the next power
+    of two, applied to the rows of ``a`` with zero rows appended; D is a
+    seeded +/-1 diagonal and S^T selects r distinct rows uniformly at
+    random (all of them, in order, when r = n_pad). Only the r selected
+    rows are computed, and of the padding only the rest of the last slab
+    is stored (see ``sampled_fwht``): a slab holds n_pad / b rows, b being
+    the first Kronecker block, 32 or 64 once n_pad >= 512. Memory is
+    O((n + n_pad / b + r) d).
     """
     if op.kind != "SRHT":
         raise errors.InvalidParameter(f"not an SRHT operator: {op.kind}")
     A = validate_matrix(a)
-    n, d = A.shape
+    n = A.shape[0]
     if op.in_dim != n:
         raise errors.DimensionMismatch(
             f"operator expects {op.in_dim} rows, matrix has {n}")
@@ -176,22 +189,16 @@ def apply_srht(op: SketchOperator, a) -> np.ndarray:
     r = op.out_dim
     if not (1 <= r <= n_pad):
         raise errors.DimensionMismatch(f"out_dim {r} not in [1, {n_pad}]")
-    buf = np.zeros((n_pad, d), dtype=np.float64)
-    np.multiply(A, rademacher(op.seed, n, 0)[:, None], out=buf[:n])
-    fwht_inplace(buf)
-    out = buf[_srht_selection(op, n_pad)]
-    out *= 1.0 / math.sqrt(r)  # sqrt(n_pad / r) times H's 1 / sqrt(n_pad)
-    return out
+    return sampled_fwht(A, _srht_weights(op), _srht_selection(op, n_pad), n_pad)
 
 
 def _srht_transpose(op: SketchOperator, y: np.ndarray) -> np.ndarray:
-    """Pi^T y for the SRHT Pi = ``op`` and a trusted r x m ``y``, in one
-    FWHT of an n_pad x m buffer instead of forming the r x n Pi."""
-    buf = np.zeros((next_pow2(op.in_dim), y.shape[1]), dtype=np.float64)
-    buf[_srht_selection(op, buf.shape[0])] = y
-    fwht_inplace(buf)
-    signs = rademacher(op.seed, op.in_dim, 0)
-    return buf[:op.in_dim] * (signs[:, None] / math.sqrt(op.out_dim))
+    """Pi^T y for the SRHT Pi = ``op`` and a trusted r x m ``y``: the exact
+    adjoint of ``apply_srht``, through the same sampled kernel, in
+    O((n + n_pad / b) m) memory instead of the r x n Pi."""
+    n_pad = next_pow2(op.in_dim)
+    return sampled_fwht_adjoint(y, _srht_weights(op), _srht_selection(op, n_pad),
+                                n_pad)
 
 
 def _sparse_jlt_matrix(op: SketchOperator) -> np.ndarray:

@@ -116,6 +116,17 @@ def test_cli_degenerate_overrides_match_exact(tmp_path, capsys, rng):
                                exact_doc["result"]["scores"], atol=1e-9)
 
 
+def test_cli_reports_the_sketch_sizes_it_used(tmp_path, capsys, rng):
+    # the plan asks for r2 = 274, but at 300 x 6 stage 1 factors A itself
+    # (r1 = n) and stage 2 would not compress, so the scores use 6 columns
+    path = write_fixture(tmp_path, rng.standard_normal((300, 6)))
+    for argv in (["leverage", path], ["cross", path]):
+        code, doc = run_cli(capsys, argv + ["--seed", "4"])
+        assert code == 0
+        assert (doc["params"]["r1"], doc["params"]["r2"]) == (300, 274)
+        assert doc["params"]["run"] == {"rank": 6, "r1": 300, "r2": 6}
+
+
 def test_cli_determinism_byte_identical(tmp_path, capsys, rng):
     A = rng.standard_normal((100, 6))
     path = write_fixture(tmp_path, A)

@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levsketch import (SketchOperator, apply_srht, approx_leverage,
                        build_orthogonalizer, coherence, errors,
@@ -117,12 +119,35 @@ def test_shape_error_for_fat_matrix():
 
 
 def test_zero_rows_score_exactly_zero():
+    # a zero row of A is a zero row of A R^-1 and of A R^-1 T^T: the
+    # default plan factors A itself, r1 = 512 goes through the SRHT, and
+    # r2 = 8 < rank = 16 runs the compressing stage 2 as well
     rng = np.random.default_rng(3)
     A = rng.standard_normal((40, 4))
     A[[5, 17]] = 0.0
     report, _ = approx_leverage(A, make_plan(40, 4, 0.5), seed=1)
     assert report.scores[5] == 0.0
     assert report.scores[17] == 0.0
+    A = rng.standard_normal((2000, 16))
+    A[[0, 777, 1999]] = 0.0
+    for r2 in (None, 8):
+        report, basis = approx_leverage(A, make_plan(2000, 16, 0.5, r1=512,
+                                                     r2=r2), seed=2)
+        assert report.extras["r1"] == 512
+        assert report.extras["r2"] == (r2 or 16)
+        assert np.all(report.scores[[0, 777, 1999]] == 0.0)
+        assert np.all(basis.factor[[0, 777, 1999]] == 0.0)
+        assert np.all(report.scores[1:777] > 0.0)
+
+
+def test_overflowing_orthogonalizer_is_a_typed_error():
+    # at entry scale 1e-310 the singular values of A are subnormal and
+    # R^-1 = V / s overflows; the scores would be NaN
+    A = 1e-310 * np.random.default_rng(18).standard_normal((200, 4))
+    with pytest.raises(errors.NonFiniteFactor):
+        build_orthogonalizer(A)
+    with pytest.raises(errors.NonFiniteFactor):
+        approx_leverage(A, make_plan(200, 4, 0.5), seed=0)
 
 
 def test_scale_invariance_same_seed():
@@ -141,6 +166,20 @@ def test_scale_invariance_same_seed():
                 scaled, _ = approx_leverage(c * A, plan, seed=9)
                 np.testing.assert_allclose(scaled.scores, base.scores,
                                            rtol=1e-9, err_msg=f"{n}x{d}, c={c}")
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
+@settings(max_examples=30, deadline=None)
+def test_scores_invariant_under_column_scaling(seed, log_scales):
+    # A and A D span the same column space; D is log-uniform in [1e-3, 1e3].
+    # The default plan factors A itself (r1 >= n); r1 = 128 runs the SRHT.
+    A = np.random.default_rng(seed).standard_normal((600, 6))
+    AD = A * 10.0 ** np.array(log_scales)
+    for plan in (make_plan(600, 6, 0.5), make_plan(600, 6, 0.5, r1=128)):
+        base, _ = approx_leverage(A, plan, seed=seed)
+        scaled, _ = approx_leverage(AD, plan, seed=seed)
+        np.testing.assert_allclose(scaled.scores, base.scores, rtol=1e-9)
 
 
 def test_memory_is_linear_without_omega():

@@ -11,9 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levsketch
-from levsketch import (SketchOperator, apply_sparse_jlt, apply_srht, errors,
-                       fjlt_dim, fwht, jlt_dim, make_plan)
-from levsketch.sketch import gaussian_matrix, next_pow2
+from levsketch import (SketchOperator, _kernels, apply_sparse_jlt, apply_srht,
+                       errors, fjlt_dim, fwht, hadamard_matrix, jlt_dim,
+                       make_plan)
+from levsketch._kernels import fwht_inplace, sampled_fwht, sampled_fwht_adjoint
+from levsketch.rng import rademacher
+from levsketch.sketch import (_srht_selection, _srht_transpose,
+                              gaussian_matrix, next_pow2)
 
 
 def naive_hadamard(n):
@@ -141,19 +145,122 @@ def test_full_srht_pads_to_power_of_two():
 
 
 def test_srht_allocates_no_input_sized_temporary():
-    # the padded n_pad x d buffer (64 MiB here) and the r x d output are
-    # the only large allocations; an n x d product A * D would add 48.8 MiB
-    n, d, r = 100_000, 64, 4096
-    A = np.random.default_rng(2).standard_normal((n, d))
-    op = SketchOperator("SRHT", 3, n, r)
-    tracemalloc.start()
-    try:
-        apply_srht(op, A)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    budget = (next_pow2(n) + 2 * r) * d * 8 + 4 * 2**20
-    assert peak < budget, f"peak {peak / 2**20:.1f} MiB"
+    # the slabs of D A (under n + n_pad / 64 rows: the first Kronecker
+    # block is 64 at both shapes) and the r x d output are the only large
+    # allocations; the n_pad x d padded buffer would add 31% of the input
+    # at 100000 rows, an n x d product A * D 100%
+    for n, d, r in ((100_000, 64, 4096), (60_000, 32, 7041)):
+        A = np.random.default_rng(2).standard_normal((n, d))
+        op = SketchOperator("SRHT", 3, n, r)
+        tracemalloc.start()
+        try:
+            apply_srht(op, A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        budget = (n + next_pow2(n) // 64 + 2 * r) * d * 8 + 4 * 2**20
+        assert peak < budget, f"{n}x{d}: peak {peak / 2**20:.1f} MiB"
+
+
+def hadamard_rows(rows, n, n_pad):
+    """Rows ``rows``, columns :n of the normalized H_{n_pad}, built from
+    two dense ``hadamard_matrix`` factors: H_{2^(a+b)} = H_{2^a} (x) H_{2^b}."""
+    log_n = n_pad.bit_length() - 1
+    lo = log_n // 2
+    mask = (1 << lo) - 1
+    cols = np.arange(n)
+    high = hadamard_matrix(1 << (log_n - lo))[np.ix_(rows >> lo, cols >> lo)]
+    return high * hadamard_matrix(1 << lo)[np.ix_(rows & mask, cols & mask)]
+
+
+def dense_srht_product(op, A):
+    """sqrt(n_pad / r) S H D A with S H formed densely, 512 rows at a time."""
+    n = op.in_dim
+    n_pad = next_pow2(n)
+    rows = _srht_selection(op, n_pad)
+    DA = A * rademacher(op.seed, n, 0)[:, None]
+    parts = [hadamard_rows(chunk, n, n_pad) @ DA
+             for chunk in np.array_split(rows, -(-rows.size // 512))]
+    return math.sqrt(n_pad / op.out_dim) * np.vstack(parts)
+
+
+def padded_srht(op, A):
+    """The full transform: pad D A to n_pad rows, transform every row,
+    keep the selected r."""
+    n, d = A.shape
+    n_pad = next_pow2(n)
+    buf = np.zeros((n_pad, d))
+    buf[:n] = A * rademacher(op.seed, n, 0)[:, None]
+    fwht_inplace(buf)
+    return buf[_srht_selection(op, n_pad)] / math.sqrt(op.out_dim)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 1000, 4096, 4097])
+def test_srht_matches_dense_oracle(n):
+    n_pad = next_pow2(n)
+    for r in sorted({1, max(1, n // 2), n_pad}):
+        for d in (1, 3):
+            A = np.random.default_rng(n + r + d).standard_normal((n, d))
+            op = SketchOperator("SRHT", n + r, n, r)
+            np.testing.assert_allclose(apply_srht(op, A),
+                                       dense_srht_product(op, A),
+                                       rtol=0, atol=1e-12)
+
+
+def test_srht_equals_the_full_transform_same_seed():
+    # the Kronecker factors run in another order, so entries may differ by
+    # rounding only: 1e-14 of the largest entry
+    for n, d, r in ((5000, 8, 700), (70_000, 4, 9000), (4096, 2, 4096)):
+        A = np.random.default_rng(n).standard_normal((n, d))
+        op = SketchOperator("SRHT", 12, n, r)
+        want = padded_srht(op, A)
+        got = apply_srht(op, A)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, rows, scratch_bytes, tiles", [
+    (1000, [0, 4, 31, 37, 233, 394, 669, 990, 992, 1023], 3840, 5),
+    (1000, [0, 4, 31, 37, 233, 394, 669, 990, 992, 1023], 512, 16),
+    (63, [0, 31, 62, 63], 512, 3),
+])
+def test_sampled_fwht_tiles_match_oracle(monkeypatch, n, rows, scratch_bytes,
+                                         tiles):
+    # n = 1000: n_pad = 1024 = 32 blocks x 32 slab positions. 3840 bytes
+    # hold 5 positions of 32 rows x 3 columns per tile, so the 7th tile is
+    # short; the kept rows sit on the edges of 5 tiles (offsets 0, 4, 5, 9,
+    # 10, 29, 30, 31), in the first and last blocks, and include the last
+    # row. 512 bytes hold only 2 columns: each kept position splits in two.
+    # n = 63: n_pad = 64 = 64 blocks x 1 position, and 512 bytes hold one
+    # column of the 64 output rows, so the one position splits in three.
+    monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", scratch_bytes)
+    d, n_pad = 3, next_pow2(n)
+    rows = np.array(rows)
+    log_slab, h = _kernels._split(n, n_pad)
+    scratch = _kernels._scratch(n_pad * d)
+    assert len(_kernels._tiles(rows, log_slab, h.shape[0], d, scratch)) == tiles
+    rng = np.random.default_rng(19)
+    A = rng.standard_normal((n, d))
+    signs = rademacher(4, n, 0)
+    H = hadamard_rows(rows, n, n_pad) * math.sqrt(n_pad)  # unnormalized
+    np.testing.assert_allclose(sampled_fwht(A, 0.5 * signs, rows, n_pad),
+                               0.5 * H @ (A * signs[:, None]), rtol=0,
+                               atol=1e-12)
+    y = rng.standard_normal((rows.size, d))
+    np.testing.assert_allclose(sampled_fwht_adjoint(y, 0.5 * signs, rows, n_pad),
+                               0.5 * signs[:, None] * (H.T @ y), rtol=0,
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (3, 2), (65, 128), (1000, 77),
+                                  (4097, 3000)])
+def test_srht_transpose_is_the_adjoint(n, r):
+    rng = np.random.default_rng(n)
+    op = SketchOperator("SRHT", 8, n, r)
+    x = rng.standard_normal((n, 2))
+    y = rng.standard_normal((r, 2))
+    lhs = np.sum(apply_srht(op, x) * y)
+    rhs = np.sum(x * _srht_transpose(op, y))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
 def test_srht_deterministic_per_seed():
