@@ -3,9 +3,19 @@
 The Walsh-Hadamard transform uses the Kronecker form of Sylvester's
 matrix: H_n = H_b1 (x) H_b2 (x) ... with every block b_i <= 64.
 Viewing the rows axis as the index tuple (i1, i2, ...), each factor is one
-dense +/-1 matrix product along its own axis, done in place in tiles of at
-most ``_SCRATCH_BYTES``. A constant block keeps the cost O(n d log n); a
-constant scratch keeps the extra memory independent of n and d.
+dense +/-1 matrix product along its own axis. A constant block keeps the
+cost O(n d log n); a scratch of at most ``_SCRATCH_BYTES`` keeps the extra
+memory independent of n and d.
+
+One helper, ``_fwht_slabs``, transforms every slab (2^k consecutive rows)
+of an array, slab groups at a time: a group whose rows fit in half of the
+scratch is read once into one half (weighted, when the rows are the
+SRHT's D x, and checked finite there), moved between the two halves by
+every block but the last, and written once by the last. A slab larger
+than half the scratch first takes its leading blocks in place, tile by
+tile through the scratch, until the pieces it leaves fit. At the default
+2 MiB that happens for ``fwht_inplace`` once n d > 2^17 and for
+``sampled_fwht`` once (n_pad / 64) d > 2^17, that is n_pad > 2^23 / d.
 
 The subsampled transform computes only the kept rows of H_n [x; 0] for an
 x of n <= n_pad rows. With H_n = H_b (x) H_slab, b the first block and
@@ -15,7 +25,8 @@ ceil(n / slab) slabs that hold x are stored and transformed, so the
 padding costs less than one slab; the last block is then one product of
 H_b's first ceil(n / slab) columns with each tile of slab positions,
 from which the kept rows are gathered. Its adjoint runs the same steps
-backwards.
+backwards. So the SRHT reads x once, writes and reads the slabs z once
+each, and writes its r kept rows.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from . import errors
 
 _MAX_LOG_BLOCK = 6  # blocks of at most 64: one BLAS call outruns 6 butterflies
 # within one core's L2, and small enough that apply_srht's peak stays below
@@ -65,12 +78,65 @@ def _apply_block(x3: np.ndarray, h: np.ndarray, scratch: np.ndarray) -> None:
             tile[...] = out
 
 
-def _fwht_slabs(x: np.ndarray, log_slab: int, scratch: np.ndarray) -> None:
-    """x[s] <- H_slab x[s], unnormalized, for each slab of 2^log_slab rows."""
-    outer = x.shape[0] >> log_slab
-    for log_b in _block_logs(log_slab):
-        _apply_block(x.reshape(outer, 1 << log_b, -1), _HADAMARD[log_b], scratch)
-        outer <<= log_b
+def _weigh(src: np.ndarray, weights, dst: np.ndarray) -> None:
+    """dst <- diag(weights) [src; 0], or [src; 0] when ``weights`` is None.
+    Weighted rows are checked finite: with every |weight| <= 1 they are
+    finite exactly when ``src`` is, so this is the check on the input."""
+    m = src.shape[0]
+    if weights is None:
+        dst[:m] = src
+    else:
+        np.multiply(src, weights[:, None], out=dst[:m])
+        if not np.isfinite(dst[:m]).all():
+            raise errors.NonFiniteEntry("matrix contains NaN or Inf entries")
+    dst[m:] = 0.0
+
+
+def _fwht_slabs(src: np.ndarray, weights, out: np.ndarray, log_slab: int,
+                scratch: np.ndarray) -> None:
+    """out[s] <- H_slab (diag(weights) [src; 0])[s], unnormalized, for each
+    slab of 2^log_slab rows of ``out``; ``src`` may be ``out`` itself.
+
+    Slabs are transformed in groups that fit in half of ``scratch``: a
+    group's weighted rows are written into one half, every Kronecker block
+    but the last moves them to the other half and back, and the last
+    writes into ``out``. A slab too large for half the scratch is first
+    weighted into ``out`` and given its leading blocks in place, tile by
+    tile, until its sub-slabs fit.
+    """
+    d = src.shape[1]
+    half = scratch.size // 2
+    logs = _block_logs(log_slab)
+    k, log_piece = 0, log_slab
+    while k < len(logs) and (d << log_piece) > half:
+        log_piece -= logs[k]
+        k += 1
+    if k or not logs:
+        if src is not out:
+            _weigh(src, weights, out)
+        src, weights = out, None
+        outer = out.shape[0] >> log_slab
+        for log_b in logs[:k]:
+            _apply_block(out.reshape(outer, 1 << log_b, -1), _HADAMARD[log_b],
+                         scratch)
+            outer <<= log_b
+        if k == len(logs):
+            return
+    rest = logs[k:]
+    group = (half // d) >> log_piece << log_piece
+    halves = scratch[:half], scratch[half:2 * half]
+    for g0 in range(0, out.shape[0], group):
+        g1 = min(g0 + group, out.shape[0])
+        buf = halves[0][:(g1 - g0) * d]
+        _weigh(src[g0:g1], None if weights is None else weights[g0:g1],
+               buf.reshape(g1 - g0, d))
+        outer = (g1 - g0) >> log_piece
+        for j, log_b in enumerate(rest, 1):
+            dst = halves[j % 2][:buf.size] if j < len(rest) else out[g0:g1]
+            np.matmul(_HADAMARD[log_b], buf.reshape(outer, 1 << log_b, -1),
+                      out=dst.reshape(outer, 1 << log_b, -1))
+            buf = dst
+            outer <<= log_b
 
 
 def fwht_inplace(a: np.ndarray) -> None:
@@ -82,7 +148,7 @@ def fwht_inplace(a: np.ndarray) -> None:
     """
     if not a.flags.c_contiguous:
         raise ValueError("fwht_inplace needs a C-contiguous array")
-    _fwht_slabs(a, a.shape[0].bit_length() - 1, _scratch(a.size))
+    _fwht_slabs(a, None, a, a.shape[0].bit_length() - 1, _scratch(2 * a.size))
 
 
 def _split(n: int, n_pad: int) -> tuple[int, np.ndarray]:
@@ -136,17 +202,18 @@ def sampled_fwht(a: np.ndarray, weights: np.ndarray, rows: np.ndarray,
     ``a`` is a trusted n x d float64 array with n <= n_pad (a power of
     two), ``weights`` its n row weights and ``rows`` distinct row indices
     below n_pad. H is unnormalized. The only buffer of the input's size
-    holds the ceil(n / slab) slabs of diag(weights) a; the rest is the
-    r x d result and a scratch of at most ``_SCRATCH_BYTES``.
+    holds the ceil(n / slab) transformed slabs of diag(weights) a; the
+    rest is the r x d result and a scratch of at most ``_SCRATCH_BYTES``.
+    ``a`` is not scanned beforehand: each slab group of diag(weights) a
+    is checked as it is weighted, and a NaN or infinite entry raises
+    ``NonFiniteEntry``. With every |weight| <= 1 that happens exactly when
+    ``a`` holds one.
     """
     n, d = a.shape
     log_slab, h = _split(n, n_pad)
     z = np.empty((h.shape[1] << log_slab, d))
-    np.multiply(a, weights[:, None], out=z[:n])
-    if n < z.shape[0]:
-        z[n:] = 0.0
-    scratch = _scratch(n_pad * d)
-    _fwht_slabs(z, log_slab, scratch)
+    scratch = _scratch(2 * n_pad * d)
+    _fwht_slabs(a, weights, z, log_slab, scratch)
     z2 = z.reshape(h.shape[1], -1)
     out = np.empty((rows.size, d))
     for flat, cs, kept, src, buf in _tiles(rows, log_slab, h.shape[0], d, scratch):
@@ -168,12 +235,12 @@ def sampled_fwht_adjoint(y: np.ndarray, weights: np.ndarray,
     log_slab, h = _split(n, n_pad)
     u = np.zeros((h.shape[1] << log_slab, m))
     u2 = u.reshape(h.shape[1], -1)
-    scratch = _scratch(n_pad * m)
+    scratch = _scratch(2 * n_pad * m)
     for flat, cs, kept, src, buf in _tiles(rows, log_slab, h.shape[0], m, scratch):
         buf[...] = 0.0
         buf[src] = y[kept, cs]
         np.matmul(h.T, buf.reshape(h.shape[0], -1), out=u2[:, flat])
-    _fwht_slabs(u, log_slab, scratch)
+    _fwht_slabs(u, None, u, log_slab, scratch)
     out = u[:n]
     out *= weights[:, None]
     return out
@@ -182,6 +249,19 @@ def sampled_fwht_adjoint(y: np.ndarray, weights: np.ndarray,
 def row_sq_norms(a: np.ndarray) -> np.ndarray:
     """Squared euclidean norm of each row."""
     return np.einsum("ij,ij->i", a, a)
+
+
+def product_sq_norms(a: np.ndarray, w: np.ndarray):
+    """``(x, row_sq_norms(x))`` for x = a @ w, in one pass over row tiles
+    of at most ``_SCRATCH_BYTES``, so each tile of x is still in cache
+    when its norms are read."""
+    n, k = a.shape[0], w.shape[1]
+    x, sq = np.empty((n, k)), np.empty(n)
+    step = max(1, _SCRATCH_BYTES // (8 * max(a.shape[1], k)))
+    for i in range(0, n, step):
+        t = np.matmul(a[i:i + step], w, out=x[i:i + step])
+        np.einsum("ij,ij->i", t, t, out=sq[i:i + step])
+    return x, sq
 
 
 def backend_name() -> str:

@@ -80,7 +80,7 @@ def heavy_pairs(x, kappa: float) -> HeavyPairSet:
     threshold = gram_fro_sq / kappa
 
     norms = row_sq_norms(X)
-    order = np.lexsort((np.arange(n), norms))  # ascending norm, ties by index
+    order = np.argsort(norms, kind="stable")  # ascending norm, ties by index
     first = _first_partners(norms[order], threshold)
     # first[] does not increase with z, so the rows with a partner
     # (first[z] <= z) are the top ranks z0..n-1; their partners reach down
@@ -91,23 +91,30 @@ def heavy_pairs(x, kappa: float) -> HeavyPairSet:
 
     rows_per = max(1, min(n - z0, math.isqrt(_BLOCK_ELEMS),
                           _BLOCK_ELEMS // r))
+    # gathered rows and their inner products, each at most _BLOCK_ELEMS
+    row_tile, col_tile, sq_tile = (np.empty(_BLOCK_ELEMS) for _ in range(3))
     found_i, found_j = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     found_c = [np.empty(0)]
     for a in range(z0, n, rows_per):
         b = min(a + rows_per, n)
-        xa = X[order[a:b]]
-        za = np.arange(a, b)[:, None]
+        xa = X.take(order[a:b], axis=0, mode="clip",  # clip: unbuffered
+                    out=row_tile[:(b - a) * r].reshape(-1, r))
         cols_per = max(1, _BLOCK_ELEMS // max(b - a, r))
         for c0 in range(int(first[b - 1]), b, cols_per):
             c1 = min(c0 + cols_per, b)
-            jc = np.arange(c0, c1)
-            sq = xa @ X[order[c0:c1]].T
+            xc = X.take(order[c0:c1], axis=0, mode="clip",
+                        out=col_tile[:(c1 - c0) * r].reshape(-1, r))
+            sq = np.matmul(xa, xc.T,
+                           out=sq_tile[:(b - a) * (c1 - c0)].reshape(b - a, -1))
             sq *= sq
-            hit = (jc <= za) & (jc >= first[a:b, None]) & (sq >= threshold)
-            zi, ji = np.nonzero(hit)
-            found_i.append(order[a + zi])
-            found_j.append(order[c0 + ji])
-            found_c.append(sq[zi, ji])
+            # the rank window c0 + ji in [first[a + zi], a + zi] is tested
+            # only on the few entries that clear the threshold
+            hits = np.flatnonzero(sq >= threshold)
+            zi, ji = np.divmod(hits, c1 - c0)
+            keep = (c0 + ji <= a + zi) & (c0 + ji >= first[a + zi])
+            found_i.append(order[a + zi[keep]])
+            found_j.append(order[c0 + ji[keep]])
+            found_c.append(sq.ravel()[hits[keep]])
     i, j = np.concatenate(found_i), np.concatenate(found_j)
     return _finish(np.minimum(i, j), np.maximum(i, j), np.concatenate(found_c),
                    threshold, kappa, gram_fro_sq, r, candidates)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from ._kernels import row_sq_norms
+from ._kernels import product_sq_norms
 from .matcore import DEFAULT_RANK_TOL, LeverageReport, validate_matrix
 from .sketch import (SketchOperator, SketchPlan, apply_srht, _sparse_jlt_matrix,
                      _srht_transpose)
@@ -145,11 +145,14 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     row norms of Omega = A R^{-1} Pi2, read off the n x r2 factor
     X = A R^{-1} T^T (see ``SketchedBasis``), so Omega is never formed.
     Otherwise they are the squared row norms of A R^{-1} itself; a zero
-    row of A scores exactly 0, as R^{-1} is finite. Returns
-    ``(LeverageReport, SketchedBasis)``; ``extras["r2"]`` is the number of
-    columns of X, ``min(rank, plan.r2)``. If ``timings`` is a dict it
-    receives ``sketch_apply_ms``, ``factorization_ms``, ``product_ms``
-    (A R^{-1} and stage 2) and ``norms_ms``.
+    row of A scores exactly 0, as R^{-1} is finite. A is validated once,
+    here; the stages trust it. X = A W, with W = R^{-1} or the d x r2
+    product R^{-1} T^T, is formed with its squared row norms in one pass
+    over row tiles of A. Returns ``(LeverageReport, SketchedBasis)``;
+    ``extras["r2"]`` is the number of columns of X, ``min(rank,
+    plan.r2)``. If ``timings`` is a dict it receives ``sketch_apply_ms``,
+    ``factorization_ms`` and ``product_ms`` (that pass: A W and the row
+    norms).
     """
     A = validate_matrix(a)
     n, d = A.shape
@@ -167,17 +170,15 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     del PA  # free the sketched matrix before the n x rank products
     t2 = time.perf_counter()
     rank = orth.rank
-    X = A @ orth.Rinv
+    W = orth.Rinv
     if plan.r2 < rank:
-        X = X @ _stage2_factor(plan, rank, seed)
+        W = W @ _stage2_factor(plan, rank, seed)
+    X, scores = product_sq_norms(A, W)
     t3 = time.perf_counter()
-    scores = row_sq_norms(X)
-    t4 = time.perf_counter()
     if timings is not None:
         timings.update(sketch_apply_ms=(t1 - t0) * 1e3,
                        factorization_ms=(t2 - t1) * 1e3,
-                       product_ms=(t3 - t2) * 1e3,
-                       norms_ms=(t4 - t3) * 1e3)
+                       product_ms=(t3 - t2) * 1e3)
     total = float(scores.sum())
     report = LeverageReport(
         scores=scores,

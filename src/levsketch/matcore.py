@@ -20,8 +20,9 @@ DEFAULT_RANK_TOL = 1e-12
 DEFAULT_GRAM_CAP = 4096
 
 
-def validate_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting empty or non-finite input."""
+def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a C-contiguous 2-D float64 array, rejecting empty input;
+    for callers whose kernel checks the entries as it reads them."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
@@ -29,9 +30,15 @@ def validate_matrix(a, name: str = "matrix") -> np.ndarray:
         raise errors.ShapeError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.size == 0:
         raise errors.EmptyMatrix(f"{name} is empty ({arr.shape})")
+    return np.ascontiguousarray(arr)
+
+
+def validate_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a 2-D float64 array, rejecting empty or non-finite input."""
+    arr = _as_matrix(a, name)
     if not np.all(np.isfinite(arr)):
         raise errors.NonFiniteEntry(f"{name} contains NaN or Inf entries")
-    return np.ascontiguousarray(arr)
+    return arr
 
 
 @dataclass(frozen=True)

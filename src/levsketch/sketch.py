@@ -17,7 +17,7 @@ import numpy as np
 
 from . import errors
 from ._kernels import fwht_inplace, sampled_fwht, sampled_fwht_adjoint
-from .matcore import validate_matrix
+from .matcore import _as_matrix, validate_matrix
 from .rng import rademacher, substream
 
 DEFAULT_DELTA = 0.1
@@ -176,11 +176,13 @@ def apply_srht(op: SketchOperator, a) -> np.ndarray:
     rows are computed, and of the padding only the rest of the last slab
     is stored (see ``sampled_fwht``): a slab holds n_pad / b rows, b being
     the first Kronecker block, 32 or 64 once n_pad >= 512. Memory is
-    O((n + n_pad / b + r) d).
+    O((n + n_pad / b + r) d). ``a`` is read once: the kernel checks each
+    slab group's entries as it weighs them, and raises ``NonFiniteEntry``
+    for a NaN or infinite entry, so ``a`` is not scanned beforehand.
     """
     if op.kind != "SRHT":
         raise errors.InvalidParameter(f"not an SRHT operator: {op.kind}")
-    A = validate_matrix(a)
+    A = _as_matrix(a)
     n = A.shape[0]
     if op.in_dim != n:
         raise errors.DimensionMismatch(

@@ -304,7 +304,15 @@ def test_criterion_09_projection_property_suites():
 
 # ------------------------------------------------------------------ 10
 
-def _best_time(fn, reps: int = 3) -> float:
+def _best_time(fn, warm_s: float = 1.0, reps: int = 5) -> float:
+    """Best of ``reps`` timed calls of ``fn``, after untimed calls for at
+    least ``warm_s`` seconds. After a minute idle, a 2-CPU VM ran every
+    two-thread BLAS call at about 16 ms for its first second of work;
+    that floor inflates the smallest sizes most and pulled slope_n to
+    0.05-0.31 with 3 calls, or with 0.2 s of warm-up calls, per size."""
+    end = time.perf_counter() + warm_s
+    while time.perf_counter() < end:
+        fn()
     best = math.inf
     for _ in range(reps):
         start = time.perf_counter()

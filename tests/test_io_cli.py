@@ -127,6 +127,16 @@ def test_cli_reports_the_sketch_sizes_it_used(tmp_path, capsys, rng):
         assert doc["params"]["run"] == {"rank": 6, "r1": 300, "r2": 6}
 
 
+def test_cli_leverage_reports_its_phase_timings(tmp_path, capsys, rng):
+    # r1 = 128 < n runs the SRHT; the product phase includes the row norms
+    path = write_fixture(tmp_path, rng.standard_normal((400, 6)))
+    code, doc = run_cli(capsys, ["leverage", path, "--r1", "128", "--seed", "2"])
+    assert code == 0
+    timings = doc["timings_ms"]
+    assert set(timings) == {"sketch_apply_ms", "factorization_ms", "product_ms"}
+    assert all(v >= 0.0 for v in timings.values())
+
+
 def test_cli_determinism_byte_identical(tmp_path, capsys, rng):
     A = rng.standard_normal((100, 6))
     path = write_fixture(tmp_path, A)

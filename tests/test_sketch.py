@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import levsketch
 from levsketch import (SketchOperator, _kernels, apply_sparse_jlt, apply_srht,
-                       errors, fjlt_dim, fwht, hadamard_matrix, jlt_dim,
-                       make_plan)
+                       approx_leverage, errors, fjlt_dim, fwht,
+                       hadamard_matrix, jlt_dim, make_plan)
 from levsketch._kernels import fwht_inplace, sampled_fwht, sampled_fwht_adjoint
 from levsketch.rng import rademacher
 from levsketch.sketch import (_srht_selection, _srht_transpose,
@@ -49,20 +49,28 @@ def test_fwht_matches_naive_matrix(n):
     np.testing.assert_allclose(fwht(x), naive_hadamard(n) @ x, atol=1e-12)
 
 
-def test_fwht_uneven_blocks_and_tiles_match_oracle():
-    # 2^17 rows split into blocks 2^6, 2^6, 2^5; 64 columns overflow the
-    # kernel's scratch, so the first block is applied in column tiles.
-    log_n = 17
-    n = 1 << log_n
-    x = np.random.default_rng(17).standard_normal((n, 64))
-    y = fwht(x)
-    j = np.arange(n)
-    for i in (0, 1, 63, 64, 2047, 2048, 77777, n - 1):
-        parity = np.zeros(n, dtype=np.int64)
-        for bit in range(log_n):
-            parity ^= ((i & j) >> bit) & 1
-        row = (1.0 - 2.0 * parity) / math.sqrt(n)
-        np.testing.assert_allclose(y[i], row @ x, rtol=0, atol=1e-12)
+def test_fwht_uneven_blocks_and_tiles_match_oracle(monkeypatch):
+    # 2^17 rows split into blocks 2^6, 2^6, 2^5; 2^17 x 64 values exceed
+    # half the kernel's scratch, so the first block is applied in place in
+    # column tiles, and the 2^11-row pieces it leaves (exactly half the
+    # scratch) take the other two in scratch. At 3840 bytes 2^10 x 5 values
+    # exceed half, so the first of blocks 2^5, 2^5 runs in place and the
+    # second on one 32-row piece at a time; at 512 bytes even 64 x 3 values
+    # exceed half, so both blocks 2^6, 2^6 run in place, one column a tile.
+    default = _kernels._SCRATCH_BYTES
+    for log_n, d, scratch_bytes in ((17, 64, default), (10, 5, 3840),
+                                    (12, 3, 512)):
+        monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", scratch_bytes)
+        n = 1 << log_n
+        x = np.random.default_rng(17).standard_normal((n, d))
+        y = fwht(x)
+        j = np.arange(n)
+        for i in sorted({0, 1, 63, 64, 2047 % n, 2048 % n, 77777 % n, n - 1}):
+            parity = np.zeros(n, dtype=np.int64)
+            for bit in range(log_n):
+                parity ^= ((i & j) >> bit) & 1
+            row = (1.0 - 2.0 * parity) / math.sqrt(n)
+            np.testing.assert_allclose(y[i], row @ x, rtol=0, atol=1e-12)
 
 
 @given(st.integers(0, 6), st.integers(0, 2**32 - 1))
@@ -222,6 +230,7 @@ def test_srht_equals_the_full_transform_same_seed():
     (1000, [0, 4, 31, 37, 233, 394, 669, 990, 992, 1023], 3840, 5),
     (1000, [0, 4, 31, 37, 233, 394, 669, 990, 992, 1023], 512, 16),
     (63, [0, 31, 62, 63], 512, 3),
+    (5000, [0, 15, 16, 255, 256, 4863, 4864, 4999, 5000, 8191], 3840, 4),
 ])
 def test_sampled_fwht_tiles_match_oracle(monkeypatch, n, rows, scratch_bytes,
                                          tiles):
@@ -232,6 +241,12 @@ def test_sampled_fwht_tiles_match_oracle(monkeypatch, n, rows, scratch_bytes,
     # row. 512 bytes hold only 2 columns: each kept position splits in two.
     # n = 63: n_pad = 64 = 64 blocks x 1 position, and 512 bytes hold one
     # column of the 64 output rows, so the one position splits in three.
+    # Slab transforms: at 3840 bytes, n = 1000's 32-row slabs go two to a
+    # group through half the scratch; at 512 bytes a slab exceeds half and
+    # is transformed in place. n = 5000: n_pad = 8192 = 32 blocks x 256
+    # positions; a 256-row slab (blocks 16, 16) exceeds half of 3840 bytes,
+    # so its first block runs in place and its 16-row pieces go five to a
+    # group through the scratch.
     monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", scratch_bytes)
     d, n_pad = 3, next_pow2(n)
     rows = np.array(rows)
@@ -249,6 +264,48 @@ def test_sampled_fwht_tiles_match_oracle(monkeypatch, n, rows, scratch_bytes,
     np.testing.assert_allclose(sampled_fwht_adjoint(y, 0.5 * signs, rows, n_pad),
                                0.5 * signs[:, None] * (H.T @ y), rtol=0,
                                atol=1e-12)
+
+
+def test_product_sq_norms_tiles_match_one_product(monkeypatch):
+    # 3840 bytes hold 480 values: tiles of 96 rows of 5 columns, so 1000
+    # rows take 11 tiles, the last one short
+    monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", 3840)
+    rng = np.random.default_rng(5)
+    a, w = rng.standard_normal((1000, 5)), rng.standard_normal((5, 3))
+    x, sq = _kernels.product_sq_norms(a, w)
+    np.testing.assert_allclose(x, a @ w, rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(sq, _kernels.row_sq_norms(x))
+
+
+@pytest.mark.parametrize("scratch_bytes", [None, 3840, 512])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_raises_wherever_it_sits(monkeypatch, scratch_bytes,
+                                                  bad):
+    # apply_srht does not scan its input; the kernel checks D A as it
+    # weighs each group of slabs. With the default scratch every slab of
+    # n = 1000 (32 rows) and of n = 5000 (256 rows) sits in one group; at
+    # 3840 bytes n = 1000 runs two slabs a group, and n = 5000's slabs
+    # exceed half the scratch, so D A is written into the slab buffer and
+    # checked there; at 512 bytes both are. approx_leverage validates A
+    # itself, whether it runs the SRHT (r1 < n) or factors A (r1 >= n).
+    if scratch_bytes is not None:
+        monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", scratch_bytes)
+    for n in (1000, 5000):
+        A = np.random.default_rng(n).standard_normal((n, 3))
+        log_slab, _ = _kernels._split(n, next_pow2(n))
+        last_slab = (n - 1) >> log_slab << log_slab  # holds padding rows
+        for row in (0, n - 1, last_slab):
+            B = A.copy()
+            B[row, 1] = bad
+            with pytest.raises(errors.NonFiniteEntry):
+                apply_srht(SketchOperator("SRHT", 1, n, 100), B)
+            for r1 in (100, n):
+                with pytest.raises(errors.NonFiniteEntry):
+                    approx_leverage(B, make_plan(n, 3, 0.5, r1=r1), seed=1)
+        B = A.copy()
+        B[last_slab, 1] = 1e300  # huge but finite: no error
+        out = apply_srht(SketchOperator("SRHT", 1, n, 100), B)
+        assert np.all(np.isfinite(out))
 
 
 @pytest.mark.parametrize("n, r", [(1, 1), (3, 2), (65, 128), (1000, 77),
