@@ -5,7 +5,9 @@ the schema {"params", "seed", "timings_ms", "result"} with 0-based
 indices; runs with the same seed are byte-identical apart from the timing
 fields. Sketched ``leverage`` and ``cross`` runs list the plan's sizes in
 ``params`` and, under ``params.run``, the rank and the r1 and r2 the
-sketch used.
+sketch used; ``rankk`` lists there the report's extras (q and rank for
+spectral, width r and rank for Frobenius) and ``underls`` the number of
+draws r and of distinct columns drawn.
 """
 
 from __future__ import annotations
@@ -252,7 +254,8 @@ def _run_rankk(args) -> dict:
     report, used_seed = _with_retries(fn, seed, args.retries)
     return {"params": {"n": A.shape[0], "d": A.shape[1], "k": args.k,
                        "norm": args.norm, "epsilon": args.eps, "q": args.q,
-                       "beta_claim": report.beta_claim},
+                       "beta_claim": report.beta_claim,
+                       "run": report.extras},
             "seed": used_seed, "timings_ms": {},
             "result": {"p_hat": report.p_hat, "k": report.k,
                        "norm": report.norm}}
@@ -269,13 +272,14 @@ def _run_underls(args) -> dict:
         p = leverage_probs_for_columns(A, "sketched", plan=plan, seed=seed)
     if args.beta is not None:
         p.beta = args.beta
+    run: dict = {}
     x, used_seed = _with_retries(
-        lambda s: underls_solve(A, b, p, args.eps, args.delta, s),
+        lambda s: underls_solve(A, b, p, args.eps, args.delta, s, extras=run),
         seed, args.retries)
     residual = float(np.linalg.norm(A @ x - b))
     return {"params": {"n": A.shape[0], "d": A.shape[1], "epsilon": args.eps,
                        "delta": args.delta, "beta": p.beta,
-                       "probs": args.probs},
+                       "probs": args.probs, "run": run},
             "seed": used_seed, "timings_ms": {},
             "result": {"solution": x, "residual": residual}}
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import errors
 from ._kernels import product_sq_norms
-from .matcore import DEFAULT_RANK_TOL, LeverageReport, validate_matrix
+from .matcore import (DEFAULT_RANK_TOL, LeverageReport, _as_matrix,
+                      validate_matrix)
 from .sketch import (SketchOperator, SketchPlan, apply_srht, _sparse_jlt_matrix,
                      _srht_transpose)
 
@@ -145,8 +146,10 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     row norms of Omega = A R^{-1} Pi2, read off the n x r2 factor
     X = A R^{-1} T^T (see ``SketchedBasis``), so Omega is never formed.
     Otherwise they are the squared row norms of A R^{-1} itself; a zero
-    row of A scores exactly 0, as R^{-1} is finite. A is validated once,
-    here; the stages trust it. X = A W, with W = R^{-1} or the d x r2
+    row of A scores exactly 0, as R^{-1} is finite. A is read for
+    validation once: the SRHT kernel checks its entries as it weighs them
+    (r1 < n), and ``build_orthogonalizer`` validates A itself (r1 >= n);
+    both raise ``NonFiniteEntry``. X = A W, with W = R^{-1} or the d x r2
     product R^{-1} T^T, is formed with its squared row norms in one pass
     over row tiles of A. Returns ``(LeverageReport, SketchedBasis)``;
     ``extras["r2"]`` is the number of columns of X, ``min(rank,
@@ -154,7 +157,7 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     ``factorization_ms`` and ``product_ms`` (that pass: A W and the row
     norms).
     """
-    A = validate_matrix(a)
+    A = _as_matrix(a)
     n, d = A.shape
     if n <= d:
         raise errors.ShapeError(f"need n > d, got shape {A.shape}")

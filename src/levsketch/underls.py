@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from .levscore import approx_leverage
+from .levscore import approx_leverage, build_orthogonalizer
 from .matcore import DEFAULT_RANK_TOL, exact_leverage, validate_matrix
 from .rng import substream
 from .sketch import SketchPlan
@@ -78,12 +78,17 @@ def sample_size(n: int, beta: float, epsilon: float, delta: float) -> int:
 
 def draw_sampling_matrix(p: SamplingProbabilities, r: int,
                          seed: int) -> SamplingMatrix:
-    """r i.i.d. column draws with replacement from p, seeded."""
+    """r i.i.d. column draws with replacement from p, seeded.
+
+    The draw counts come from one multinomial(r, p), which has the
+    distribution of r i.i.d. draws' counts at O(d) cost; ``selected``
+    lists the drawn columns in ascending order.
+    """
     if r < 1:
         raise errors.InvalidParameter(f"r must be >= 1, got {r}")
-    g = substream(seed, 4)
     d = p.p.size
-    selected = g.choice(d, size=r, replace=True, p=p.p)
+    counts = substream(seed, 4).multinomial(r, p.p / p.p.sum())
+    selected = np.repeat(np.arange(d), counts)
     weights = 1.0 / np.sqrt(r * p.p[selected])
     return SamplingMatrix(d=d, r=r, selected=selected, weights=weights)
 
@@ -112,12 +117,17 @@ def leverage_probs_for_columns(a, method: str = "exact",
 
 def underls_solve(a, b, p: SamplingProbabilities, epsilon: float,
                   delta: float, seed: int,
-                  rank_tolerance: float = DEFAULT_RANK_TOL) -> np.ndarray:
+                  rank_tolerance: float = DEFAULT_RANK_TOL,
+                  extras: Optional[dict] = None) -> np.ndarray:
     """Approximate minimal-norm solution of min ||A x - b|| for n < d.
 
     Samples r = sample_size(n, beta, eps, delta) columns and returns
-    A^T (AS)^{+T} (AS)^+ b = A^T (AS AS^T)^+ b from one thin SVD of the
-    distinct drawn columns, column j scaled by sqrt(draws_j / (r p_j)).
+    A^T (AS)^{+T} (AS)^+ b = A^T (AS AS^T)^{-1} b. AS AS^T = C C^T for the
+    n x c matrix C of the c distinct drawn columns, column j scaled by
+    sqrt(draws_j / (r p_j)), and (C C^T)^{-1} = W W^T for the n x n
+    W = R^{-1} that ``build_orthogonalizer(C^T)`` returns; it raises
+    ``RankDeficient`` when C has rank below n. If ``extras`` is a dict it
+    receives ``r`` and ``distinct`` (c).
     """
     A = validate_matrix(a)
     n, d = A.shape
@@ -134,8 +144,7 @@ def underls_solve(a, b, p: SamplingProbabilities, epsilon: float,
     counts = np.bincount(S.selected, minlength=d)
     cols = np.flatnonzero(counts)
     C = A[:, cols] * np.sqrt(counts[cols] / (r * p.p[cols]))
-    U, sv, _ = np.linalg.svd(C, full_matrices=False)
-    if sv.size < n or sv[-1] <= rank_tolerance * sv[0]:
-        raise errors.RankDeficient(
-            "sampled matrix AS lost rank; retry with a new seed")
-    return A.T @ (U @ ((U.T @ bvec) / sv**2))
+    W = build_orthogonalizer(C.T, rank_tolerance=rank_tolerance).Rinv
+    if extras is not None:
+        extras.update(r=r, distinct=int(cols.size))
+    return A.T @ (W @ (W.T @ bvec))

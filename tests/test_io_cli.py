@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from levsketch import cli, errors, exact_leverage, hadamard_matrix
+from levsketch import (cli, errors, exact_leverage, hadamard_matrix, power_q,
+                       sample_size)
 from levsketch.cli import main
 from levsketch.crosslev import _finish
 from levsketch.io import load_matrix, save_matrix
@@ -218,6 +219,30 @@ def test_cli_underls(tmp_path, capsys, rng):
     x = np.asarray(doc["result"]["solution"])
     assert x.shape == (200,)
     assert doc["result"]["residual"] <= 1.0
+
+
+def test_cli_rankk_reports_what_the_sketch_used(tmp_path, capsys, rng):
+    path = write_fixture(tmp_path, rng.standard_normal((50, 40)))
+    code, doc = run_cli(capsys, ["rankk", path, "--k", "3", "--norm",
+                                 "spectral", "--q", "2", "--seed", "2"])
+    assert code == 0
+    assert doc["params"]["run"] == {"q": 2, "rank": 6}
+    code, doc = run_cli(capsys, ["rankk", path, "--k", "3", "--norm",
+                                 "spectral", "--seed", "2"])
+    assert doc["params"]["run"]["q"] == power_q(50, 40, 3, 0.5)
+    code, doc = run_cli(capsys, ["rankk", path, "--k", "3", "--seed", "2"])
+    assert doc["params"]["run"] == {"r": 40, "rank": 40}
+
+
+def test_cli_underls_reports_draws(tmp_path, capsys, rng):
+    A = rng.standard_normal((6, 200))
+    pa = write_fixture(tmp_path, A, "a.csv")
+    pb = write_fixture(tmp_path, rng.standard_normal((6, 1)), "b.csv")
+    code, doc = run_cli(capsys, ["underls", pa, "--rhs", pb, "--seed", "0"])
+    assert code == 0
+    run = doc["params"]["run"]
+    assert run["r"] == sample_size(6, 1.0, 0.5, 0.1)
+    assert 6 <= run["distinct"] <= 200
 
 
 def test_cli_underls_tiny_beta_is_a_typed_error(tmp_path, capsys, rng):

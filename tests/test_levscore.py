@@ -118,6 +118,25 @@ def test_shape_error_for_fat_matrix():
         approx_leverage(np.ones((3, 5)), make_plan(5, 3, 0.5), 0)
 
 
+def test_input_is_scanned_for_finiteness_once(monkeypatch):
+    # A is scanned once: by the SRHT kernel as it reads it (r1 < n, where
+    # build_orthogonalizer then scans only the r1 x d PA), or by
+    # build_orthogonalizer where A itself is factored (r1 >= n)
+    scanned = []
+    real = levscore.validate_matrix
+
+    def counting(a, *args, **kwargs):
+        scanned.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(levscore, "validate_matrix", counting)
+    A = np.random.default_rng(4).standard_normal((2000, 8))
+    for r1, expected in ((256, [(256, 8)]), (2000, [(2000, 8)])):
+        scanned.clear()
+        approx_leverage(A, make_plan(2000, 8, 0.5, r1=r1), seed=1)
+        assert scanned == expected
+
+
 def test_zero_rows_score_exactly_zero():
     # a zero row of A is a zero row of A R^-1 and of A R^-1 T^T: the
     # default plan factors A itself, r1 = 512 goes through the SRHT, and

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from levsketch import (errors, exact_leverage, frobenius_rankk,
-                       frobenius_sketch_matrix, power_q, spectral_rankk,
-                       spectral_sketch_matrix, thin_svd)
+                       frobenius_sketch_matrix, power_q, rankklev,
+                       spectral_rankk, spectral_sketch_matrix, thin_svd)
+from levsketch.sketch import SketchOperator, gaussian_matrix
 
 
 def low_rank_plus_noise(rng, n, d, k, gap=20.0, noise=1.0):
@@ -44,6 +45,24 @@ def test_power_q_validation():
         power_q(10, 10, 1, 0.5)
     with pytest.raises(errors.InvalidParameter):
         power_q(10, 10, 3, 1.5)
+
+
+# -------------------------------------------------------------- power sketch
+
+@pytest.mark.parametrize("shape", [(300, 40), (40, 300)])
+def test_gram_power_steps_match_direct_steps(shape):
+    # the tall branch runs A (A^T A)^q Pi, the fat one (A A^T)^q A Pi;
+    # both equal q direct steps B <- A (A^T B) up to rounding
+    A = np.random.default_rng(11).standard_normal(shape)
+    k, q = 2, 4
+    B, used_q = rankklev._power_sketch(A, k, 0.5, 5, q_override=q)
+    ref = A @ gaussian_matrix(SketchOperator("Gaussian", 5, shape[1], 2 * k))
+    for _ in range(q):
+        ref = A @ (A.T @ ref)
+    assert used_q == q
+    np.testing.assert_allclose(B, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    report = spectral_rankk(A, k, 0.5, seed=5, q_override=q)
+    assert report.extras == {"q": q, "rank": 2 * k}
 
 
 # -------------------------------------------------------------- frobenius
@@ -116,6 +135,54 @@ def test_frobenius_expected_residual_markov_margin():
     mean = np.mean(ratios)
     sem = np.std(ratios, ddof=1) / math.sqrt(len(ratios))
     assert mean <= 1 + eps / 10 + 2 * sem
+
+
+def test_top_k_factors_match_thin_svd_of_qta():
+    rng = np.random.default_rng(12)
+    Q = np.linalg.qr(rng.standard_normal((80, 15)))[0]
+    A = rng.standard_normal((80, 50)) * np.linspace(3.0, 0.5, 50)
+    k = 4
+    left, right = rankklev._top_k_factors(Q, A, k)
+    U, s, Vt = np.linalg.svd(Q.T @ A, full_matrices=False)
+    signs = np.sign(np.sum(left * (Q @ U[:, :k]), axis=0))
+    assert np.all(np.abs(signs) == 1)
+    np.testing.assert_allclose(left * signs, Q @ U[:, :k], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(right * signs[:, None], s[:k, None] * Vt[:k],
+                               rtol=0, atol=1e-12 * s[0])
+
+
+def test_frobenius_reports_width_and_rank():
+    A = np.random.default_rng(13).standard_normal((60, 40))
+    report = frobenius_rankk(A, k=3, epsilon=0.5, seed=1)
+    # r = k + ceil(10 k / eps + 1) = 64, capped at min(n, d) = 40
+    assert report.extras == {"r": 40, "rank": 40}
+
+
+def test_frobenius_scores_exact_on_nearly_low_rank_input():
+    # rank 8 with singular values spread over 1e3, plus noise about 1e-12
+    # of the largest: the rank rule keeps directions of B down to 1e-12 of
+    # its top one, and B R^{-1} alone is orthonormal only to about 1e-4
+    rng = np.random.default_rng(15)
+    A = ((rng.standard_normal((300, 8)) * np.logspace(0, -3, 8))
+         @ rng.standard_normal((8, 200)))
+    A += 1e-11 * rng.standard_normal(A.shape)
+    k = 5
+    report = frobenius_rankk(A, k, 0.5, seed=1)
+    assert 8 < report.extras["rank"] < report.extras["r"]
+    assert abs(report.p_hat.sum() - 1.0) <= 1e-12
+    _, (left, right) = frobenius_sketch_matrix(A, k, 0.5, seed=1)
+    U = np.linalg.svd(left @ right, full_matrices=False)[0][:, :k]
+    np.testing.assert_allclose(report.p_hat * k, np.sum(U * U, axis=1),
+                               rtol=0, atol=1e-12)
+
+
+def test_sketch_below_rank_k_raises_rank_too_low():
+    # B = A Pi has the numerical rank 3 of A, below k = 4
+    A = best_rank_k(np.random.default_rng(14).standard_normal((50, 30)), 3)
+    with pytest.raises(errors.RankTooLow, match="numerical rank 3 < k=4"):
+        frobenius_rankk(A, k=4, epsilon=0.5, seed=0)
+    with pytest.raises(errors.RankTooLow, match="numerical rank 0"):
+        frobenius_rankk(np.zeros((50, 30)), k=4, epsilon=0.5, seed=0)
 
 
 def test_rank_too_low_rejected():

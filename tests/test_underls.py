@@ -7,6 +7,7 @@ import pytest
 from levsketch import (SamplingProbabilities, draw_sampling_matrix, errors,
                        hadamard_matrix, leverage_probs_for_columns, make_plan,
                        pseudoinverse, sample_size, thin_svd, underls_solve)
+from levsketch.rng import substream
 
 
 def test_sample_size_frozen_value():
@@ -68,6 +69,32 @@ def test_draw_uniform_frequencies():
     counts = np.bincount(S.selected, minlength=d)
     sigma = math.sqrt(r * (1 / d) * (1 - 1 / d))
     assert np.all(np.abs(counts - r / d) <= 3 * sigma)
+
+
+def test_draw_counts_are_the_seeded_multinomial():
+    rng = np.random.default_rng(9)
+    w = rng.exponential(size=300)
+    p = SamplingProbabilities(p=w / w.sum())
+    r = 129_856
+    S = draw_sampling_matrix(p, r, seed=17)
+    expected = substream(17, 4).multinomial(r, p.p / p.p.sum())
+    assert np.array_equal(np.bincount(S.selected, minlength=300), expected)
+    assert S.r == r and S.d == 300 and S.selected.size == r
+    assert np.all(np.diff(S.selected) >= 0)
+    np.testing.assert_allclose(S.weights, 1 / np.sqrt(r * p.p[S.selected]),
+                               rtol=0)
+
+
+def test_solve_reports_draws_and_distinct_columns():
+    rng = np.random.default_rng(10)
+    A = rng.standard_normal((4, 60))
+    p = leverage_probs_for_columns(A, "exact")
+    extras = {}
+    underls_solve(A, rng.standard_normal(4), p, epsilon=0.5, delta=0.1,
+                  seed=3, extras=extras)
+    r = sample_size(4, 1.0, 0.5, 0.1)
+    S = draw_sampling_matrix(p, r, 3)
+    assert extras == {"r": r, "distinct": np.unique(S.selected).size}
 
 
 def test_dense_sampling_matrix_structure():
