@@ -23,7 +23,7 @@ import numpy as np
 
 from . import errors, io, matcore
 from .crosslev import approx_cross_leverage, heavy_pairs
-from .levscore import approx_leverage, coherence, mi_estimate
+from .levscore import approx_leverage, mi_estimate
 from .rankklev import frobenius_rankk, spectral_rankk
 from .sketch import make_plan
 from .underls import leverage_probs_for_columns, underls_solve
@@ -48,8 +48,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", default="practical", choices=["theory", "practical"])
     p.add_argument("--r1", type=int, default=None)
     p.add_argument("--r2", type=int, default=None)
-    p.add_argument("--c1", type=float, default=20.0)
-    p.add_argument("--c2", type=float, default=12.0)
     p.add_argument("--retries", type=int, default=3)
     p.add_argument("--output", "-o", default=None, help="write JSON/CSV here")
     p.add_argument("--output-format", default="json", choices=["json", "csv"])
@@ -73,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coherence", help="matrix coherence (max leverage score)")
     _add_common(p)
     p.add_argument("--method", default="exact", choices=["exact", "sketched"])
+    p.set_defaults(estimator="sketched")  # what --method sketched runs
 
     p = sub.add_parser("cross", help="large cross-leverage heavy pairs")
     _add_common(p)
@@ -137,6 +136,8 @@ def _emit_csv(doc: dict, path: str) -> None:
             fh.write("x\n")
             for v in result["solution"]:
                 fh.write(f"{v:.17g}\n")
+        elif "coherence" in result and "scores" not in result:
+            fh.write(f"coherence\n{result['coherence']:.17g}\n")
         else:
             fh.write("score\n")
             for v in result.get("scores", result.get("p_hat", [])):
@@ -159,13 +160,13 @@ class _RetriesExhausted(errors.LevsketchError):
 
 def _plan_for(args, n: int, d: int):
     return make_plan(n, d, epsilon=args.eps, delta=args.delta, mode=args.mode,
-                     c1=args.c1, c2=args.c2, r1=args.r1, r2=args.r2)
+                     r1=args.r1, r2=args.r2)
 
 
 def _plan_params(plan, extras: dict) -> dict:
     """The plan's sizes, and under ``run`` the ones the sketch used."""
     return {"epsilon": plan.epsilon, "delta": plan.delta, "r1": plan.r1,
-            "r2": plan.r2, "mode": plan.mode, "c1": plan.c1, "c2": plan.c2,
+            "r2": plan.r2, "mode": plan.mode,
             "run": {k: extras[k] for k in ("rank", "r1", "r2")}}
 
 
@@ -204,13 +205,9 @@ def _run_exact(args) -> dict:
 
 def _run_coherence(args) -> dict:
     doc = _run_exact(args) if args.method == "exact" else _run_leverage(args)
-    gamma = coherence_from_doc(doc)
-    doc["result"] = {"coherence": gamma, "method": args.method}
+    doc["result"] = {"coherence": doc["result"]["coherence"],
+                     "method": args.method}
     return doc
-
-
-def coherence_from_doc(doc: dict) -> float:
-    return float(np.max(np.asarray(doc["result"]["scores"])))
 
 
 def _run_cross(args) -> dict:

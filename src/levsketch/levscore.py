@@ -65,13 +65,13 @@ _CHOLQR_MIN_RCOND = 1e-6
 
 
 def _cholesky_qr2(PA: np.ndarray) -> Optional[np.ndarray]:
-    """R of PA from two Cholesky passes, or None where it cannot be trusted.
+    """R of PA from two Cholesky passes, or None where a Cholesky fails or
+    R is not finite.
 
     R1 = chol(PA^T PA), Q1 = PA R1^{-1}, R = chol(Q1^T Q1) R1: two Gram
     products and one product with the d x d inverse of R1, all BLAS-3 in
-    numpy's own BLAS. None when a Cholesky fails, R is not finite, or
-    sigma_min(R) / sigma_max(R) < 1e-6. Overflow or underflow of the Gram
-    matrix at extreme scales lands in one of these cases silently.
+    numpy's own BLAS. Overflow or underflow of the Gram matrix at extreme
+    scales lands in one of these cases silently.
     """
     with np.errstate(all="ignore"):
         try:
@@ -82,33 +82,31 @@ def _cholesky_qr2(PA: np.ndarray) -> Optional[np.ndarray]:
             return None
     if not np.all(np.isfinite(R)):
         return None
-    s = np.linalg.svd(R, compute_uv=False)
-    if not s[-1] >= _CHOLQR_MIN_RCOND * s[0]:
-        return None
     return R
 
 
-def build_orthogonalizer(pa, rank_tolerance: float = DEFAULT_RANK_TOL,
-                         allow_rank_deficient: bool = False) -> Orthogonalizer:
-    """Compute R^{-1} from the sketched matrix Pi1 A.
+def build_orthogonalizer(pa, allow_rank_deficient: bool = False
+                         ) -> Orthogonalizer:
+    """Compute R^{-1} from the sketched matrix Pi1 A, deciding its rank.
 
-    R comes from guarded CholeskyQR2, falling back to Householder
-    ``qr(PA)`` when CholeskyQR2 fails or R has condition number above 1e6,
-    and R^{-1} is V Sigma^{-1} from the d x d ``svd(R)`` (V's columns signed
-    so that each one's largest-magnitude entry is positive, whichever route
-    produced R). Rank decisions at ``rank_tolerance`` therefore always
-    come from a backward-stable R, and ``pa @ Rinv`` is orthonormal.
-    Raises ``NonFiniteFactor`` where R^{-1} overflows, so that a zero row
-    of A is an exact zero row of A R^{-1}.
+    One ``svd(R)`` of CholeskyQR2's R gives the 1e-6 condition guard, the
+    rank and R^{-1} = V Sigma^{-1} (V's columns signed so that each one's
+    largest-magnitude entry is positive). Where CholeskyQR2 fails or the
+    guard rejects R, the SVD of Householder ``qr(PA)``'s R decides. Rank
+    decisions at ``DEFAULT_RANK_TOL`` therefore always come from a
+    backward-stable R, and ``pa @ Rinv`` is orthonormal. Raises
+    ``NonFiniteFactor`` where R^{-1} overflows, so that a zero row of A is
+    an exact zero row of A R^{-1}.
     """
     PA = validate_matrix(pa)
     d = PA.shape[1]
     R, route = _cholesky_qr2(PA), "cholesky_qr2"
-    if R is None:
-        R, route = np.linalg.qr(PA, mode="r"), "householder"
-    _, s, Vt = np.linalg.svd(R)
-    keep = s > rank_tolerance * s[0] if s[0] > 0 else np.zeros_like(s, bool)
-    rho = int(keep.sum())
+    if R is not None:
+        _, s, Vt = np.linalg.svd(R)
+    if R is None or not s[-1] >= _CHOLQR_MIN_RCOND * s[0]:
+        route = "householder"
+        _, s, Vt = np.linalg.svd(np.linalg.qr(PA, mode="r"))
+    rho = int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
     if rho < d and not allow_rank_deficient:
         raise errors.RankDeficient(
             f"sketched matrix has rank {rho} < {d}; resample with a new seed")
@@ -135,7 +133,6 @@ def _stage2_factor(plan: SketchPlan, rank: int, seed: int) -> np.ndarray:
 
 
 def approx_leverage(a, plan: SketchPlan, seed: int,
-                    rank_tolerance: float = DEFAULT_RANK_TOL,
                     allow_rank_deficient: bool = False,
                     timings: Optional[dict] = None):
     """Sketched leverage scores of a tall matrix.
@@ -167,8 +164,7 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     else:
         PA = apply_srht(SketchOperator("SRHT", seed, n, plan.r1), A)
     t1 = time.perf_counter()
-    orth = build_orthogonalizer(PA, rank_tolerance=rank_tolerance,
-                                allow_rank_deficient=allow_rank_deficient)
+    orth = build_orthogonalizer(PA, allow_rank_deficient=allow_rank_deficient)
     r1 = PA.shape[0]
     del PA  # free the sketched matrix before the n x rank products
     t2 = time.perf_counter()
@@ -195,14 +191,14 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     return report, SketchedBasis(factor=X, plan=plan)
 
 
-def mi_estimate(a, seed: int,
-                rank_tolerance: float = DEFAULT_RANK_TOL) -> LeverageReport:
+def mi_estimate(a, seed: int) -> LeverageReport:
     """Single-projection inner-product estimator (comparison baseline).
 
     Estimates the i-th score as A_(i) . ((Pi A)^+ Pi)_(:,i) with a single
     SRHT of O(n ln d / ln^2 n) rows, then truncates each estimate below at
     d ln^2 n / (4 n) and renormalizes. Only an O(ln^2 n)-factor guarantee.
-    Row-wise dots of A with Pi^T (Pi A)^{+T}, in O(n d) memory.
+    With W = R^{-1} from ``build_orthogonalizer``, (Pi A)^+ = W W^T (Pi A)^T:
+    row-wise dots of A with Pi^T (Pi A) W W^T, in O(n d) memory.
     """
     A = validate_matrix(a)
     n, d = A.shape
@@ -213,12 +209,8 @@ def mi_estimate(a, seed: int,
     r = min(n, max(d, r))
     op = SketchOperator("SRHT", seed, n, r)
     PA = apply_srht(op, A)
-    U, s, Vt = np.linalg.svd(PA, full_matrices=False)
-    keep = s > rank_tolerance * s[0] if s[0] > 0 else np.zeros_like(s, bool)
-    if not keep.any():
-        raise errors.RankDeficient("sketched matrix is numerically zero")
-    M = (Vt[keep].T / s[keep]) @ U[:, keep].T          # (Pi A)^+, d x r
-    w_raw = np.einsum("ts,ts->t", A, _srht_transpose(op, M.T))
+    W = build_orthogonalizer(PA, allow_rank_deficient=True).Rinv
+    w_raw = np.einsum("ts,ts->t", A, _srht_transpose(op, (PA @ W) @ W.T))
     floor = d * ln_n**2 / (4.0 * n)
     w = np.maximum(w_raw, floor)
     return LeverageReport(

@@ -91,17 +91,17 @@ def thin_svd(a, rank_tolerance: float = DEFAULT_RANK_TOL) -> ThinSVD:
                    np.ascontiguousarray(Vt[:rho].T), rank_tolerance)
 
 
-def pseudoinverse(a, rank_tolerance: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse via the thin SVD."""
-    f = thin_svd(a, rank_tolerance)
+    f = thin_svd(a)
     if f.rank == 0:
         return np.zeros((f.V.shape[0], f.U.shape[0]))
     return (f.V / f.singular_values) @ f.U.T
 
 
-def exact_leverage(a, rank_tolerance: float = DEFAULT_RANK_TOL) -> LeverageReport:
+def exact_leverage(a) -> LeverageReport:
     """Exact leverage scores: squared row norms of the thin-SVD basis U."""
-    f = thin_svd(a, rank_tolerance)
+    f = thin_svd(a)
     scores = row_sq_norms(f.U)
     total = float(scores.sum())
     normalized = scores / total if total > 0 else np.zeros_like(scores)
@@ -114,12 +114,11 @@ def exact_leverage(a, rank_tolerance: float = DEFAULT_RANK_TOL) -> LeverageRepor
     )
 
 
-def exact_cross_leverage(a, max_rows: int = DEFAULT_GRAM_CAP,
-                         rank_tolerance: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def exact_cross_leverage(a, max_rows: int = DEFAULT_GRAM_CAP) -> np.ndarray:
     """Full n x n projector U U^T whose entries are the cross-leverage scores."""
     A = validate_matrix(a)
     if A.shape[0] > max_rows:
         raise errors.MatrixTooLargeForDenseGram(
             f"n={A.shape[0]} exceeds the dense Gram cap {max_rows}")
-    f = thin_svd(A, rank_tolerance)
+    f = thin_svd(A)
     return f.U @ f.U.T

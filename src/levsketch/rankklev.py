@@ -73,21 +73,29 @@ def _power_sketch(A: np.ndarray, k: int, epsilon: float, seed: int,
     from ``power_q`` unless ``q_override`` is given.
 
     The q steps run through the min(n, d)^2 Gram: a tall A takes
-    B = A (A^T A)^q Pi and a fat one B <- (A A^T) B.
+    B = A (A^T A)^q Pi and a fat one B <- (A A^T) B. The steps are not
+    normalized, so B grows like sigma_1^(2q+1); raises ``NonFiniteFactor``
+    where that overflows.
     """
     n, d = A.shape
     _check_k(n, d, k)
     q = int(q_override) if q_override is not None else power_q(n, d, k, epsilon)
     Y = gaussian_matrix(SketchOperator("Gaussian", seed, d, 2 * k))
-    if d <= n:
-        G = A.T @ A
-        for _ in range(q):
-            Y = G @ Y
-        return A @ Y, q
-    B = A @ Y
-    G = A @ A.T
-    for _ in range(q):
-        B = G @ B
+    with np.errstate(over="ignore", invalid="ignore"):
+        if d <= n:
+            G = A.T @ A
+            for _ in range(q):
+                Y = G @ Y
+            B = A @ Y
+        else:
+            B = A @ Y
+            G = A @ A.T
+            for _ in range(q):
+                B = G @ B
+    if not np.all(np.isfinite(B)):
+        raise errors.NonFiniteFactor(
+            f"power iteration overflowed: B = (A A^T)^q A Pi is not finite"
+            f" at q={q}")
     return B, q
 
 

@@ -21,8 +21,6 @@ from .matcore import _as_matrix, validate_matrix
 from .rng import rademacher, substream
 
 DEFAULT_DELTA = 0.1
-DEFAULT_C1 = 20.0
-DEFAULT_C2 = 12.0
 
 
 def next_pow2(n: int) -> int:
@@ -65,7 +63,7 @@ class SketchPlan:
 
     ``r1`` is the SRHT row budget (stage 1), ``r2`` the sparse-JLT target
     dimension (stage 2). Theory mode evaluates the proof-grade formulas;
-    practical mode uses r1 = ceil(c1 d ln n), r2 = ceil(c2 ln n / eps^2).
+    practical mode uses r1 = ceil(20 d ln n), r2 = ceil(12 ln n / eps^2).
     A stage that cannot compress is skipped: r1 >= n factors A itself and
     r2 >= rank leaves A R^{-1} unprojected, so ``make_plan(n, d, eps,
     r1=n, r2=d)`` is the exact plan.
@@ -76,8 +74,6 @@ class SketchPlan:
     r1: int
     r2: int
     mode: str  # "theory" | "practical"
-    c1: float = DEFAULT_C1
-    c2: float = DEFAULT_C2
 
 
 def _check_size(name: str, value) -> int:
@@ -90,8 +86,7 @@ def _check_size(name: str, value) -> int:
 
 
 def make_plan(n: int, d: int, epsilon: float, delta: float = DEFAULT_DELTA,
-              mode: str = "practical", c1: float = DEFAULT_C1,
-              c2: float = DEFAULT_C2, r1: Optional[int] = None,
+              mode: str = "practical", r1: Optional[int] = None,
               r2: Optional[int] = None) -> SketchPlan:
     """Resolve r1/r2 for an n x d input, honoring explicit overrides."""
     if not (0.0 < epsilon <= 0.5):
@@ -100,24 +95,21 @@ def make_plan(n: int, d: int, epsilon: float, delta: float = DEFAULT_DELTA,
         raise errors.InvalidParameter(f"delta must be in (0, 1), got {delta}")
     if mode not in ("theory", "practical"):
         raise errors.InvalidParameter(f"unknown mode {mode!r}")
-    for name, c in (("c1", c1), ("c2", c2)):
-        if not (math.isfinite(c) and c > 0.0):
-            raise errors.InvalidParameter(f"{name} must be finite and > 0, got {c}")
     if r1 is not None:
         r1 = _check_size("r1", r1)
     elif mode == "theory":
         r1 = fjlt_dim(n, d, epsilon)
     else:
-        r1 = min(n, max(d, math.ceil(c1 * d * math.log(max(n, 2)))))
+        r1 = min(n, max(d, math.ceil(20.0 * d * math.log(max(n, 2)))))
     if r2 is not None:
         r2 = _check_size("r2", r2)
     elif mode == "theory":
         # Pi2 must be a JLT for the n rows and their n^2 - n pairwise sums.
         r2 = jlt_dim(max(n * n, 2), epsilon, delta)
     else:
-        r2 = max(1, math.ceil(c2 * math.log(max(n, 2)) / epsilon**2))
+        r2 = max(1, math.ceil(12.0 * math.log(max(n, 2)) / epsilon**2))
     return SketchPlan(epsilon=epsilon, delta=delta, r1=max(d, min(r1, n)),
-                      r2=r2, mode=mode, c1=c1, c2=c2)
+                      r2=r2, mode=mode)
 
 
 @dataclass(frozen=True)

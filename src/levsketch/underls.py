@@ -16,7 +16,7 @@ import numpy as np
 
 from . import errors
 from .levscore import approx_leverage, build_orthogonalizer
-from .matcore import DEFAULT_RANK_TOL, exact_leverage, validate_matrix
+from .matcore import exact_leverage, validate_matrix
 from .rng import substream
 from .sketch import SketchPlan
 
@@ -117,7 +117,6 @@ def leverage_probs_for_columns(a, method: str = "exact",
 
 def underls_solve(a, b, p: SamplingProbabilities, epsilon: float,
                   delta: float, seed: int,
-                  rank_tolerance: float = DEFAULT_RANK_TOL,
                   extras: Optional[dict] = None) -> np.ndarray:
     """Approximate minimal-norm solution of min ||A x - b|| for n < d.
 
@@ -144,7 +143,7 @@ def underls_solve(a, b, p: SamplingProbabilities, epsilon: float,
     counts = np.bincount(S.selected, minlength=d)
     cols = np.flatnonzero(counts)
     C = A[:, cols] * np.sqrt(counts[cols] / (r * p.p[cols]))
-    W = build_orthogonalizer(C.T, rank_tolerance=rank_tolerance).Rinv
+    W = build_orthogonalizer(C.T).Rinv
     if extras is not None:
         extras.update(r=r, distinct=int(cols.size))
     return A.T @ (W @ (W.T @ bvec))

@@ -319,7 +319,42 @@ def test_orthogonalizer_ill_conditioned_falls_back_to_householder(cond):
             build_orthogonalizer(PA)
 
 
+def svd_calls():
+    """Count the SVDs numpy computes inside the block."""
+    return mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd)
+
+
+@pytest.mark.parametrize("cond, route, calls", [
+    (1e2, "cholesky_qr2", 1),   # one SVD of R gives guard, rank and R^-1
+    (1e7, "householder", 2),    # R rejected by the guard: Householder R's SVD
+    (1e14, "householder", 1),   # Cholesky fails: no R of its own to check
+])
+def test_orthogonalizer_takes_one_svd_per_r(cond, route, calls):
+    rng = np.random.default_rng(18)
+    PA = with_spectrum(rng, 200, np.logspace(0, -math.log10(cond), 6))
+    with svd_calls() as svd:
+        orth = build_orthogonalizer(PA, allow_rank_deficient=True)
+    assert orth.route == route
+    assert svd.call_count == calls
+
+
+def test_rank_tolerance_is_not_an_option():
+    A = np.random.default_rng(19).standard_normal((64, 3))
+    with pytest.raises(TypeError):
+        approx_leverage(A, make_plan(64, 3, 0.5), 0, rank_tolerance=1e-6)
+
+
 # ---------------------------------------------------------- mi estimator
+
+def test_mi_estimate_takes_no_svd_of_its_own():
+    A = np.random.default_rng(20).standard_normal((1000, 8))
+    with svd_calls() as svd, mock.patch.object(
+            levscore, "build_orthogonalizer",
+            wraps=levscore.build_orthogonalizer) as orth:
+        mi_estimate(A, seed=0)
+    assert orth.call_count == 1
+    assert svd.call_count == 1  # the orthogonalizer's, on CholeskyQR2's R
+
 
 def test_mi_estimate_normalization_and_floor():
     rng = np.random.default_rng(8)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,17 @@ def test_spectral_beta_lower_bound_on_x_scores():
         if np.all(report.p_hat >= beta * ux / k - 1e-12):
             hits += 1
     assert hits >= 7
+
+
+@pytest.mark.parametrize("shape", [(60, 30), (30, 60)])
+def test_power_iteration_overflow_is_named(shape):
+    # finite A whose unnormalized power steps overflow: the error names the
+    # power iteration, not the entries of A, and no RuntimeWarning leaks
+    A = np.random.default_rng(21).standard_normal(shape) * 1e100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.NonFiniteFactor, match="power iteration.*q=2"):
+            spectral_rankk(A, 3, 0.5, seed=0, q_override=2)
 
 
 def test_block_gap_construction_concentrates_on_top_block():
