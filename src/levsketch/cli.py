@@ -5,9 +5,12 @@ the schema {"params", "seed", "timings_ms", "result"} with 0-based
 indices; runs with the same seed are byte-identical apart from the timing
 fields. Sketched ``leverage`` and ``cross`` runs list the plan's sizes in
 ``params`` and, under ``params.run``, the rank and the r1 and r2 the
-sketch used; ``rankk`` lists there the report's extras (q and rank for
-spectral, width r and rank for Frobenius) and ``underls`` the number of
-draws r and of distinct columns drawn.
+sketch used and the orthogonalizer's route; ``rankk`` lists there the
+report's extras (q and rank for spectral; width r, rank and route for
+Frobenius) and ``underls`` the number of draws r, of distinct columns
+drawn and the route. ``--format`` names the input matrix's format;
+``underls`` reads its ``--rhs`` file in the format that file's suffix
+names, or in ``--format`` where the suffix names none.
 """
 
 from __future__ import annotations
@@ -89,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("underls", help="sampled under-constrained least squares")
     _add_common(p)
-    p.add_argument("--rhs", required=True, help="right-hand-side vector file")
+    p.add_argument("--rhs", required=True,
+                   help="right-hand-side vector file (format from its suffix, "
+                        "else --format)")
     p.add_argument("--probs", default="exact", choices=["exact", "sketched"])
     p.add_argument("--beta", type=float, default=None,
                    help="override the probability quality factor")
@@ -164,10 +169,11 @@ def _plan_for(args, n: int, d: int):
 
 
 def _plan_params(plan, extras: dict) -> dict:
-    """The plan's sizes, and under ``run`` the ones the sketch used."""
+    """The plan's sizes, and under ``run`` the ones the sketch used and
+    the orthogonalizer's route."""
     return {"epsilon": plan.epsilon, "delta": plan.delta, "r1": plan.r1,
             "r2": plan.r2, "mode": plan.mode,
-            "run": {k: extras[k] for k in ("rank", "r1", "r2")}}
+            "run": {k: extras[k] for k in ("rank", "r1", "r2", "route")}}
 
 
 def _run_leverage(args) -> dict:
@@ -181,11 +187,12 @@ def _run_leverage(args) -> dict:
         used_seed = seed
     else:
         plan = _plan_for(args, *A.shape)
-        (report, _), used_seed = _with_retries(
+        (report, basis), used_seed = _with_retries(
             lambda s: approx_leverage(A, plan, s, timings=timings),
             seed, args.retries)
         params = {"estimator": "sketched", "n": A.shape[0], "d": A.shape[1],
-                  **_plan_params(plan, report.extras)}
+                  **_plan_params(plan, {**report.extras,
+                                        "route": basis.route})}
     return {"params": params, "seed": used_seed, "timings_ms": timings,
             "result": {"scores": report.scores, "coherence": report.coherence,
                        "normalized": report.normalized,
@@ -258,9 +265,17 @@ def _run_rankk(args) -> dict:
                        "norm": report.norm}}
 
 
+def _rhs_format(args) -> str:
+    """The rhs file's format: the one its suffix names, else ``--format``."""
+    try:
+        return io.infer_format(args.rhs)
+    except errors.ParseError:
+        return args.format
+
+
 def _run_underls(args) -> dict:
     A = io.load_matrix(args.input, args.format)
-    b = io.load_matrix(args.rhs, args.format).reshape(-1)
+    b = io.load_matrix(args.rhs, _rhs_format(args)).reshape(-1)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.probs == "exact":
         p = leverage_probs_for_columns(A, "exact")

@@ -35,7 +35,7 @@ class HeavyPairSet:
     ``candidates`` counts the norm-heavy pairs the search examined;
     ``timings_ms`` holds per-phase wall-clock times where the producer
     measured them, and ``extras`` the sketch sizes it used (``rank``,
-    ``r1``, ``r2``) where it sketched.
+    ``r1``, ``r2``) and the orthogonalizer's ``route`` where it sketched.
     """
 
     pairs: List[Tuple[int, int, float]] = field(default_factory=list)
@@ -209,7 +209,7 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float, seed: int,
     result = heavy_pairs(X, kappa_prime)
     t2 = time.perf_counter()
     result.kappa = kappa
-    result.extras = dict(report.extras)
+    result.extras = {**report.extras, "route": basis.route}
     result.timings_ms = {"sketch_ms": (t1 - t0) * 1e3,
                          "search_ms": (t2 - t1) * 1e3}
     if off_diagonal_only:

@@ -8,6 +8,18 @@ estimates are the squared row norms of Omega = A R^{-1} Pi2. They are read
 off an n x r2 factor with Omega's row inner products, so Omega itself is
 never formed. Each stage is skipped where it cannot compress (r1 >= n,
 r2 >= rank), which makes the plan r1 = n, r2 = d exact.
+
+R comes by one of three routes (``Orthogonalizer.route``). A sketch is
+needed only to within its own 1 +- eps distortion, so a caller that
+passes ``sketched=True`` takes "cholesky": one Cholesky factor of the
+Gram, where a guard accepts it (no underflowed or non-finite column
+norm, finite R^{-1}, kappa_F(R) = ||R||_F ||R^{-1}||_F <= 1e4). As
+kappa_2(R) <= kappa_F(R), the sketch times R^{-1} is then orthonormal to
+about u kappa_2^2 <= 1e-8 (Yamamoto et al. 2015). Everything else, the
+exact plan included, takes "cholesky_qr2" from that same first pass,
+checked by one SVD of its R, or, where that R is not trusted,
+"householder".
+
 Also includes the simpler single-projection inner-product estimator that
 we use as a comparison baseline.
 """
@@ -33,8 +45,8 @@ from .sketch import (SketchOperator, SketchPlan, apply_srht, _sparse_jlt_matrix,
 class Orthogonalizer:
     """d x rho map making the sketched matrix orthonormal: Q = PA . Rinv.
 
-    ``route`` names the factorization that produced R: "cholesky_qr2" or
-    "householder".
+    ``route`` names the factorization that produced R: "cholesky",
+    "cholesky_qr2" or "householder".
     """
 
     Rinv: np.ndarray
@@ -52,31 +64,75 @@ class SketchedBasis:
     X = A R^{-1} when r2 >= rank. Otherwise X = A R^{-1} T^T for the
     triangular factor T of qr(Pi2^T), so that X X^T = Omega Omega^T for
     the sketch Omega = A R^{-1} Pi2: X has Omega's row norms and row inner
-    products without Omega's r2 columns.
+    products without Omega's r2 columns. ``route`` is the orthogonalizer's.
     """
 
     factor: np.ndarray
     plan: SketchPlan
+    route: str
 
 
 # CholeskyQR2's R is trusted only while R is this well conditioned
 # (cond(PA) well below u^{-1/2}); otherwise Householder QR decides.
 _CHOLQR_MIN_RCOND = 1e-6
+# One Cholesky pass of a sketch's Gram is trusted while
+# kappa_F(R) = ||R||_F ||R^{-1}||_F is at most this. kappa_2(R) <= kappa_F(R),
+# so the sketch times R^{-1} is then orthonormal to about u kappa_2^2 <= 1e-8.
+# kappa_F(R) >= d, so a sketch of more than 1e4 columns is never trusted.
+_CHOL_MAX_COND = 1e4
+# A Gram diagonal entry below tiny / eps = 2^-970 may have lost bits to
+# underflowed squares.
+_GRAM_MIN_DIAG = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
-def _cholesky_qr2(PA: np.ndarray) -> Optional[np.ndarray]:
-    """R of PA from two Cholesky passes, or None where a Cholesky fails or
-    R is not finite.
+def _guarded_cholesky(G: np.ndarray):
+    """One Cholesky pass of a Gram G = M^T M: ``(R, Rinv, trusted)`` for
+    the upper Cholesky factor R of G and R^{-1}.
 
-    R1 = chol(PA^T PA), Q1 = PA R1^{-1}, R = chol(Q1^T Q1) R1: two Gram
-    products and one product with the d x d inverse of R1, all BLAS-3 in
-    numpy's own BLAS. Overflow or underflow of the Gram matrix at extreme
-    scales lands in one of these cases silently.
+    ``trusted`` says that R can stand for M's R: every diagonal entry of G
+    is finite and at least 2^-970 (no column's squares underflowed, and M
+    is finite), R^{-1} is finite and kappa_F(R) <= ``_CHOL_MAX_COND``.
+    R is None where the factorization fails. R^{-1} is None there too, and
+    where R's diagonal alone shows kappa_F(R) > ``_CHOL_MAX_COND`` (as
+    kappa_F(R) >= kappa_2(R) >= max |r_ii| / min |r_ii|), so that a
+    rejected R is not inverted for nothing.
     """
     with np.errstate(all="ignore"):
         try:
-            R1 = np.linalg.cholesky(PA.T @ PA).T
-            Q1 = PA @ np.linalg.inv(R1)
+            R = np.linalg.cholesky(G).T
+        except np.linalg.LinAlgError:
+            return None, None, False
+        diag, r = np.diagonal(G), np.abs(np.diagonal(R))
+        if not (np.all(np.isfinite(diag)) and np.all(diag >= _GRAM_MIN_DIAG)
+                and r.max() <= _CHOL_MAX_COND * r.min()):
+            return R, None, False
+        try:
+            Rinv = np.linalg.inv(R)
+        except np.linalg.LinAlgError:
+            return R, None, False
+        trusted = bool(
+            np.all(np.isfinite(Rinv))
+            and np.linalg.norm(R) * np.linalg.norm(Rinv) <= _CHOL_MAX_COND)
+    return R, Rinv, trusted
+
+
+def _cholesky_qr2(PA: np.ndarray, R1: Optional[np.ndarray],
+                  R1inv: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """R of PA from CholeskyQR2, or None where a Cholesky fails or R is not
+    finite.
+
+    (R1, R1^{-1}) is the first pass, ``_guarded_cholesky(PA^T PA)``, with
+    R1^{-1} formed here where the guard did not form it; the second is
+    Q1 = PA R1^{-1}, R = chol(Q1^T Q1) R1. Two Gram products and one
+    product with R1^{-1} in all, BLAS-3 in numpy's own BLAS. Overflow or
+    underflow of the Gram matrix at extreme scales lands in one of these
+    cases silently.
+    """
+    if R1 is None:
+        return None
+    with np.errstate(all="ignore"):
+        try:
+            Q1 = PA @ (np.linalg.inv(R1) if R1inv is None else R1inv)
             R = np.linalg.cholesky(Q1.T @ Q1).T @ R1
         except np.linalg.LinAlgError:
             return None
@@ -85,9 +141,18 @@ def _cholesky_qr2(PA: np.ndarray) -> Optional[np.ndarray]:
     return R
 
 
-def build_orthogonalizer(pa, allow_rank_deficient: bool = False
-                         ) -> Orthogonalizer:
+def build_orthogonalizer(pa, allow_rank_deficient: bool = False,
+                         sketched: bool = False) -> Orthogonalizer:
     """Compute R^{-1} from the sketched matrix Pi1 A, deciding its rank.
+
+    Every route starts from one Cholesky pass of PA^T PA. With
+    ``sketched=True`` (PA is a sketch, needed only to within its own
+    distortion) that pass is the answer wherever ``_guarded_cholesky``
+    trusts it: the route is "cholesky", R^{-1} is the factor's inverse,
+    the rank is d (kappa_2(R) <= 1e4 is far inside the rank rule) and PA
+    is not scanned, as a non-finite PA has a non-finite Gram diagonal and
+    fails the guard. Otherwise PA is validated and CholeskyQR2 continues
+    from that same pass, so its R is the one ``sketched=False`` gives.
 
     One ``svd(R)`` of CholeskyQR2's R gives the 1e-6 condition guard, the
     rank and R^{-1} = V Sigma^{-1} (V's columns signed so that each one's
@@ -98,9 +163,15 @@ def build_orthogonalizer(pa, allow_rank_deficient: bool = False
     ``NonFiniteFactor`` where R^{-1} overflows, so that a zero row of A is
     an exact zero row of A R^{-1}.
     """
-    PA = validate_matrix(pa)
+    PA = _as_matrix(pa) if sketched else validate_matrix(pa)
+    with np.errstate(all="ignore"):
+        R1, R1inv, trusted = _guarded_cholesky(PA.T @ PA)
+    if sketched and trusted:
+        return Orthogonalizer(Rinv=R1inv, route="cholesky")
+    if sketched:
+        validate_matrix(PA)
     d = PA.shape[1]
-    R, route = _cholesky_qr2(PA), "cholesky_qr2"
+    R, route = _cholesky_qr2(PA, R1, R1inv), "cholesky_qr2"
     if R is not None:
         _, s, Vt = np.linalg.svd(R)
     if R is None or not s[-1] >= _CHOLQR_MIN_RCOND * s[0]:
@@ -146,11 +217,12 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     row of A scores exactly 0, as R^{-1} is finite. A is read for
     validation once: the SRHT kernel checks its entries as it weighs them
     (r1 < n), and ``build_orthogonalizer`` validates A itself (r1 >= n);
-    both raise ``NonFiniteEntry``. X = A W, with W = R^{-1} or the d x r2
-    product R^{-1} T^T, is formed with its squared row norms in one pass
-    over row tiles of A. Returns ``(LeverageReport, SketchedBasis)``;
-    ``extras["r2"]`` is the number of columns of X, ``min(rank,
-    plan.r2)``. If ``timings`` is a dict it receives ``sketch_apply_ms``,
+    both raise ``NonFiniteEntry``. Only the SRHT's PA is factored as a
+    sketch (``sketched=True``); the exact plan keeps CholeskyQR2. X = A W,
+    with W = R^{-1} or the d x r2 product R^{-1} T^T, is formed with its
+    squared row norms in one pass over row tiles of A. Returns
+    ``(LeverageReport, SketchedBasis)``; ``extras["r2"]`` is the number
+    of columns of X, ``min(rank, plan.r2)``. If ``timings`` is a dict it receives ``sketch_apply_ms``,
     ``factorization_ms`` and ``product_ms`` (that pass: A W and the row
     norms).
     """
@@ -164,7 +236,8 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     else:
         PA = apply_srht(SketchOperator("SRHT", seed, n, plan.r1), A)
     t1 = time.perf_counter()
-    orth = build_orthogonalizer(PA, allow_rank_deficient=allow_rank_deficient)
+    orth = build_orthogonalizer(PA, allow_rank_deficient=allow_rank_deficient,
+                                sketched=plan.r1 < n)
     r1 = PA.shape[0]
     del PA  # free the sketched matrix before the n x rank products
     t2 = time.perf_counter()
@@ -188,7 +261,7 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
         seed=int(seed),
         extras={"rank": rank, "r1": r1, "r2": X.shape[1]},
     )
-    return report, SketchedBasis(factor=X, plan=plan)
+    return report, SketchedBasis(factor=X, plan=plan, route=orth.route)
 
 
 def mi_estimate(a, seed: int) -> LeverageReport:
@@ -209,7 +282,8 @@ def mi_estimate(a, seed: int) -> LeverageReport:
     r = min(n, max(d, r))
     op = SketchOperator("SRHT", seed, n, r)
     PA = apply_srht(op, A)
-    W = build_orthogonalizer(PA, allow_rank_deficient=True).Rinv
+    W = build_orthogonalizer(PA, allow_rank_deficient=True,
+                             sketched=True).Rinv
     w_raw = np.einsum("ts,ts->t", A, _srht_transpose(op, (PA @ W) @ W.T))
     floor = d * ln_n**2 / (4.0 * n)
     w = np.maximum(w_raw, floor)

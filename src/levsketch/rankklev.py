@@ -7,8 +7,11 @@ a power-iteration Gaussian sketch for the spectral norm, and a one-shot
 Gaussian range finder for the Frobenius norm (where the returned scores
 are exactly those of the constructible X). Dense factorizations run on
 the small side: the power loop goes through the min(n, d)^2 Gram, the
-Frobenius basis comes from ``levscore.build_orthogonalizer``, and the
-top-k left factor from the SVD of an r x r triangular factor.
+Frobenius basis comes from ``levscore.build_orthogonalizer`` (with the
+sketch's guarded one-pass Cholesky, B = A Pi being a sketch), and the
+top-k left factor from the SVD of an r x r triangular factor T with
+T^T T = C C^T: the guarded Cholesky factor of C C^T, or Householder
+``qr(C^T)``'s R where the guard rejects it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 
 from . import errors
 from ._kernels import row_sq_norms
-from .levscore import approx_leverage, build_orthogonalizer
+from .levscore import (_guarded_cholesky, approx_leverage,
+                       build_orthogonalizer)
 from .matcore import validate_matrix
 from .sketch import SketchOperator, gaussian_matrix, make_plan
 
@@ -32,7 +36,8 @@ class NormalizedLevReport:
 
     ``extras`` says what the sketch used: for "spectral" the power depth
     ``q`` and the ``rank`` of the sketch B; for "frobenius" the Gaussian
-    width ``r`` and the ``rank`` of the basis Q.
+    width ``r``, the ``rank`` of the basis Q and the ``route`` of the
+    factorization that gave Q (see ``levscore.Orthogonalizer``).
     """
 
     p_hat: np.ndarray
@@ -102,12 +107,17 @@ def _power_sketch(A: np.ndarray, k: int, epsilon: float, seed: int,
 def _top_k_factors(Q: np.ndarray, A: np.ndarray, k: int):
     """Factors (Q U_k, S_k V_k^T) of X = Q (Q^T A)_k for orthonormal Q.
 
-    C = Q^T A is r x d with r <= d, and C C^T = T^T T for the r x r
-    triangular factor T of qr(C^T), so U_k comes from the SVD of T^T and
-    S_k V_k^T = U_k^T C.
+    C = Q^T A is r x d with r <= d, and C C^T = T^T T for an r x r
+    triangular T, so U_k comes from the SVD of T^T and S_k V_k^T = U_k^T C.
+    T is the guarded Cholesky factor of C C^T, or the R of qr(C^T) where
+    the guard rejects it.
     """
     C = Q.T @ A
-    Uk = np.linalg.svd(np.linalg.qr(C.T, mode="r").T)[0][:, :k]
+    with np.errstate(all="ignore"):
+        T, _, trusted = _guarded_cholesky(C @ C.T)
+    if not trusted:
+        T = np.linalg.qr(C.T, mode="r")
+    Uk = np.linalg.svd(T.T)[0][:, :k]
     return Q @ Uk, Uk.T @ C
 
 
@@ -144,22 +154,28 @@ def frobenius_sketch_width(k: int, epsilon: float) -> int:
 def _frobenius_factors(A: np.ndarray, k: int, epsilon: float, seed: int):
     """(Q U_k, S_k V_k^T, extras) for the Gaussian range finder Q of
     B = A Pi; directions lost to numerical rank deficiency of B are
-    dropped by the orthogonalizer's rank rule."""
+    dropped by the orthogonalizer's rank rule. ``extras`` holds the width
+    ``r``, the ``rank`` of Q and the orthogonalizer's ``route``."""
     n, d = A.shape
     _check_k(n, d, k)
     r = min(frobenius_sketch_width(k, epsilon), min(n, d))
     B = A @ gaussian_matrix(SketchOperator("Gaussian", seed, d, r))
     try:  # Q = B R^{-1} spans B's numerical column space
-        Q = B @ build_orthogonalizer(B, allow_rank_deficient=True).Rinv
+        orth = build_orthogonalizer(B, allow_rank_deficient=True,
+                                    sketched=True)
     except errors.RankDeficient:  # B, and so A, is numerically zero
-        Q = B[:, :0]
-    if Q.shape[1] < k:
         raise errors.RankTooLow(
-            f"sketch B has numerical rank {Q.shape[1]} < k={k}")
-    # B R^{-1} is orthonormal only to about u cond(B), which the rank rule
-    # lets reach 1e-4; one Cholesky pass on Q^T Q restores it to rounding
+            f"sketch B has numerical rank 0 < k={k}") from None
+    if orth.rank < k:
+        raise errors.RankTooLow(
+            f"sketch B has numerical rank {orth.rank} < k={k}")
+    extras = {"r": r, "rank": orth.rank, "route": orth.route}
+    Q = B @ orth.Rinv
+    del B, orth  # free B and R^{-1} before the n x r products below
+    # B R^{-1} is orthonormal only to about u cond(B) (u cond(B)^2 on the
+    # one-pass Cholesky route); one Cholesky pass on Q^T Q restores it
     Q = Q @ np.linalg.inv(np.linalg.cholesky(Q.T @ Q)).T
-    return (*_top_k_factors(Q, A, k), {"r": r, "rank": Q.shape[1]})
+    return (*_top_k_factors(Q, A, k), extras)
 
 
 def frobenius_rankk(a, k: int, epsilon: float, seed: int) -> NormalizedLevReport:

@@ -124,9 +124,10 @@ def underls_solve(a, b, p: SamplingProbabilities, epsilon: float,
     A^T (AS)^{+T} (AS)^+ b = A^T (AS AS^T)^{-1} b. AS AS^T = C C^T for the
     n x c matrix C of the c distinct drawn columns, column j scaled by
     sqrt(draws_j / (r p_j)), and (C C^T)^{-1} = W W^T for the n x n
-    W = R^{-1} that ``build_orthogonalizer(C^T)`` returns; it raises
-    ``RankDeficient`` when C has rank below n. If ``extras`` is a dict it
-    receives ``r`` and ``distinct`` (c).
+    W = R^{-1} that ``build_orthogonalizer(C^T, sketched=True)`` returns
+    (C being a sample of A's columns); it raises ``RankDeficient`` when C
+    has rank below n. If ``extras`` is a dict it receives ``r``,
+    ``distinct`` (c) and the orthogonalizer's ``route``.
     """
     A = validate_matrix(a)
     n, d = A.shape
@@ -143,7 +144,8 @@ def underls_solve(a, b, p: SamplingProbabilities, epsilon: float,
     counts = np.bincount(S.selected, minlength=d)
     cols = np.flatnonzero(counts)
     C = A[:, cols] * np.sqrt(counts[cols] / (r * p.p[cols]))
-    W = build_orthogonalizer(C.T).Rinv
+    orth = build_orthogonalizer(C.T, sketched=True)
+    W = orth.Rinv
     if extras is not None:
-        extras.update(r=r, distinct=int(cols.size))
+        extras.update(r=r, distinct=int(cols.size), route=orth.route)
     return A.T @ (W @ (W.T @ bvec))

@@ -127,7 +127,13 @@ def test_cli_reports_the_sketch_sizes_it_used(tmp_path, capsys, rng):
         code, doc = run_cli(capsys, argv + ["--seed", "4"])
         assert code == 0
         assert (doc["params"]["r1"], doc["params"]["r2"]) == (300, 274)
-        assert doc["params"]["run"] == {"rank": 6, "r1": 300, "r2": 6}
+        assert doc["params"]["run"] == {"rank": 6, "r1": 300, "r2": 6,
+                                        "route": "cholesky_qr2"}
+        # r1 = 128 < n factors the SRHT sketch with one guarded Cholesky
+        code, doc = run_cli(capsys, argv + ["--seed", "4", "--r1", "128"])
+        assert code == 0
+        assert doc["params"]["run"] == {"rank": 6, "r1": 128, "r2": 6,
+                                        "route": "cholesky"}
 
 
 def test_cli_leverage_reports_its_phase_timings(tmp_path, capsys, rng):
@@ -233,7 +239,7 @@ def test_cli_rankk_reports_what_the_sketch_used(tmp_path, capsys, rng):
                                  "spectral", "--seed", "2"])
     assert doc["params"]["run"]["q"] == power_q(50, 40, 3, 0.5)
     code, doc = run_cli(capsys, ["rankk", path, "--k", "3", "--seed", "2"])
-    assert doc["params"]["run"] == {"r": 40, "rank": 40}
+    assert doc["params"]["run"] == {"r": 40, "rank": 40, "route": "cholesky"}
 
 
 def test_cli_underls_reports_draws(tmp_path, capsys, rng):
@@ -245,6 +251,25 @@ def test_cli_underls_reports_draws(tmp_path, capsys, rng):
     run = doc["params"]["run"]
     assert run["r"] == sample_size(6, 1.0, 0.5, 0.1)
     assert 6 <= run["distinct"] <= 200
+
+
+def test_cli_underls_reads_the_rhs_in_its_own_format(tmp_path, capsys, rng):
+    # --format names the matrix's format; the rhs's comes from its suffix
+    A = rng.standard_normal((4, 40))
+    pa, pb = tmp_path / "w.mtx", tmp_path / "b.csv"
+    save_matrix(A, pa)
+    save_matrix(rng.standard_normal((4, 1)), pb)
+    code, doc = run_cli(capsys, ["underls", str(pa), "--rhs", str(pb),
+                                 "--format", "matrix-market", "--seed", "0"])
+    assert code == 0
+    assert doc["params"]["run"]["route"] == "cholesky"
+    # a suffix that names no format leaves the rhs to --format
+    pa, pb = tmp_path / "w.txt", tmp_path / "b.txt"
+    save_matrix(A, pa, "csv")
+    save_matrix(rng.standard_normal((4, 1)), pb, "csv")
+    code, doc = run_cli(capsys, ["underls", str(pa), "--rhs", str(pb),
+                                 "--format", "csv", "--seed", "0"])
+    assert code == 0
 
 
 def test_cli_underls_tiny_beta_is_a_typed_error(tmp_path, capsys, rng):
@@ -339,10 +364,10 @@ def test_cli_every_choice_runs(tmp_path, capsys, command, option, value):
     rng = np.random.default_rng(5)
     fmt = value if option == "--format" and value != "auto" else "csv"
     extra = []
-    if command == "underls":
+    if command == "underls":  # the rhs is CSV beside every matrix format
         A = rng.standard_normal((4, 40))
-        rhs = tmp_path / f"b.{_SUFFIX[fmt]}"
-        save_matrix(rng.standard_normal((4, 1)), rhs, fmt)
+        rhs = tmp_path / "b.csv"
+        save_matrix(rng.standard_normal((4, 1)), rhs)
         extra = ["--rhs", str(rhs)]
     elif command == "rankk":
         A, extra = rng.standard_normal((20, 12)), ["--k", "2"]

@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levsketch import (SketchOperator, apply_srht, approx_leverage,
-                       build_orthogonalizer, coherence, errors,
-                       exact_leverage, hadamard_matrix, levscore, make_plan,
-                       mi_estimate, pseudoinverse)
+import levsketch
+from levsketch import (SketchOperator, apply_srht, approx_cross_leverage,
+                       approx_leverage, build_orthogonalizer, coherence,
+                       errors, exact_leverage, hadamard_matrix, levscore,
+                       make_plan, mi_estimate, pseudoinverse)
 from levsketch.matcore import DEFAULT_RANK_TOL
 from levsketch.sketch import _sparse_jlt_matrix
 
@@ -23,7 +29,7 @@ def degenerate_plan(n, d, eps=0.5):
 
 def householder_only():
     """Force build_orthogonalizer onto its Householder QR fallback."""
-    return mock.patch.object(levscore, "_cholesky_qr2", lambda PA: None)
+    return mock.patch.object(levscore, "_cholesky_qr2", lambda *args: None)
 
 
 def test_degenerate_exactness_canonical_rows():
@@ -83,6 +89,19 @@ def test_report_metadata():
     assert report.coherence == pytest.approx(report.scores.max())
 
 
+def test_basis_and_cross_pairs_report_the_route():
+    # the SRHT's PA takes the guarded one-pass Cholesky, the exact plan
+    # (r1 = n) CholeskyQR2; the route rides on the basis, not the report
+    A = np.random.default_rng(25).standard_normal((2000, 8))
+    for r1, route in ((256, "cholesky"), (2000, "cholesky_qr2")):
+        plan = make_plan(2000, 8, 0.5, r1=r1)
+        report, basis = approx_leverage(A, plan, seed=1)
+        assert basis.route == route
+        assert "route" not in report.extras
+        pairs = approx_cross_leverage(A, plan, kappa=100.0, seed=1)
+        assert pairs.extras == {**report.extras, "route": route}
+
+
 def test_stage2_factor_has_the_row_inner_products_of_omega():
     # X X^T = Omega Omega^T for Omega = (A R^-1) Pi2 built explicitly,
     # at r2 = 5 < rank = 12, where stage 2 compresses
@@ -107,8 +126,8 @@ def test_stage2_skipped_when_r2_reaches_rank():
     assert plan.r1 < n and plan.r2 >= d
     report, basis = approx_leverage(A, plan, seed=5)
     PA = apply_srht(SketchOperator("SRHT", 5, n, plan.r1), A)
-    np.testing.assert_array_equal(basis.factor,
-                                  A @ build_orthogonalizer(PA).Rinv)
+    np.testing.assert_array_equal(
+        basis.factor, A @ build_orthogonalizer(PA, sketched=True).Rinv)
     assert report.extras["r2"] == report.extras["rank"] == d
     assert report.extras["r1"] == plan.r1
 
@@ -120,8 +139,8 @@ def test_shape_error_for_fat_matrix():
 
 def test_input_is_scanned_for_finiteness_once(monkeypatch):
     # A is scanned once: by the SRHT kernel as it reads it (r1 < n, where
-    # build_orthogonalizer then scans only the r1 x d PA), or by
-    # build_orthogonalizer where A itself is factored (r1 >= n)
+    # the guarded Cholesky of the r1 x d PA needs no scan of its own), or
+    # by build_orthogonalizer where A itself is factored (r1 >= n)
     scanned = []
     real = levscore.validate_matrix
 
@@ -131,10 +150,19 @@ def test_input_is_scanned_for_finiteness_once(monkeypatch):
 
     monkeypatch.setattr(levscore, "validate_matrix", counting)
     A = np.random.default_rng(4).standard_normal((2000, 8))
-    for r1, expected in ((256, [(256, 8)]), (2000, [(2000, 8)])):
+    for r1, expected in ((256, []), (2000, [(2000, 8)])):
         scanned.clear()
         approx_leverage(A, make_plan(2000, 8, 0.5, r1=r1), seed=1)
         assert scanned == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("r1", [256, 2000])
+def test_non_finite_input_raises_on_both_plans(r1, bad):
+    A = np.random.default_rng(4).standard_normal((2000, 8))
+    A[1234, 5] = bad
+    with pytest.raises(errors.NonFiniteEntry):
+        approx_leverage(A, make_plan(2000, 8, 0.5, r1=r1), seed=1)
 
 
 def test_zero_rows_score_exactly_zero():
@@ -338,6 +366,145 @@ def test_orthogonalizer_takes_one_svd_per_r(cond, route, calls):
     assert svd.call_count == calls
 
 
+# ------------------------------------------------- guarded one-pass Cholesky
+
+def kappa_f(Rinv):
+    """kappa_F(R) = ||R||_F ||R^-1||_F, from R^-1."""
+    return np.linalg.norm(np.linalg.inv(Rinv)) * np.linalg.norm(Rinv)
+
+
+@pytest.mark.parametrize("d", [8, 64, 256])
+def test_sketched_orthogonalizer_is_orthonormal_up_to_the_guards_edge(d):
+    # condition numbers from 1e2 up until the guard rejects: every accepted
+    # R leaves PA R^-1 orthonormal to 1e-6, and the last accepted one sits
+    # within 4x of the kappa_F bound, so the edge itself was tested
+    rng = np.random.default_rng(21)
+    accepted = []
+    for log_cond in np.arange(2.0, 6.01, 0.125):
+        PA = with_spectrum(rng, 2 * d, np.logspace(0, -log_cond, d))
+        orth = build_orthogonalizer(PA, sketched=True)
+        if orth.route != "cholesky":
+            break
+        assert orth.rank == d
+        Q = PA @ orth.Rinv
+        assert np.linalg.norm(Q.T @ Q - np.eye(d), 2) <= 1e-6
+        accepted.append(kappa_f(orth.Rinv))
+    assert accepted, "kappa = 1e2 must take the one-pass Cholesky"
+    assert orth.route != "cholesky", "the guard never rejected"
+    assert levscore._CHOL_MAX_COND / 4 <= accepted[-1] <= levscore._CHOL_MAX_COND
+
+
+@pytest.mark.parametrize("d", [64, 256])
+def test_sketched_orthogonalizer_bounds_kappa_2_with_a_dominant_column(d):
+    # R = [[1, 1, ..., 1], [0, delta, 0, ...], ...]: a large shared
+    # component. kappa_1(R) is about 2 / delta while kappa_2(R) is about
+    # d / delta, so a 1-norm guard would accept kappa_2 near d 1e4; the
+    # guard bounds kappa_2, and PA R^-1 is orthonormal on either route
+    rng = np.random.default_rng(26)
+    routes = []
+    for delta in (1e-1, 1e-2, 1e-3, 1e-4):
+        R = np.diag(np.full(d, delta))
+        R[0] = 1.0
+        PA = np.linalg.qr(rng.standard_normal((2 * d, d)))[0] @ R
+        orth = build_orthogonalizer(PA, sketched=True)
+        Q = PA @ orth.Rinv
+        assert np.linalg.norm(Q.T @ Q - np.eye(d), 2) <= 1e-6
+        if orth.route == "cholesky":
+            assert np.linalg.cond(R) <= levscore._CHOL_MAX_COND
+        routes.append(orth.route)
+    assert routes[0] == "cholesky" and routes[-1] != "cholesky"
+
+
+def test_rejected_sketch_continues_cholesky_qr2_from_the_guards_pass():
+    # kappa = 1e5: the guard's Gram and Cholesky are CholeskyQR2's first
+    # pass, so a rejected sketch takes two Cholesky factorizations in all,
+    # and its R^-1 is the one sketched=False gives, bit for bit
+    rng = np.random.default_rng(27)
+    PA = with_spectrum(rng, 400, np.logspace(0, -5, 40))
+    with mock.patch.object(np.linalg, "cholesky",
+                           wraps=np.linalg.cholesky) as chol:
+        orth = build_orthogonalizer(PA, sketched=True)
+    assert orth.route == "cholesky_qr2"
+    assert chol.call_count == 2
+    np.testing.assert_array_equal(orth.Rinv, build_orthogonalizer(PA).Rinv)
+
+
+def test_sketched_orthogonalizer_rejects_ill_conditioned_sketch():
+    # kappa = 1e7: the guard rejects, and route, rank and R^-1 are today's
+    rng = np.random.default_rng(17)
+    PA = with_spectrum(rng, 200, np.logspace(0, -7, 6))
+    orth = build_orthogonalizer(PA, allow_rank_deficient=True, sketched=True)
+    plain = build_orthogonalizer(PA, allow_rank_deficient=True)
+    assert (orth.route, orth.rank) == (plain.route, plain.rank) == (
+        "householder", 6)
+    np.testing.assert_array_equal(orth.Rinv, plain.Rinv)
+
+
+@pytest.mark.parametrize("scale", [2.0**-540, 2.0**-490, 1e200])
+def test_sketched_orthogonalizer_rejects_underflowed_or_overflowed_gram(scale):
+    # 2^-540: squares are subnormal; 2^-490: squares are normal but the
+    # Gram diagonal is below tiny / eps, so products of small entries may
+    # have underflowed; 1e200: the Gram overflows. None is trusted
+    rng = np.random.default_rng(22)
+    PA = scale * rng.standard_normal((200, 6))
+    with np.errstate(all="ignore"):
+        assert not levscore._guarded_cholesky(PA.T @ PA)[2]
+    orth = build_orthogonalizer(PA, sketched=True)
+    plain = build_orthogonalizer(PA)
+    assert orth.route == plain.route != "cholesky"
+    np.testing.assert_array_equal(orth.Rinv, plain.Rinv)
+
+
+def test_sketched_orthogonalizer_rank_deficient_as_before():
+    PA = np.ones((10, 3))  # rank 1
+    with pytest.raises(errors.RankDeficient):
+        build_orthogonalizer(PA, sketched=True)
+    orth = build_orthogonalizer(PA, allow_rank_deficient=True, sketched=True)
+    assert orth.rank == 1
+    assert orth.route == build_orthogonalizer(
+        PA, allow_rank_deficient=True).route
+    PA = np.random.default_rng(23).standard_normal((40, 4))
+    PA[:, 2] = 0.0  # a zero column: a zero Gram diagonal entry
+    with pytest.raises(errors.RankDeficient):
+        build_orthogonalizer(PA, sketched=True)
+    assert build_orthogonalizer(PA, allow_rank_deficient=True,
+                                sketched=True).rank == 3
+
+
+def test_sketched_orthogonalizer_validates_what_it_rejects():
+    PA = np.random.default_rng(24).standard_normal((40, 4))
+    PA[7, 1] = np.nan
+    with pytest.raises(errors.NonFiniteEntry):
+        build_orthogonalizer(PA, sketched=True)
+
+
+def test_library_loads_no_second_blas():
+    # scipy.linalg brings its own OpenBLAS beside numpy's; the sketch-side
+    # factorizations stay in numpy so that only one BLAS is loaded
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import levsketch as ls
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((3000, 8))
+        ls.approx_leverage(A, ls.make_plan(3000, 8, 0.5, r1=512), 0)
+        ls.mi_estimate(A, 0)
+        M = rng.standard_normal((200, 100))
+        ls.frobenius_rankk(M, 3, 0.5, 0)
+        ls.spectral_rankk(M, 3, 0.5, 0)
+        W = rng.standard_normal((4, 60))
+        p = ls.leverage_probs_for_columns(W, "exact")
+        ls.underls_solve(W, rng.standard_normal(4), p, 0.5, 0.1, 0)
+        assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
+        """)
+    src = str(Path(levsketch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_rank_tolerance_is_not_an_option():
     A = np.random.default_rng(19).standard_normal((64, 3))
     with pytest.raises(TypeError):
@@ -353,7 +520,7 @@ def test_mi_estimate_takes_no_svd_of_its_own():
             wraps=levscore.build_orthogonalizer) as orth:
         mi_estimate(A, seed=0)
     assert orth.call_count == 1
-    assert svd.call_count == 1  # the orthogonalizer's, on CholeskyQR2's R
+    assert svd.call_count == 0  # the guarded Cholesky of PA needs none
 
 
 def test_mi_estimate_normalization_and_floor():

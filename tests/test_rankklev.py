@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,24 +140,34 @@ def test_frobenius_expected_residual_markov_margin():
 
 
 def test_top_k_factors_match_thin_svd_of_qta():
+    # T^T T = C C^T for C = Q^T A comes from the guarded Cholesky of C C^T;
+    # at cond(C) = 1e7 the guard rejects it and Householder qr(C^T) runs
     rng = np.random.default_rng(12)
     Q = np.linalg.qr(rng.standard_normal((80, 15)))[0]
     A = rng.standard_normal((80, 50)) * np.linspace(3.0, 0.5, 50)
+    Uc, Vc = (np.linalg.qr(rng.standard_normal((m, 15)))[0] for m in (15, 50))
+    C = (Uc * np.logspace(0, -7, 15)) @ Vc.T
+    ill = Q @ C + (A - Q @ (Q.T @ A))  # Q^T ill = C
     k = 4
-    left, right = rankklev._top_k_factors(Q, A, k)
-    U, s, Vt = np.linalg.svd(Q.T @ A, full_matrices=False)
-    signs = np.sign(np.sum(left * (Q @ U[:, :k]), axis=0))
-    assert np.all(np.abs(signs) == 1)
-    np.testing.assert_allclose(left * signs, Q @ U[:, :k], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(right * signs[:, None], s[:k, None] * Vt[:k],
-                               rtol=0, atol=1e-12 * s[0])
+    for A, qr_calls in ((A, 0), (ill, 1)):
+        with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+            left, right = rankklev._top_k_factors(Q, A, k)
+        assert qr.call_count == qr_calls
+        U, s, Vt = np.linalg.svd(Q.T @ A, full_matrices=False)
+        signs = np.sign(np.sum(left * (Q @ U[:, :k]), axis=0))
+        assert np.all(np.abs(signs) == 1)
+        np.testing.assert_allclose(left * signs, Q @ U[:, :k], rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(right * signs[:, None], s[:k, None] * Vt[:k],
+                                   rtol=0, atol=1e-12 * s[0])
 
 
 def test_frobenius_reports_width_and_rank():
     A = np.random.default_rng(13).standard_normal((60, 40))
     report = frobenius_rankk(A, k=3, epsilon=0.5, seed=1)
-    # r = k + ceil(10 k / eps + 1) = 64, capped at min(n, d) = 40
-    assert report.extras == {"r": 40, "rank": 40}
+    # r = k + ceil(10 k / eps + 1) = 64, capped at min(n, d) = 40; the
+    # well-conditioned 60 x 40 sketch B takes the one-pass Cholesky
+    assert report.extras == {"r": 40, "rank": 40, "route": "cholesky"}
 
 
 def test_frobenius_scores_exact_on_nearly_low_rank_input():

@@ -94,7 +94,8 @@ def test_solve_reports_draws_and_distinct_columns():
                   seed=3, extras=extras)
     r = sample_size(4, 1.0, 0.5, 0.1)
     S = draw_sampling_matrix(p, r, 3)
-    assert extras == {"r": r, "distinct": np.unique(S.selected).size}
+    assert extras == {"r": r, "distinct": np.unique(S.selected).size,
+                      "route": "cholesky"}
 
 
 def test_dense_sampling_matrix_structure():
