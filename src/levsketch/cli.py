@@ -16,6 +16,7 @@ names, or in ``--format`` where the suffix names none.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -56,6 +57,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output-format", default="json", choices=["json", "csv"])
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="levsketch",

@@ -3,10 +3,16 @@
 The search enumerates exactly the pairs of rows of X whose squared inner
 product clears ||X^T X||_F^2 / kappa, examining only norm-heavy candidates
 (a Cauchy-Schwarz superset of bounded size) with blocked matrix products.
-The sketched variant searches the factor X that ``approx_leverage``
-returns: A R^{-1}, or, when stage 2 compresses, an n x r2 factor with the
-row inner products of Omega = A R^{-1} Pi2. The search runs with kappa
-rescaled by ||X^T X||_F^2 / d, giving an effective cutoff of d / kappa.
+Rows are ranked by numpy's default (SIMD) sort; the order it gives
+equal norms changes nothing in the result, as the candidates depend only
+on the sorted norms and the pairs are returned ordered by (i, j).
+``heavy_pairs`` validates X; the search itself, ``_heavy_pairs``, trusts
+X and takes its X^T X. The sketched variant searches the factor X that
+``approx_leverage`` returns: A R^{-1}, or, when stage 2 compresses, an
+n x r2 factor with the row inner products of Omega = A R^{-1} Pi2. The
+search runs with kappa rescaled by ||X^T X||_F^2 / d, giving an
+effective cutoff of d / kappa, and reuses the X^T X of that rescaling;
+X, which the sketch formed, is not validated again.
 """
 
 from __future__ import annotations
@@ -63,24 +69,39 @@ class HeavyPairSet:
 def heavy_pairs(x, kappa: float) -> HeavyPairSet:
     """All pairs (i, j), i <= j, with <x_i, x_j>^2 >= ||X^T X||_F^2 / kappa.
 
-    Exact and deterministic: rows are ranked by squared norm (ties by
-    index), each ranked row z gets its first partner first[z], the lowest
-    rank j with ||x_z||^2 ||x_j||^2 >= threshold, and the candidates
-    first[z] <= j <= z are verified by blocked matrix products.
-    O(nr + kappa r^2 + n ln n).
+    Exact and deterministic: rows are ranked by squared norm, each
+    ranked row z gets its first partner first[z], the lowest rank j with
+    ||x_z||^2 ||x_j||^2 >= threshold, and the candidates first[z] <= j <= z
+    are verified by blocked matrix products.
+    O(nr + kappa r^2 + n ln n). Validates X and kappa, forms X^T X and
+    runs the trusted search ``_heavy_pairs``.
     """
     X = validate_matrix(x)
-    if not (kappa > 1.0):
-        raise errors.InvalidKappa(f"kappa must exceed 1, got {kappa}")
+    _check_kappa(kappa)
+    return _heavy_pairs(X, X.T @ X, kappa)
+
+
+def _check_kappa(kappa: float) -> None:
+    if not (1.0 < kappa < math.inf):
+        raise errors.InvalidKappa(
+            f"kappa must exceed 1 and be finite, got {kappa}")
+
+
+def _heavy_pairs(X: np.ndarray, gram: np.ndarray,
+                 kappa: float) -> HeavyPairSet:
+    """``heavy_pairs`` on a trusted X (finite, C-contiguous float64) and
+    its Gram ``gram`` = X^T X."""
     n, r = X.shape
-    gram = X.T @ X
     gram_fro_sq = float(np.sum(gram * gram))
     if gram_fro_sq <= 0.0:
         raise errors.ZeroMatrix("||X^T X||_F is zero; threshold degenerate")
     threshold = gram_fro_sq / kappa
 
     norms = row_sq_norms(X)
-    order = np.argsort(norms, kind="stable")  # ascending norm, ties by index
+    # numpy's default sort is a SIMD one, several times faster than the
+    # stable sort; it may rank equal norms either way, which moves a pair
+    # between tiles but changes neither first[] nor the pairs found
+    order = np.argsort(norms)
     first = _first_partners(norms[order], threshold)
     # first[] does not increase with z, so the rows with a partner
     # (first[z] <= z) are the top ranks z0..n-1; their partners reach down
@@ -91,8 +112,14 @@ def heavy_pairs(x, kappa: float) -> HeavyPairSet:
 
     rows_per = max(1, min(n - z0, math.isqrt(_BLOCK_ELEMS),
                           _BLOCK_ELEMS // r))
-    # gathered rows and their inner products, each at most _BLOCK_ELEMS
-    row_tile, col_tile, sq_tile = (np.empty(_BLOCK_ELEMS) for _ in range(3))
+    # A block of ranks [a, b) is tested against ranks [first[b-1], b), a
+    # window that widens with b: the last one, of n - first[n-1] ranks, is
+    # the widest. Each tile holds at most _BLOCK_ELEMS, and no more than
+    # its largest block or window needs.
+    widest = n - int(first[n - 1])
+    row_tile = np.empty(rows_per * r)
+    col_tile = np.empty(min(_BLOCK_ELEMS, widest * r))
+    sq_tile = np.empty(min(_BLOCK_ELEMS, rows_per * widest))
     found_i, found_j = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     found_c = [np.empty(0)]
     for a in range(z0, n, rows_per):
@@ -163,8 +190,7 @@ def _finish(i, j, c_sq, threshold, kappa, gram_fro_sq, r,
 def heavy_pairs_brute(x, kappa: float) -> HeavyPairSet:
     """O(n^2 r) reference implementation of the same set (test oracle)."""
     X = validate_matrix(x)
-    if not (kappa > 1.0):
-        raise errors.InvalidKappa(f"kappa must exceed 1, got {kappa}")
+    _check_kappa(kappa)
     gram = X.T @ X
     gram_fro_sq = float(np.sum(gram * gram))
     if gram_fro_sq <= 0.0:
@@ -193,20 +219,28 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float, seed: int,
     Omega = A R^{-1} Pi2 and X has Omega's row inner products and Frobenius
     norm in r2 columns. The search runs at the rescaled threshold
     kappa' = kappa ||X^T X||_F^2 / d, so that the effective cutoff on
-    sketched inner products is exactly d / kappa. Since
+    sketched inner products is exactly d / kappa; it reuses that X^T X
+    and trusts X, which ``approx_leverage`` formed itself. Since
     ||X^T X||_F^2 <= d (1 + 30 d eps) whenever the sketch preserves
     pairwise inner products, kappa' <= kappa (1 + 30 d eps).
     """
-    if not (kappa > 1.0):
-        raise errors.InvalidKappa(f"kappa must exceed 1, got {kappa}")
+    _check_kappa(kappa)
     t0 = time.perf_counter()
     report, basis = approx_leverage(a, plan, seed)
     d = report.extras["rank"]  # equals d: a rank-deficient sketch raises
     X = basis.factor
     gram = X.T @ X
-    kappa_prime = kappa * float(np.sum(gram * gram)) / d
+    gram_fro_sq = float(np.sum(gram * gram))
+    if not math.isfinite(gram_fro_sq):
+        raise errors.NonFiniteFactor(
+            "||X^T X||_F^2 of the sketched factor X overflowed")
+    kappa_prime = kappa * gram_fro_sq / d
+    if not math.isfinite(kappa_prime):
+        raise errors.InvalidKappa(
+            f"kappa {kappa} is too large: the rescaled kappa * "
+            f"||X^T X||_F^2 / d overflowed")
     t1 = time.perf_counter()
-    result = heavy_pairs(X, kappa_prime)
+    result = _heavy_pairs(X, gram, kappa_prime)
     t2 = time.perf_counter()
     result.kappa = kappa
     result.extras = {**report.extras, "route": basis.route}

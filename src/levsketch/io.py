@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from .matcore import validate_matrix
 
 MAGIC = b"LEVS"
 VERSION = 1
+_HEADER_BYTES = 21  # MAGIC, the version byte, then n and d as "<QQ"
 
 _EXT_FORMAT = {".mtx": "matrix-market", ".mm": "matrix-market",
                ".csv": "csv", ".levs": "binary", ".bin": "binary"}
@@ -57,17 +60,37 @@ def load_matrix(path, fmt: str = "auto") -> np.ndarray:
 
 
 def _load_binary(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
-    if len(raw) < 21 or raw[:4] != MAGIC:
-        raise errors.ParseError(f"{path}: not a LEVS binary matrix")
-    if raw[4] != VERSION:
-        raise errors.ParseError(f"{path}: unsupported version {raw[4]}")
-    n, d = struct.unpack_from("<QQ", raw, 5)
-    body = np.frombuffer(raw, dtype="<f8", offset=21)
-    if body.size != n * d:
+    """Read the 21-byte header, check the body's size, and read the body.
+
+    A regular file's body is sized from the file's and read once, straight
+    into the returned array. A pipe or FIFO has no size until it is read,
+    so its body is read whole first and then copied into a writable array.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER_BYTES)
+        if len(head) < _HEADER_BYTES or head[:4] != MAGIC:
+            raise errors.ParseError(f"{path}: not a LEVS binary matrix")
+        if head[4] != VERSION:
+            raise errors.ParseError(f"{path}: unsupported version {head[4]}")
+        n, d = struct.unpack_from("<QQ", head, 5)
+        st, raw = os.fstat(fh.fileno()), None
+        if stat.S_ISREG(st.st_mode):
+            size = st.st_size - _HEADER_BYTES
+        else:
+            raw = fh.read()
+            size = len(raw)
+        floats, stray = divmod(size, 8)
+        if floats == n * d and not stray:
+            if raw is None:
+                body = np.fromfile(fh, dtype="<f8", count=floats)
+            else:
+                body = np.frombuffer(raw, dtype="<f8").copy()
+            floats = body.size  # fewer where the file shrank meanwhile
+    if floats != n * d or stray:
+        extra = f" and {stray} stray bytes" if stray else ""
         raise errors.ParseError(
-            f"{path}: expected {n * d} floats, found {body.size}")
-    return validate_matrix(body.reshape(n, d).copy(), name=str(path))
+            f"{path}: expected {n * d} floats, found {floats}{extra}")
+    return validate_matrix(body.reshape(n, d), name=str(path))
 
 
 def save_matrix(a, path, fmt: str = "auto") -> None:

@@ -8,7 +8,8 @@ Gaussian range finder for the Frobenius norm (where the returned scores
 are exactly those of the constructible X). Dense factorizations run on
 the small side: the power loop goes through the min(n, d)^2 Gram, the
 Frobenius basis comes from ``levscore.build_orthogonalizer`` (with the
-sketch's guarded one-pass Cholesky, B = A Pi being a sketch), and the
+sketch's guarded one-pass Cholesky, B = A Pi being a sketch, and one
+more Cholesky pass on Q^T Q only off that route), and the
 top-k left factor from the SVD of an r x r triangular factor T with
 T^T T = C C^T: the guarded Cholesky factor of C C^T, or Householder
 ``qr(C^T)``'s R where the guard rejects it.
@@ -172,9 +173,11 @@ def _frobenius_factors(A: np.ndarray, k: int, epsilon: float, seed: int):
     extras = {"r": r, "rank": orth.rank, "route": orth.route}
     Q = B @ orth.Rinv
     del B, orth  # free B and R^{-1} before the n x r products below
-    # B R^{-1} is orthonormal only to about u cond(B) (u cond(B)^2 on the
-    # one-pass Cholesky route); one Cholesky pass on Q^T Q restores it
-    Q = Q @ np.linalg.inv(np.linalg.cholesky(Q.T @ Q)).T
+    if extras["route"] != "cholesky":
+        # B R^{-1} is orthonormal only to about u cond(B); one Cholesky
+        # pass on Q^T Q restores it. On the "cholesky" route the guard's
+        # kappa_2(R) <= 1e4 already bounds it by about u kappa_2^2 <= 1e-8.
+        Q = Q @ np.linalg.inv(np.linalg.cholesky(Q.T @ Q)).T
     return (*_top_k_factors(Q, A, k), extras)
 
 

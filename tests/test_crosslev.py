@@ -75,6 +75,24 @@ def test_invalid_kappa():
         heavy_pairs(np.eye(3), kappa=1.0)
 
 
+@pytest.mark.parametrize("kappa", [math.inf, math.nan])
+def test_non_finite_kappa_is_invalid(kappa):
+    with pytest.raises(errors.InvalidKappa):
+        heavy_pairs(np.eye(3), kappa=kappa)
+    with pytest.raises(errors.InvalidKappa):
+        heavy_pairs_brute(np.eye(3), kappa=kappa)
+
+
+@pytest.mark.parametrize("kappa, msg", [(math.inf, "finite"),
+                                        (1e308, "too large")])
+def test_sketched_kappa_out_of_range_names_kappa(kappa, msg):
+    # an infinite kappa, or one whose rescaling kappa ||X^T X||_F^2 / d
+    # overflows, is the caller's kappa at fault, not the factor X
+    A = np.random.default_rng(4).standard_normal((256, 4))
+    with pytest.raises(errors.InvalidKappa, match=msg):
+        approx_cross_leverage(A, make_plan(256, 4, 0.5), kappa, 0)
+
+
 def test_heavy_rows_with_many_light_partners():
     # an orthonormal basis with two high-leverage rows: at kappa = n ln n
     # they clear the norm test against most light rows, while no two light
@@ -176,6 +194,51 @@ def test_off_diagonal_keeps_counters():
     assert off.candidates == hp.candidates > len(hp) > len(off) > 0
 
 
+def tied_inputs():
+    """Inputs whose squared row norms tie: zero rows, duplicated rows and
+    +-e_i rows, beside heavy rows that give the search pairs to find."""
+    rng = np.random.default_rng(21)
+    zeros = rng.standard_normal((300, 6))
+    zeros[40:90] = 0.0
+    zeros[[5, 17]] *= 12.0
+    dup = np.repeat(rng.standard_normal((60, 5)), 4, axis=0)
+    dup[:8] *= 9.0
+    signs = np.vstack([10.0 * np.eye(7), -10.0 * np.eye(7),
+                       rng.standard_normal((200, 7))])
+    return {"zero rows": zeros, "duplicated rows": dup, "+-e_i rows": signs}
+
+
+def force_stable_argsort(m):
+    """Patch ``np.argsort`` through the monkeypatch ``m`` so that every
+    call sorts stably, ranking equal keys by index."""
+    argsort = np.argsort
+    m.setattr(np, "argsort", lambda a, kind=None: argsort(a, kind="stable"))
+
+
+@pytest.mark.parametrize("name", sorted(tied_inputs()))
+def test_tie_order_does_not_change_the_result(name, monkeypatch):
+    X = tied_inputs()[name]
+    norms = np.einsum("ij,ij->i", X, X)
+    assert np.unique(norms).size < norms.size
+    # the premise: the default sort ranks these ties otherwise than by index
+    assert not np.array_equal(np.argsort(norms),
+                              np.argsort(norms, kind="stable"))
+    found = 0
+    for kappa in (30.0, 300.0, X.shape[0] * math.log(X.shape[0])):
+        with monkeypatch.context() as m:
+            force_stable_argsort(m)
+            stable = heavy_pairs(X, kappa)
+        # the default sort may rank tied norms in another order; the
+        # result must not show it
+        fast = heavy_pairs(X, kappa)
+        assert fast.pairs == stable.pairs
+        assert fast.candidates == stable.candidates
+        assert fast.threshold == stable.threshold
+        assert_same_as_brute(X, kappa)
+        found += len(fast)
+    assert found > 0
+
+
 def test_deterministic_output():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((40, 4))
@@ -275,6 +338,42 @@ def test_narrow_factor_matches_search_on_full_sketch(stage2, d, r2):
         assert hp.gram_fro_sq == pytest.approx(ref.gram_fro_sq, rel=1e-12)
         assert hp.candidates == ref.candidates
         assert set(hp.timings_ms) == {"sketch_ms", "search_ms"}
+
+
+@pytest.mark.parametrize("n, d, r2", [(512, 8, None), (4096, 8, None),
+                                      (4096, 16, 8)])
+def test_sketched_search_equals_heavy_pairs_on_its_own_factor(n, d, r2):
+    # the search reuses the Gram of the kappa rescaling and skips the
+    # validation of X; both leave every field bit for bit as heavy_pairs
+    # on the same X gives it (exact plan; SRHT; SRHT and stage 2)
+    A = planted_matrix(seed=6, n=n, d=d)
+    plan = make_plan(n, d, 0.5, r2=r2)
+    kappa = n * math.log(n)
+    for seed in range(2):
+        hp = approx_cross_leverage(A, plan, kappa, seed)
+        X = approx_leverage(A, plan, seed)[1].factor
+        gram = X.T @ X
+        ref = heavy_pairs(X, kappa * float(np.sum(gram * gram)) / d)
+        assert (3, 7) in hp.indices()
+        assert hp.pairs == ref.pairs
+        assert hp.threshold == ref.threshold
+        assert hp.gram_fro_sq == ref.gram_fro_sq
+        assert hp.candidates == ref.candidates
+
+
+def test_kappa_just_above_one_finds_no_pairs():
+    # the cutoff d / kappa ~ d lies above every c_ij^2 <= 1; the rescaled
+    # kappa' = kappa ||X^T X||_F^2 / d may fall below 1 on a sketch, which
+    # must not be reported as the caller's kappa being out of range
+    A = np.random.default_rng(3).standard_normal((4096, 8))
+    plan = make_plan(4096, 8, 0.5)
+    assert plan.r1 < 4096
+    below_one = 0
+    for seed in range(6):
+        hp = approx_cross_leverage(A, plan, 1.0 + 1e-9, seed)
+        assert hp.pairs == [] and hp.kappa == 1.0 + 1e-9
+        below_one += hp.threshold > hp.gram_fro_sq
+    assert below_one > 0
 
 
 def test_effective_threshold_is_d_over_kappa():

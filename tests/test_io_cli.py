@@ -1,6 +1,9 @@
 import argparse
 import csv
 import json
+import os
+import struct
+import threading
 
 import numpy as np
 import pytest
@@ -64,6 +67,106 @@ def test_binary_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(errors.ParseError):
         load_matrix(path)
+
+
+def levs_bytes(n, d, body, magic=b"LEVS", version=1):
+    return magic + bytes([version]) + struct.pack("<QQ", n, d) + body
+
+
+# (file bytes, the ParseError message after "<path>: "); the body of a
+# 2 x 3 matrix is 48 bytes
+_BAD_LEVS = {
+    "ragged": (levs_bytes(2, 3, bytes(45)),
+               "expected 6 floats, found 5 and 5 stray bytes"),
+    "short": (levs_bytes(2, 3, bytes(40)), "expected 6 floats, found 5"),
+    "long": (levs_bytes(2, 3, bytes(56)), "expected 6 floats, found 7"),
+    "magic": (levs_bytes(2, 3, bytes(48), magic=b"LEVZ"),
+              "not a LEVS binary matrix"),
+    "version": (levs_bytes(2, 3, bytes(48), version=2),
+                "unsupported version 2"),
+    "header": (b"LEVS\x01" + bytes(10), "not a LEVS binary matrix"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_LEVS))
+def test_binary_malformed_file_is_a_parse_error(tmp_path, case):
+    raw, msg = _BAD_LEVS[case]
+    path = tmp_path / "bad.levs"
+    path.write_bytes(raw)
+    with pytest.raises(errors.ParseError) as exc:
+        load_matrix(path)
+    assert str(exc.value) == f"{path}: {msg}"
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_LEVS))
+def test_cli_malformed_binary_exits_hard(tmp_path, capsys, case):
+    path = tmp_path / "bad.levs"
+    path.write_bytes(_BAD_LEVS[case][0])
+    code = main(["cross", str(path), "--kappa", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {_BAD_LEVS[case][1]}\n"
+
+
+def test_binary_load_is_writable_and_validated(tmp_path, rng):
+    A = rng.standard_normal((9, 4))
+    A[3] = 0.0
+    path = tmp_path / "m.levs"
+    save_matrix(A, path)
+    B = load_matrix(path)
+    assert B.dtype == np.float64 and B.flags.c_contiguous
+    assert B.flags.writeable
+    assert np.array_equal(B, A)
+    raw = bytearray(path.read_bytes())
+    raw[21:29] = struct.pack("<d", np.nan)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(errors.NonFiniteEntry):
+        load_matrix(path)
+
+
+def fifo_feeding(tmp_path, raw, name="pipe.levs"):
+    """A FIFO that a thread fills with ``raw`` once it is opened; a pipe,
+    like ``<(zcat m.levs.gz)``, has no size before it is read."""
+    path = tmp_path / name
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(raw)
+        except BrokenPipeError:  # the reader stopped after the header
+            pass
+
+    threading.Thread(target=feed, daemon=True).start()
+    return path
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_binary_loads_from_a_pipe(tmp_path, capsys, rng):
+    A = rng.standard_normal((50, 3))
+    A[7] = 0.0
+    save_matrix(A, tmp_path / "m.levs")
+    raw = (tmp_path / "m.levs").read_bytes()
+    B = load_matrix(fifo_feeding(tmp_path, raw))
+    assert B.flags.writeable and B.flags.c_contiguous
+    assert np.array_equal(B, A)
+    # no suffix names the format, as for /dev/fd/N
+    path = fifo_feeding(tmp_path, raw, name="fd")
+    code, doc = run_cli(capsys, ["exact", str(path), "--format", "binary"])
+    assert code == 0
+    np.testing.assert_allclose(doc["result"]["scores"],
+                               exact_leverage(A).scores, atol=1e-12)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("case", sorted(_BAD_LEVS))
+def test_binary_malformed_pipe_is_a_parse_error(tmp_path, case):
+    raw, msg = _BAD_LEVS[case]
+    path = fifo_feeding(tmp_path, raw)
+    with pytest.raises(errors.ParseError) as exc:
+        load_matrix(path)
+    assert str(exc.value) == f"{path}: {msg}"
 
 
 @pytest.mark.parametrize("ext", ["mtx", "csv"])
@@ -195,6 +298,53 @@ def test_cli_cross_pair_bound_exceeded_exits_hard(tmp_path, capsys,
     assert code == 1
     assert captured.out == ""
     assert "exceeds the kappa*r bound" in captured.err
+
+
+@pytest.mark.parametrize("extra, msg", [
+    (["--kappa", "inf"], "kappa must exceed 1 and be finite, got inf"),
+    (["--kappa", "inf", "--exact-pairs"],
+     "kappa must exceed 1 and be finite, got inf"),
+    (["--kappa", "1e308"], "kappa 1e+308 is too large: the rescaled "
+     "kappa * ||X^T X||_F^2 / d overflowed")],
+    ids=["inf", "inf-exact", "overflow"])
+def test_cli_cross_kappa_out_of_range_exits_hard(tmp_path, capsys, rng,
+                                                 extra, msg):
+    path = write_fixture(tmp_path, rng.standard_normal((100, 3)))
+    code = main(["cross", path, "--seed", "0", *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {msg}\n"
+
+
+def test_cli_cached_parser_carries_no_state(tmp_path, capsys, rng):
+    # one parser serves every call in a process; a switch given to one call
+    # must not carry into the next
+    A = rng.standard_normal((400, 6))
+    A[9] = A[2] * 20
+    A[2] *= 20
+    path = write_fixture(tmp_path, A)
+    runs = [["cross", path, "--kappa", "nlogn", "--seed", "1",
+             "--off-diagonal-only"],
+            ["cross", path, "--kappa", "nlogn", "--seed", "1"],
+            ["leverage", path, "--seed", "2", "--r1", "128"],
+            ["leverage", path, "--seed", "2"]]
+
+    def document(argv):
+        code, doc = run_cli(capsys, argv)
+        assert code == 0
+        doc.pop("timings_ms")
+        return doc
+
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(document(argv))
+    assert fresh[0] != fresh[1] and fresh[2] != fresh[3]
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    assert [document(argv) for argv in runs] == fresh
+    assert cli.build_parser() is parser
 
 
 def test_cli_cross_off_diagonal_filter(tmp_path, capsys, rng):

@@ -170,6 +170,33 @@ def test_frobenius_reports_width_and_rank():
     assert report.extras == {"r": 40, "rank": 40, "route": "cholesky"}
 
 
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+def test_frobenius_cholesky_route_needs_no_second_pass(scale):
+    # a spiked matrix plus noise, at three entry scales: B = A Pi takes the
+    # guarded one-pass Cholesky, whose B R^{-1} is orthonormal to about
+    # u kappa_2(R)^2 <= 1e-8 by itself, so Q^T Q is not factored again
+    rng = np.random.default_rng(57)
+    n, d, k, eps, seed = 600, 300, 10, 0.5, 3
+    U = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((d, k)))[0]
+    A = scale * ((U * np.linspace(100.0, 50.0, k)) @ V.T
+                 + 0.05 * rng.standard_normal((n, d)))
+    with mock.patch.object(np.linalg, "cholesky",
+                           wraps=np.linalg.cholesky) as chol:
+        report = frobenius_rankk(A, k, eps, seed)
+    assert report.extras["route"] == "cholesky"
+    assert chol.call_count == 2  # the guards on B^T B and on C C^T
+    assert abs(report.p_hat.sum() - 1.0) <= 1e-12
+    r = report.extras["r"]
+    B = A @ gaussian_matrix(SketchOperator("Gaussian", seed, d, r))
+    Q = B @ rankklev.build_orthogonalizer(B, sketched=True).Rinv
+    assert np.linalg.norm(Q.T @ Q - np.eye(r), 2) <= 1e-8
+    left, _ = frobenius_sketch_matrix(A, k, eps, seed)
+    assert np.linalg.norm(left.T @ left - np.eye(k), 2) <= 1e-8
+    np.testing.assert_allclose(report.p_hat, np.sum(left * left, 1) / k,
+                               rtol=1e-13, atol=0)
+
+
 def test_frobenius_scores_exact_on_nearly_low_rank_input():
     # rank 8 with singular values spread over 1e3, plus noise about 1e-12
     # of the largest: the rank rule keeps directions of B down to 1e-12 of
