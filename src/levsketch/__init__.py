@@ -4,7 +4,7 @@ from . import errors
 from ._kernels import backend_name
 from .crosslev import HeavyPairSet, approx_cross_leverage, heavy_pairs
 from .levscore import (Orthogonalizer, SketchedBasis, approx_leverage,
-                       build_orthogonalizer, coherence, mi_estimate)
+                       build_orthogonalizer, mi_estimate)
 from .matcore import (LeverageReport, ThinSVD, exact_cross_leverage,
                       exact_leverage, pseudoinverse, thin_svd)
 from .rankklev import (NormalizedLevReport, frobenius_rankk,
@@ -23,7 +23,7 @@ __all__ = [
     "errors", "backend_name",
     "HeavyPairSet", "approx_cross_leverage", "heavy_pairs",
     "Orthogonalizer", "SketchedBasis", "approx_leverage",
-    "build_orthogonalizer", "coherence", "mi_estimate",
+    "build_orthogonalizer", "mi_estimate",
     "LeverageReport", "ThinSVD", "exact_cross_leverage", "exact_leverage",
     "pseudoinverse", "thin_svd",
     "NormalizedLevReport", "frobenius_rankk", "frobenius_sketch_matrix",

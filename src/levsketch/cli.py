@@ -41,20 +41,26 @@ def _default_seed() -> int:
     return int(os.environ.get("LEVSKETCH_SEED", "0"))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_io(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="input matrix file")
     p.add_argument("--format", default="auto",
                    choices=["auto", "matrix-market", "csv", "binary"])
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=None,
                    help="defaults to $LEVSKETCH_SEED or 0")
-    p.add_argument("--mode", default="practical", choices=["theory", "practical"])
-    p.add_argument("--r1", type=int, default=None)
-    p.add_argument("--r2", type=int, default=None)
-    p.add_argument("--retries", type=int, default=3)
     p.add_argument("--output", "-o", default=None, help="write JSON/CSV here")
     p.add_argument("--output-format", default="json", choices=["json", "csv"])
+
+
+def _add_sketch(p: argparse.ArgumentParser, plan: bool = True) -> None:
+    """--eps and --retries, and with ``plan`` the sketch plan's sizes."""
+    p.add_argument("--eps", type=float, default=0.5)
+    p.add_argument("--retries", type=int, default=3)
+    if plan:
+        p.add_argument("--delta", type=float, default=0.1)
+        p.add_argument("--mode", default="practical",
+                       choices=["theory", "practical"])
+        p.add_argument("--r1", type=int, default=None)
+        p.add_argument("--r2", type=int, default=None)
 
 
 @functools.cache  # parse_args leaves the parser as it found it
@@ -66,20 +72,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("leverage", help="sketched leverage scores (Algorithm 1 path)")
-    _add_common(p)
+    _add_io(p)
+    _add_sketch(p)
     p.add_argument("--estimator", default="sketched",
                    choices=["sketched", "mi"])
 
     p = sub.add_parser("exact", help="exact leverage scores (factorization oracle)")
-    _add_common(p)
+    _add_io(p)
 
     p = sub.add_parser("coherence", help="matrix coherence (max leverage score)")
-    _add_common(p)
+    _add_io(p)
+    _add_sketch(p)
     p.add_argument("--method", default="exact", choices=["exact", "sketched"])
     p.set_defaults(estimator="sketched")  # what --method sketched runs
 
     p = sub.add_parser("cross", help="large cross-leverage heavy pairs")
-    _add_common(p)
+    _add_io(p)
+    _add_sketch(p)
     p.add_argument("--kappa", default="nlogn",
                    help="threshold parameter > 1, or 'nlogn'")
     p.add_argument("--off-diagonal-only", action="store_true")
@@ -87,13 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the heavy-pair search on the exact basis instead")
 
     p = sub.add_parser("rankk", help="rank-k normalized leverage scores")
-    _add_common(p)
+    _add_io(p)
+    _add_sketch(p, plan=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--norm", default="frobenius", choices=["spectral", "frobenius"])
     p.add_argument("--q", type=int, default=None, help="power-iteration override")
 
     p = sub.add_parser("underls", help="sampled under-constrained least squares")
-    _add_common(p)
+    _add_io(p)
+    _add_sketch(p)
     p.add_argument("--rhs", required=True,
                    help="right-hand-side vector file (format from its suffix, "
                         "else --format)")
@@ -181,20 +192,19 @@ def _plan_params(plan, extras: dict) -> dict:
 def _run_leverage(args) -> dict:
     A = io.load_matrix(args.input, args.format)
     seed = args.seed if args.seed is not None else _default_seed()
-    timings: dict = {}
     if args.estimator == "mi":
         report = mi_estimate(A, seed)
         params = {"estimator": "mi", "r": report.extras["r"],
                   "n": A.shape[0], "d": A.shape[1]}
-        used_seed = seed
+        used_seed, timings = seed, {}
     else:
         plan = _plan_for(args, *A.shape)
         (report, basis), used_seed = _with_retries(
-            lambda s: approx_leverage(A, plan, s, timings=timings),
-            seed, args.retries)
+            lambda s: approx_leverage(A, plan, s), seed, args.retries)
         params = {"estimator": "sketched", "n": A.shape[0], "d": A.shape[1],
                   **_plan_params(plan, {**report.extras,
                                         "route": basis.route})}
+        timings = basis.timings_ms
     return {"params": params, "seed": used_seed, "timings_ms": timings,
             "result": {"scores": report.scores, "coherence": report.coherence,
                        "normalized": report.normalized,
@@ -231,18 +241,17 @@ def _run_cross(args) -> dict:
         hp = heavy_pairs(f.U, kappa)
         hp.timings_ms = {"svd_ms": (t1 - t0) * 1e3,
                          "search_ms": (time.perf_counter() - t1) * 1e3}
-        if args.off_diagonal_only:
-            hp = hp.off_diagonal()
         used_seed = seed
         params = {"n": n, "d": d, "kappa": kappa, "exact": True}
     else:
         plan = _plan_for(args, n, d)
         hp, used_seed = _with_retries(
-            lambda s: approx_cross_leverage(
-                A, plan, kappa, s, off_diagonal_only=args.off_diagonal_only),
+            lambda s: approx_cross_leverage(A, plan, kappa, s),
             seed, args.retries)
         params = {"n": n, "d": d, "kappa": kappa, "exact": False,
                   **_plan_params(plan, hp.extras)}
+    if args.off_diagonal_only:
+        hp = hp.off_diagonal()
     return {"params": params, "seed": used_seed, "timings_ms": hp.timings_ms,
             "result": {"pairs": [[i, j, c] for i, j, c in hp.pairs],
                        "threshold": hp.threshold,
@@ -306,7 +315,7 @@ _RUNNERS = {"leverage": _run_leverage, "exact": _run_exact,
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.retries < 0:
+        if getattr(args, "retries", 0) < 0:  # ``exact`` does not retry
             raise errors.InvalidParameter(
                 f"--retries must be >= 0, got {args.retries}")
         doc = _RUNNERS[args.command](args)

@@ -8,11 +8,11 @@ equal norms changes nothing in the result, as the candidates depend only
 on the sorted norms and the pairs are returned ordered by (i, j).
 ``heavy_pairs`` validates X; the search itself, ``_heavy_pairs``, trusts
 X and takes its X^T X. The sketched variant searches the factor X that
-``approx_leverage`` returns: A R^{-1}, or, when stage 2 compresses, an
-n x r2 factor with the row inner products of Omega = A R^{-1} Pi2. The
-search runs with kappa rescaled by ||X^T X||_F^2 / d, giving an
-effective cutoff of d / kappa, and reuses the X^T X of that rescaling;
-X, which the sketch formed, is not validated again.
+``approx_leverage`` returns: A R^{-1}, or, when stage 2 compresses,
+Omega = A R^{-1} Pi2. The search runs with kappa rescaled by
+||X^T X||_F^2 / d, giving an effective cutoff of d / kappa, and reuses the
+X^T X of that rescaling; X, which the sketch formed, is not validated
+again.
 """
 
 from __future__ import annotations
@@ -208,19 +208,17 @@ def heavy_pairs_brute(x, kappa: float) -> HeavyPairSet:
                         gram_fro_sq=gram_fro_sq)
 
 
-def approx_cross_leverage(a, plan: SketchPlan, kappa: float, seed: int,
-                          off_diagonal_only: bool = False) -> HeavyPairSet:
+def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
+                          seed: int) -> HeavyPairSet:
     """Large cross-leverage scores via the leverage sketch.
 
     Runs ``approx_leverage`` and searches its factor X for heavy pairs.
-    X is A R^{-1} when ``plan.r2 >= rank``; otherwise X = A R^{-1} T^T,
-    where T is the triangular factor of qr(Pi2^T) for the seeded stage-2
-    map Pi2, so that X X^T = Omega Omega^T for the sketch
-    Omega = A R^{-1} Pi2 and X has Omega's row inner products and Frobenius
-    norm in r2 columns. The search runs at the rescaled threshold
-    kappa' = kappa ||X^T X||_F^2 / d, so that the effective cutoff on
-    sketched inner products is exactly d / kappa; it reuses that X^T X
-    and trusts X, which ``approx_leverage`` formed itself. Since
+    X is A R^{-1} when ``plan.r2 >= rank``, and otherwise the sketch
+    Omega = A R^{-1} Pi2 for the seeded stage-2 map Pi2. The search runs
+    at the rescaled threshold kappa' = kappa ||X^T X||_F^2 / d, so that
+    the effective cutoff on sketched inner products is exactly d / kappa;
+    it reuses that X^T X and trusts X, which ``approx_leverage`` formed
+    itself. Since
     ||X^T X||_F^2 <= d (1 + 30 d eps) whenever the sketch preserves
     pairwise inner products, kappa' <= kappa (1 + 30 d eps).
     """
@@ -246,6 +244,4 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float, seed: int,
     result.extras = {**report.extras, "route": basis.route}
     result.timings_ms = {"sketch_ms": (t1 - t0) * 1e3,
                          "search_ms": (t2 - t1) * 1e3}
-    if off_diagonal_only:
-        result = result.off_diagonal()
     return result

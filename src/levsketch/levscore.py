@@ -4,9 +4,8 @@ The two-stage sketch: an SRHT compresses the rows of A so that a cheap
 d x d orthogonalizer R^{-1} of the compressed matrix makes A R^{-1}
 approximately orthonormal; when its target dimension r2 is below the
 rank, a sparse JLT Pi2 then compresses the columns, and the leverage
-estimates are the squared row norms of Omega = A R^{-1} Pi2. They are read
-off an n x r2 factor with Omega's row inner products, so Omega itself is
-never formed. Each stage is skipped where it cannot compress (r1 >= n,
+estimates are the squared row norms of Omega = A R^{-1} Pi2, formed as
+A (R^{-1} Pi2). Each stage is skipped where it cannot compress (r1 >= n,
 r2 >= rank), which makes the plan r1 = n, r2 = d exact.
 
 R comes by one of three routes (``Orthogonalizer.route``). A sketch is
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -37,7 +36,7 @@ from . import errors
 from ._kernels import product_sq_norms
 from .matcore import (DEFAULT_RANK_TOL, LeverageReport, _as_matrix,
                       validate_matrix)
-from .sketch import (SketchOperator, SketchPlan, apply_srht, _sparse_jlt_matrix,
+from .sketch import (SketchOperator, SketchPlan, apply_sparse_jlt, apply_srht,
                      _srht_transpose)
 
 
@@ -61,15 +60,15 @@ class Orthogonalizer:
 class SketchedBasis:
     """The n x min(rank, r2) factor X whose squared row norms are the scores.
 
-    X = A R^{-1} when r2 >= rank. Otherwise X = A R^{-1} T^T for the
-    triangular factor T of qr(Pi2^T), so that X X^T = Omega Omega^T for
-    the sketch Omega = A R^{-1} Pi2: X has Omega's row norms and row inner
-    products without Omega's r2 columns. ``route`` is the orthogonalizer's.
+    X = A R^{-1} when r2 >= rank, and the sketch Omega = A R^{-1} Pi2
+    otherwise. ``route`` is the orthogonalizer's; ``timings_ms`` holds
+    ``sketch_apply_ms``, ``factorization_ms`` and ``product_ms`` (the pass
+    that forms X and its row norms).
     """
 
     factor: np.ndarray
-    plan: SketchPlan
     route: str
+    timings_ms: dict = field(default_factory=dict, compare=False)
 
 
 # CholeskyQR2's R is trusted only while R is this well conditioned
@@ -194,37 +193,23 @@ def build_orthogonalizer(pa, allow_rank_deficient: bool = False,
     return Orthogonalizer(Rinv=Rinv, route=route)
 
 
-def _stage2_factor(plan: SketchPlan, rank: int, seed: int) -> np.ndarray:
-    """T^T for the triangular factor T of qr(Pi2^T), rank x r2 for r2 < rank.
-
-    Pi2 = T^T Q^T with Q^T Q = I, so Pi2 Pi2^T = T^T T.
-    """
-    pi2 = _sparse_jlt_matrix(SketchOperator("SparseJLT", seed, rank, plan.r2))
-    return np.linalg.qr(pi2.T, mode="r").T
-
-
 def approx_leverage(a, plan: SketchPlan, seed: int,
-                    allow_rank_deficient: bool = False,
-                    timings: Optional[dict] = None):
+                    allow_rank_deficient: bool = False):
     """Sketched leverage scores of a tall matrix.
 
     Stage 1 factors the SRHT of A, or A itself when ``plan.r1 >= n``
     (the SRHT cannot compress there; r1 is then n). Stage 2 projects
     A R^{-1} only when ``plan.r2 < rank``: the scores are then the squared
-    row norms of Omega = A R^{-1} Pi2, read off the n x r2 factor
-    X = A R^{-1} T^T (see ``SketchedBasis``), so Omega is never formed.
-    Otherwise they are the squared row norms of A R^{-1} itself; a zero
-    row of A scores exactly 0, as R^{-1} is finite. A is read for
-    validation once: the SRHT kernel checks its entries as it weighs them
-    (r1 < n), and ``build_orthogonalizer`` validates A itself (r1 >= n);
-    both raise ``NonFiniteEntry``. Only the SRHT's PA is factored as a
-    sketch (``sketched=True``); the exact plan keeps CholeskyQR2. X = A W,
-    with W = R^{-1} or the d x r2 product R^{-1} T^T, is formed with its
-    squared row norms in one pass over row tiles of A. Returns
-    ``(LeverageReport, SketchedBasis)``; ``extras["r2"]`` is the number
-    of columns of X, ``min(rank, plan.r2)``. If ``timings`` is a dict it receives ``sketch_apply_ms``,
-    ``factorization_ms`` and ``product_ms`` (that pass: A W and the row
-    norms).
+    row norms of Omega = A R^{-1} Pi2. Otherwise they are the squared row
+    norms of A R^{-1} itself; a zero row of A scores exactly 0, as R^{-1}
+    is finite. A is read for validation once: the SRHT kernel checks its
+    entries as it weighs them (r1 < n), and ``build_orthogonalizer``
+    validates A itself (r1 >= n); both raise ``NonFiniteEntry``. Only the
+    SRHT's PA is factored as a sketch (``sketched=True``); the exact plan
+    keeps CholeskyQR2. X = A W, with W = R^{-1} or the d x r2 product
+    R^{-1} Pi2, is formed with its squared row norms in one pass over row
+    tiles of A. Returns ``(LeverageReport, SketchedBasis)``;
+    ``extras["r2"]`` is the number of columns of X, ``min(rank, plan.r2)``.
     """
     A = _as_matrix(a)
     n, d = A.shape
@@ -244,13 +229,10 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     rank = orth.rank
     W = orth.Rinv
     if plan.r2 < rank:
-        W = W @ _stage2_factor(plan, rank, seed)
+        W = apply_sparse_jlt(SketchOperator("SparseJLT", seed, rank, plan.r2),
+                             W)
     X, scores = product_sq_norms(A, W)
     t3 = time.perf_counter()
-    if timings is not None:
-        timings.update(sketch_apply_ms=(t1 - t0) * 1e3,
-                       factorization_ms=(t2 - t1) * 1e3,
-                       product_ms=(t3 - t2) * 1e3)
     total = float(scores.sum())
     report = LeverageReport(
         scores=scores,
@@ -261,7 +243,11 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
         seed=int(seed),
         extras={"rank": rank, "r1": r1, "r2": X.shape[1]},
     )
-    return report, SketchedBasis(factor=X, plan=plan, route=orth.route)
+    return report, SketchedBasis(
+        factor=X, route=orth.route,
+        timings_ms={"sketch_apply_ms": (t1 - t0) * 1e3,
+                    "factorization_ms": (t2 - t1) * 1e3,
+                    "product_ms": (t3 - t2) * 1e3})
 
 
 def mi_estimate(a, seed: int) -> LeverageReport:
@@ -295,10 +281,3 @@ def mi_estimate(a, seed: int) -> LeverageReport:
         seed=int(seed),
         extras={"r": r, "floor": floor},
     )
-
-
-def coherence(report: LeverageReport) -> float:
-    """Maximum leverage score in a report."""
-    if report.scores.size == 0:
-        raise errors.EmptyMatrix("empty report")
-    return float(np.max(report.scores))

@@ -43,12 +43,11 @@ def validate_matrix(a, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class ThinSVD:
-    """Compact SVD A = U diag(s) V^T truncated at ``rank_tolerance``."""
+    """Compact SVD A = U diag(s) V^T truncated at ``DEFAULT_RANK_TOL``."""
 
     U: np.ndarray
     singular_values: np.ndarray
     V: np.ndarray
-    rank_tolerance: float
 
     @property
     def rank(self) -> int:
@@ -75,20 +74,17 @@ class LeverageReport:
         return int(self.scores.size)
 
 
-def thin_svd(a, rank_tolerance: float = DEFAULT_RANK_TOL) -> ThinSVD:
-    """Thin SVD with singular values below ``rank_tolerance * s[0]`` dropped."""
+def thin_svd(a) -> ThinSVD:
+    """Thin SVD with singular values at or below ``DEFAULT_RANK_TOL * s[0]``
+    dropped."""
     A = validate_matrix(a)
-    if not (0.0 <= rank_tolerance < 1.0):
-        raise errors.InvalidParameter(
-            f"rank_tolerance must be in [0, 1), got {rank_tolerance}")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         # all-zero matrix: rank 0 factors
-        return ThinSVD(U[:, :0], s[:0], Vt.T[:, :0], rank_tolerance)
-    rho = int(np.sum(s > rank_tolerance * s[0]))
-    rho = max(rho, 1) if s[0] > 0 else 0
+        return ThinSVD(U[:, :0], s[:0], Vt.T[:, :0])
+    rho = int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
     return ThinSVD(np.ascontiguousarray(U[:, :rho]), s[:rho].copy(),
-                   np.ascontiguousarray(Vt[:rho].T), rank_tolerance)
+                   np.ascontiguousarray(Vt[:rho].T))
 
 
 def pseudoinverse(a) -> np.ndarray:
@@ -114,11 +110,12 @@ def exact_leverage(a) -> LeverageReport:
     )
 
 
-def exact_cross_leverage(a, max_rows: int = DEFAULT_GRAM_CAP) -> np.ndarray:
-    """Full n x n projector U U^T whose entries are the cross-leverage scores."""
+def exact_cross_leverage(a) -> np.ndarray:
+    """Full n x n projector U U^T whose entries are the cross-leverage
+    scores, for n up to ``DEFAULT_GRAM_CAP`` rows."""
     A = validate_matrix(a)
-    if A.shape[0] > max_rows:
+    if A.shape[0] > DEFAULT_GRAM_CAP:
         raise errors.MatrixTooLargeForDenseGram(
-            f"n={A.shape[0]} exceeds the dense Gram cap {max_rows}")
+            f"n={A.shape[0]} exceeds the dense Gram cap {DEFAULT_GRAM_CAP}")
     f = thin_svd(A)
     return f.U @ f.U.T

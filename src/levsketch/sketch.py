@@ -203,27 +203,16 @@ def _sparse_jlt_matrix(op: SketchOperator) -> np.ndarray:
     return np.where(u < 1.0 / 6.0, s, np.where(u > 5.0 / 6.0, -s, 0.0))
 
 
-def apply_sparse_jlt(op: SketchOperator, x, side: str = "right") -> np.ndarray:
-    """Multiply by the sparse JLT: rows of ``x`` are mapped to R^out_dim.
-
-    ``side='right'`` computes X P with P of shape (in_dim, out_dim);
-    ``side='left'`` computes P^T X.
-    """
+def apply_sparse_jlt(op: SketchOperator, x) -> np.ndarray:
+    """X P for the sparse JLT P of shape (in_dim, out_dim): the rows of
+    ``x`` are mapped to R^out_dim."""
     if op.kind != "SparseJLT":
         raise errors.InvalidParameter(f"not a SparseJLT operator: {op.kind}")
     X = validate_matrix(x)
-    P = _sparse_jlt_matrix(op)
-    if side == "right":
-        if X.shape[1] != op.in_dim:
-            raise errors.DimensionMismatch(
-                f"need {op.in_dim} columns, got {X.shape[1]}")
-        return X @ P
-    if side == "left":
-        if X.shape[0] != op.in_dim:
-            raise errors.DimensionMismatch(
-                f"need {op.in_dim} rows, got {X.shape[0]}")
-        return P.T @ X
-    raise errors.InvalidParameter(f"side must be 'left' or 'right', got {side!r}")
+    if X.shape[1] != op.in_dim:
+        raise errors.DimensionMismatch(
+            f"need {op.in_dim} columns, got {X.shape[1]}")
+    return X @ _sparse_jlt_matrix(op)
 
 
 def gaussian_matrix(op: SketchOperator) -> np.ndarray:

@@ -41,17 +41,16 @@ class SamplingProbabilities:
 
 @dataclass
 class SamplingMatrix:
-    """Sparse d x r selector: column t has single nonzero 1/sqrt(r p_{i_t})."""
+    """Sparse d x r selector of r draws, held as (column, count) pairs:
+    column j, drawn c_j times, stands for c_j columns of S whose single
+    nonzero is 1/sqrt(r p_j), so that A S S^T A^T = C C^T for
+    C = A[:, selected] * sqrt(counts) * weights."""
 
     d: int
     r: int
-    selected: np.ndarray   # r column indices
-    weights: np.ndarray    # r rescaling factors
-
-    def dense(self) -> np.ndarray:
-        S = np.zeros((self.d, self.r))
-        S[self.selected, np.arange(self.r)] = self.weights
-        return S
+    selected: np.ndarray   # the distinct drawn columns, ascending
+    counts: np.ndarray     # draws of each selected column
+    weights: np.ndarray    # 1 / sqrt(r p_j) for each selected column
 
 
 def sample_size(n: int, beta: float, epsilon: float, delta: float) -> int:
@@ -81,16 +80,16 @@ def draw_sampling_matrix(p: SamplingProbabilities, r: int,
     """r i.i.d. column draws with replacement from p, seeded.
 
     The draw counts come from one multinomial(r, p), which has the
-    distribution of r i.i.d. draws' counts at O(d) cost; ``selected``
-    lists the drawn columns in ascending order.
+    distribution of r i.i.d. draws' counts at O(d) cost and memory
+    whatever r is.
     """
     if r < 1:
         raise errors.InvalidParameter(f"r must be >= 1, got {r}")
-    d = p.p.size
     counts = substream(seed, 4).multinomial(r, p.p / p.p.sum())
-    selected = np.repeat(np.arange(d), counts)
-    weights = 1.0 / np.sqrt(r * p.p[selected])
-    return SamplingMatrix(d=d, r=r, selected=selected, weights=weights)
+    selected = np.flatnonzero(counts)
+    return SamplingMatrix(d=p.p.size, r=r, selected=selected,
+                          counts=counts[selected],
+                          weights=1.0 / np.sqrt(r * p.p[selected]))
 
 
 def leverage_probs_for_columns(a, method: str = "exact",
@@ -141,11 +140,9 @@ def underls_solve(a, b, p: SamplingProbabilities, epsilon: float,
             f"probabilities cover {p.p.size} columns, matrix has {d}")
     r = sample_size(n, p.beta, epsilon, delta)
     S = draw_sampling_matrix(p, r, seed)
-    counts = np.bincount(S.selected, minlength=d)
-    cols = np.flatnonzero(counts)
-    C = A[:, cols] * np.sqrt(counts[cols] / (r * p.p[cols]))
+    C = A[:, S.selected] * np.sqrt(S.counts / (r * p.p[S.selected]))
     orth = build_orthogonalizer(C.T, sketched=True)
     W = orth.Rinv
     if extras is not None:
-        extras.update(r=r, distinct=int(cols.size), route=orth.route)
+        extras.update(r=r, distinct=int(S.selected.size), route=orth.route)
     return A.T @ (W @ (W.T @ bvec))

@@ -194,8 +194,8 @@ def test_criterion_05_planted_pair_recovery():
             # soundness bound
             degen, _ = approx_leverage(A, degenerate_plan(n, d), seed=seed)
             valid = np.max(np.abs(degen.scores - exact)) <= 1e-9
-            hp = approx_cross_leverage(A, plan, kappa, seed=seed,
-                                       off_diagonal_only=True)
+            hp = approx_cross_leverage(A, plan, kappa,
+                                       seed=seed).off_diagonal()
             hits += (3, 7) in hp.indices()
             if valid:
                 validated += 1
@@ -288,7 +288,7 @@ def test_criterion_09_projection_property_suites():
         # norm preservation of a fixed point set under the sparse projection
         P = rng.standard_normal((m, n)) * rng.uniform(0.1, 10.0, size=(m, 1))
         op = SketchOperator("SparseJLT", seed=seed, in_dim=n, out_dim=r_jlt)
-        sk = apply_sparse_jlt(op, P, side="right")
+        sk = apply_sparse_jlt(op, P)
         ratios = (np.linalg.norm(sk, axis=1) / np.linalg.norm(P, axis=1)) ** 2
         jlt_ok = np.all(ratios >= 1 - EPS) and np.all(ratios <= 1 + EPS)
         # singular-value preservation for an orthonormal basis under SRHT

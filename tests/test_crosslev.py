@@ -265,7 +265,7 @@ def test_planted_duplicate_pair_recovered():
     plan = make_plan(n, d, 0.5)
     hits = 0
     for seed in range(10):
-        hp = approx_cross_leverage(A, plan, kappa, seed, off_diagonal_only=True)
+        hp = approx_cross_leverage(A, plan, kappa, seed).off_diagonal()
         if (3, 7) in hp.indices():
             hits += 1
     assert hits >= 8
@@ -290,8 +290,8 @@ def test_orthogonal_rows_return_nothing_off_diagonal():
     plan = make_plan(n, d, 0.5)
     for seed in range(5):
         for kappa in (2.0, float(d), float(n)):
-            hp = approx_cross_leverage(A, plan, kappa=kappa, seed=seed,
-                                       off_diagonal_only=True)
+            hp = approx_cross_leverage(A, plan, kappa=kappa,
+                                       seed=seed).off_diagonal()
             assert hp.pairs == []
 
 
@@ -313,9 +313,9 @@ def test_degenerate_sketch_equals_exact_search():
                                            ("identity", 8, None),
                                            ("sparse", 64, 16)])
 def test_narrow_factor_matches_search_on_full_sketch(stage2, d, r2):
-    # X = A R^-1 T^T has the row inner products of Omega = A R^-1 Pi2, so
-    # searching it returns the pairs of the search on Omega itself; with
-    # r2 >= rank stage 2 is skipped and Omega = A R^-1
+    # the sketched search returns the pairs of the search on
+    # Omega = A R^-1 Pi2 built here; with r2 >= rank stage 2 is skipped and
+    # Omega = A R^-1
     A = planted_matrix(seed=4, n=512, d=d, scale=25.0)
     n = A.shape[0]
     kappa = n * math.log(n)

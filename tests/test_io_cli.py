@@ -435,6 +435,18 @@ def test_cli_underls_tiny_beta_is_a_typed_error(tmp_path, capsys, rng):
     assert "Traceback" not in captured.err
 
 
+def test_cli_underls_tiny_beta_within_int64_runs(tmp_path, capsys, rng):
+    # beta = 1e-9 asks for 4.5e13 draws: held as counts, they fit
+    pa = write_fixture(tmp_path, rng.standard_normal((4, 40)), "a.csv")
+    pb = write_fixture(tmp_path, rng.standard_normal((4, 1)), "b.csv")
+    code = main(["underls", pa, "--rhs", pb, "--beta", "1e-9", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "Traceback" not in captured.err
+    run = json.loads(captured.out)["params"]["run"]
+    assert run["r"] == sample_size(4, 1e-9, 0.5, 0.1) and run["distinct"] == 40
+
+
 def test_cli_mi_estimator(tmp_path, capsys, rng):
     A = rng.standard_normal((128, 4))
     path = write_fixture(tmp_path, A)
@@ -487,20 +499,48 @@ def test_cli_bad_sketch_parameter_is_a_usage_error(tmp_path, capsys, rng,
 @pytest.mark.parametrize("argv", [["leverage", "x.csv", "--pi2", "identity"],
                                   ["leverage", "x.csv", "--pi1", "srht"],
                                   ["bench"],
-                                  ["leverage", "x.csv", "--c1", "20"]])
+                                  ["leverage", "x.csv", "--c1", "20"],
+                                  ["exact", "x.csv", "--r1", "5"],
+                                  ["exact", "x.csv", "--retries", "2"],
+                                  ["rankk", "x.csv", "--k", "2", "--mode",
+                                   "theory"]])
 def test_cli_removed_switches_do_not_parse(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
 
 
+def _subparsers():
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_cli_option_inventory():
+    # each subcommand registers only the options it reads; a new option
+    # must be added here on purpose
+    io_opts = {"input", "format", "seed", "output", "output_format"}
+    sketch = {"eps", "retries", "delta", "mode", "r1", "r2"}
+    expected = {
+        "leverage": io_opts | sketch | {"estimator"},
+        "exact": io_opts,
+        "coherence": io_opts | sketch | {"method"},
+        "cross": io_opts | sketch | {"kappa", "off_diagonal_only",
+                                     "exact_pairs"},
+        "rankk": io_opts | {"eps", "retries", "k", "norm", "q"},
+        "underls": io_opts | sketch | {"rhs", "probs", "beta"},
+    }
+    found = {name: {a.dest for a in parser._actions
+                    if not isinstance(a, argparse._HelpAction)}
+             for name, parser in _subparsers().items()}
+    assert found == expected
+    assert sum(map(len, found.values())) == 67
+
+
 def _choice_runs():
     """(subcommand, option, value) for every value of every option with
     ``choices`` in the parser the CLI runs."""
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     return [(name, action.option_strings[0], value)
-            for name, parser in sub.choices.items()
+            for name, parser in _subparsers().items()
             for action in parser._actions if action.choices
             for value in action.choices]
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import levsketch
 from levsketch import (SketchOperator, apply_srht, approx_cross_leverage,
-                       approx_leverage, build_orthogonalizer, coherence,
+                       approx_leverage, build_orthogonalizer,
                        errors, exact_leverage, hadamard_matrix, levscore,
                        make_plan, mi_estimate, pseudoinverse)
 from levsketch.matcore import DEFAULT_RANK_TOL
@@ -103,18 +103,22 @@ def test_basis_and_cross_pairs_report_the_route():
 
 
 def test_stage2_factor_has_the_row_inner_products_of_omega():
-    # X X^T = Omega Omega^T for Omega = (A R^-1) Pi2 built explicitly,
-    # at r2 = 5 < rank = 12, where stage 2 compresses
+    # at r2 = 5 < rank = 12 the factor is Omega = (A R^-1) Pi2 itself, with
+    # A R^-1 from the same seed's stage 1; at r2 = rank stage 2 is skipped
     rng = np.random.default_rng(2)
     A = rng.standard_normal((64, 12))
-    plan = make_plan(64, 12, 0.5, r2=5)
-    report, basis = approx_leverage(A, plan, seed=3)
+    report, basis = approx_leverage(A, make_plan(64, 12, 0.5, r2=5), seed=3)
     assert report.extras["r2"] == 5
-    assert basis.factor.shape == (64, 5)
-    ar = approx_leverage(A, make_plan(64, 12, 0.5, r2=12), seed=3)[1].factor
-    omega = ar @ _sparse_jlt_matrix(SketchOperator("SparseJLT", 3, 12, 5))
-    np.testing.assert_allclose(basis.factor @ basis.factor.T,
-                               omega @ omega.T, rtol=1e-12, atol=1e-12)
+    report12, basis12 = approx_leverage(A, make_plan(64, 12, 0.5, r2=12),
+                                        seed=3)
+    assert report12.extras["r2"] == 12
+    omega = basis12.factor @ _sparse_jlt_matrix(
+        SketchOperator("SparseJLT", 3, 12, 5))
+    assert basis.factor.shape == omega.shape == (64, 5)
+    np.testing.assert_allclose(basis.factor, omega, rtol=1e-13,
+                               atol=1e-13 * np.abs(omega).max())
+    np.testing.assert_allclose(report.scores, np.sum(omega**2, axis=1),
+                               rtol=1e-13)
 
 
 def test_stage2_skipped_when_r2_reaches_rank():
@@ -511,6 +515,21 @@ def test_rank_tolerance_is_not_an_option():
         approx_leverage(A, make_plan(64, 3, 0.5), 0, rank_tolerance=1e-6)
 
 
+@pytest.mark.parametrize("call", [
+    lambda A: approx_leverage(A, make_plan(64, 3, 0.5), 0, timings={}),
+    lambda A: approx_cross_leverage(A, make_plan(64, 3, 0.5), 10.0, 0,
+                                    off_diagonal_only=True),
+    lambda A: levsketch.thin_svd(A, rank_tolerance=0.0),
+    lambda A: levsketch.exact_cross_leverage(A, max_rows=10),
+    lambda A: levsketch.apply_sparse_jlt(
+        SketchOperator("SparseJLT", 0, 3, 2), A, side="right"),
+])
+def test_removed_keywords_are_not_options(call):
+    A = np.random.default_rng(19).standard_normal((64, 3))
+    with pytest.raises(TypeError):
+        call(A)
+
+
 # ---------------------------------------------------------- mi estimator
 
 def test_mi_estimate_takes_no_svd_of_its_own():
@@ -575,10 +594,3 @@ def test_mi_estimate_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
-
-
-def test_coherence_accessor():
-    rng = np.random.default_rng(10)
-    A = rng.standard_normal((50, 4))
-    report = exact_leverage(A)
-    assert coherence(report) == report.scores.max()

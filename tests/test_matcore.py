@@ -12,7 +12,7 @@ def test_thin_svd_identity():
 
 
 def test_thin_svd_diagonal():
-    f = thin_svd(np.diag([3.0, 2.0, 1.0]), rank_tolerance=0.0)
+    f = thin_svd(np.diag([3.0, 2.0, 1.0]))
     np.testing.assert_allclose(f.singular_values, [3, 2, 1])
 
 
@@ -38,8 +38,6 @@ def test_thin_svd_rejects_bad_input():
         thin_svd(np.zeros((0, 3)))
     with pytest.raises(errors.NonFiniteEntry):
         thin_svd(np.array([[1.0, np.nan]]))
-    with pytest.raises(errors.InvalidParameter):
-        thin_svd(np.eye(2), rank_tolerance=1.5)
 
 
 def test_pseudoinverse_diagonal():
@@ -141,4 +139,4 @@ def test_exact_cross_leverage_matches_uut():
 
 def test_exact_cross_leverage_size_cap():
     with pytest.raises(errors.MatrixTooLargeForDenseGram):
-        exact_cross_leverage(np.ones((8, 2)), max_rows=4)
+        exact_cross_leverage(np.ones((4097, 2)))

@@ -427,15 +427,6 @@ def test_sparse_jlt_norm_preservation_fraction():
     assert failures <= 1
 
 
-def test_sparse_jlt_sides_agree():
-    rng = np.random.default_rng(6)
-    X = rng.standard_normal((5, 12))
-    op = SketchOperator("SparseJLT", 4, 12, 7)
-    right = apply_sparse_jlt(op, X, side="right")
-    left = apply_sparse_jlt(op, X.T, side="left")
-    np.testing.assert_allclose(right, left.T)
-
-
 # ---------------------------------------------------------------- gaussian
 
 def test_gaussian_moments_and_determinism():

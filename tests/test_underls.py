@@ -51,7 +51,7 @@ def test_probabilities_validation():
 def test_draw_point_mass():
     p = SamplingProbabilities(p=np.eye(8)[5])
     S = draw_sampling_matrix(p, r=16, seed=0)
-    assert np.all(S.selected == 5)
+    assert S.selected.tolist() == [5] and S.counts.tolist() == [16]
     np.testing.assert_allclose(S.weights, 1 / math.sqrt(16))
 
 
@@ -60,13 +60,14 @@ def test_draw_deterministic():
     a = draw_sampling_matrix(p, 100, seed=42)
     b = draw_sampling_matrix(p, 100, seed=42)
     assert np.array_equal(a.selected, b.selected)
+    assert np.array_equal(a.counts, b.counts)
 
 
 def test_draw_uniform_frequencies():
     d, r = 10, 10**5
     p = SamplingProbabilities(p=np.full(d, 1 / d))
     S = draw_sampling_matrix(p, r, seed=7)
-    counts = np.bincount(S.selected, minlength=d)
+    counts = np.bincount(S.selected, weights=S.counts, minlength=d)
     sigma = math.sqrt(r * (1 / d) * (1 - 1 / d))
     assert np.all(np.abs(counts - r / d) <= 3 * sigma)
 
@@ -78,11 +79,33 @@ def test_draw_counts_are_the_seeded_multinomial():
     r = 129_856
     S = draw_sampling_matrix(p, r, seed=17)
     expected = substream(17, 4).multinomial(r, p.p / p.p.sum())
-    assert np.array_equal(np.bincount(S.selected, minlength=300), expected)
-    assert S.r == r and S.d == 300 and S.selected.size == r
-    assert np.all(np.diff(S.selected) >= 0)
+    assert np.array_equal(S.selected, np.flatnonzero(expected))
+    assert np.array_equal(S.counts, expected[S.selected])
+    assert S.r == r and S.d == 300 and S.counts.sum() == r
     np.testing.assert_allclose(S.weights, 1 / np.sqrt(r * p.p[S.selected]),
                                rtol=0)
+
+
+def test_dense_sampling_matrix_structure():
+    # the pairs stand for a d x r selector with one nonzero 1/sqrt(r p_j)
+    # in each of the c_j columns of a column j drawn c_j times
+    p = SamplingProbabilities(p=np.full(4, 0.25))
+    S = draw_sampling_matrix(p, 6, seed=1)
+    rows = np.repeat(S.selected, S.counts)
+    D = np.zeros((4, 6))
+    D[rows, np.arange(6)] = np.repeat(S.weights, S.counts)
+    np.testing.assert_allclose(D[rows, np.arange(6)], 1 / np.sqrt(6 * 0.25))
+    A = np.random.default_rng(1).standard_normal((3, 4))
+    C = A[:, S.selected] * np.sqrt(S.counts) * S.weights
+    np.testing.assert_allclose((A @ D) @ (A @ D).T, C @ C.T, rtol=1e-13)
+
+
+def test_draw_memory_does_not_grow_with_r():
+    # 10^15 draws are held as one (column, count) pair per drawn column
+    p = SamplingProbabilities(p=np.full(50, 1 / 50))
+    S = draw_sampling_matrix(p, 10**15, seed=3)
+    assert S.selected.size == S.counts.size == S.weights.size == 50
+    assert int(S.counts.sum()) == 10**15
 
 
 def test_solve_reports_draws_and_distinct_columns():
@@ -96,16 +119,6 @@ def test_solve_reports_draws_and_distinct_columns():
     S = draw_sampling_matrix(p, r, 3)
     assert extras == {"r": r, "distinct": np.unique(S.selected).size,
                       "route": "cholesky"}
-
-
-def test_dense_sampling_matrix_structure():
-    p = SamplingProbabilities(p=np.full(4, 0.25))
-    S = draw_sampling_matrix(p, 6, seed=1)
-    D = S.dense()
-    assert D.shape == (4, 6)
-    assert np.all(np.count_nonzero(D, axis=0) == 1)
-    np.testing.assert_allclose(D[S.selected, np.arange(6)],
-                               1 / np.sqrt(6 * 0.25))
 
 
 # -------------------------------------------------------------- probabilities
@@ -199,7 +212,7 @@ def test_conditioned_bound_when_premise_holds():
         from levsketch.underls import draw_sampling_matrix, sample_size
         r = sample_size(6, 1.0, eps, 0.1)
         S = draw_sampling_matrix(p, r, seed)
-        VS = V.T[:, S.selected] * S.weights
+        VS = V.T[:, S.selected] * np.sqrt(S.counts) * S.weights
         s = np.linalg.svd(VS, compute_uv=False)
         if np.all((s >= math.sqrt(1 - eps)) & (s <= math.sqrt(1 + eps))):
             x = underls_solve(A, b, p, epsilon=eps, delta=0.1, seed=seed)
@@ -217,7 +230,7 @@ def test_unbiased_sampled_gram():
     grams = []
     for seed in range(200):
         S = draw_sampling_matrix(p, 50, seed)
-        VS = V.T[:, S.selected] * S.weights
+        VS = V.T[:, S.selected] * np.sqrt(S.counts) * S.weights
         grams.append(VS @ VS.T)
     mean = np.mean(grams, axis=0)
     sem = np.std(grams, axis=0, ddof=1) / math.sqrt(len(grams))
@@ -246,7 +259,8 @@ def test_solve_matches_explicit_sample_formula():
     assert r > 100 * 64
     for seed in range(3):
         S = draw_sampling_matrix(p, r, seed)
-        AS_pinv = pseudoinverse(A[:, S.selected] * S.weights)
+        draws = np.repeat(np.arange(S.selected.size), S.counts)
+        AS_pinv = pseudoinverse(A[:, S.selected[draws]] * S.weights[draws])
         ref = A.T @ (AS_pinv.T @ (AS_pinv @ b))
         x = underls_solve(A, b, p, epsilon=0.5, delta=0.1, seed=seed)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
