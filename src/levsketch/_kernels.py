@@ -24,9 +24,10 @@ where z_J = H_slab x_J is the transform of the J-th slab of x. Only the
 ceil(n / slab) slabs that hold x are stored and transformed, so the
 padding costs less than one slab; the last block is then one product of
 H_b's first ceil(n / slab) columns with each tile of slab positions,
-from which the kept rows are gathered. Its adjoint runs the same steps
-backwards. So the SRHT reads x once, writes and reads the slabs z once
-each, and writes its r kept rows.
+from which the kept rows are gathered. So the SRHT reads x once, writes
+and reads the slabs z once each, and writes its r kept rows. Its
+transpose needs no kernel of its own: H is symmetric, so it is one
+``fwht_inplace`` of the r rows placed at their indices.
 """
 
 from __future__ import annotations
@@ -222,27 +223,6 @@ def sampled_fwht(a: np.ndarray, weights: np.ndarray, rows: np.ndarray,
             buf.take(src, axis=0, out=out, mode="clip")  # unbuffered
         else:
             out[kept, cs] = buf[src]
-    return out
-
-
-def sampled_fwht_adjoint(y: np.ndarray, weights: np.ndarray,
-                         rows: np.ndarray, n_pad: int) -> np.ndarray:
-    """``diag(weights) (H_{n_pad} S^T y)[:n]``, the adjoint of
-    ``sampled_fwht``: S^T places the r rows of the trusted ``y`` at
-    ``rows`` and n = weights.size. Memory as in ``sampled_fwht``.
-    """
-    n, m = weights.size, y.shape[1]
-    log_slab, h = _split(n, n_pad)
-    u = np.zeros((h.shape[1] << log_slab, m))
-    u2 = u.reshape(h.shape[1], -1)
-    scratch = _scratch(2 * n_pad * m)
-    for flat, cs, kept, src, buf in _tiles(rows, log_slab, h.shape[0], m, scratch):
-        buf[...] = 0.0
-        buf[src] = y[kept, cs]
-        np.matmul(h.T, buf.reshape(h.shape[0], -1), out=u2[:, flat])
-    _fwht_slabs(u, None, u, log_slab, scratch)
-    out = u[:n]
-    out *= weights[:, None]
     return out
 
 

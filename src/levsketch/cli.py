@@ -3,14 +3,15 @@
 Subcommands cover every library operation. All output documents share
 the schema {"params", "seed", "timings_ms", "result"} with 0-based
 indices; runs with the same seed are byte-identical apart from the timing
-fields. Sketched ``leverage`` and ``cross`` runs list the plan's sizes in
-``params`` and, under ``params.run``, the rank and the r1 and r2 the
-sketch used and the orthogonalizer's route; ``rankk`` lists there the
-report's extras (q and rank for spectral; width r, rank and route for
-Frobenius) and ``underls`` the number of draws r, of distinct columns
-drawn and the route. ``--format`` names the input matrix's format;
-``underls`` reads its ``--rhs`` file in the format that file's suffix
-names, or in ``--format`` where the suffix names none.
+fields, and exact runs, which draw nothing, report a null seed. Sketched
+``leverage`` and ``cross`` runs list the plan's sizes in ``params`` and,
+under ``params.run``, the rank and the r1 and r2 the sketch used and the
+orthogonalizer's route; ``rankk`` lists there the report's extras (q and
+rank for spectral; width r, rank and route for Frobenius) and ``underls``
+the number of draws r, of distinct columns drawn and the route.
+``--format`` names the input matrix's format; ``underls`` reads its
+``--rhs`` file in the format that file's suffix names, or in ``--format``
+where the suffix names none.
 """
 
 from __future__ import annotations
@@ -37,22 +38,19 @@ EXIT_HARD = 1
 EXIT_RETRY_EXHAUSTED = 2
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("LEVSKETCH_SEED", "0"))
-
-
 def _add_io(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="input matrix file")
     p.add_argument("--format", default="auto",
                    choices=["auto", "matrix-market", "csv", "binary"])
-    p.add_argument("--seed", type=int, default=None,
-                   help="defaults to $LEVSKETCH_SEED or 0")
     p.add_argument("--output", "-o", default=None, help="write JSON/CSV here")
     p.add_argument("--output-format", default="json", choices=["json", "csv"])
 
 
 def _add_sketch(p: argparse.ArgumentParser, plan: bool = True) -> None:
-    """--eps and --retries, and with ``plan`` the sketch plan's sizes."""
+    """--seed, --eps and --retries, and with ``plan`` the sketch plan's
+    sizes."""
+    p.add_argument("--seed", type=int, default=None,
+                   help="defaults to $LEVSKETCH_SEED or 0")
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--retries", type=int, default=3)
     if plan:
@@ -162,11 +160,13 @@ def _emit_csv(doc: dict, path: str) -> None:
                 fh.write(f"{v:.17g}\n")
 
 
-def _with_retries(fn, seed: int, retries: int):
+def _with_retries(fn, args):
+    """(fn(seed), seed) for the first seed from ``--seed`` on, one per
+    attempt, at which ``fn`` does not raise ``RankDeficient``."""
     last = None
-    for attempt in range(retries + 1):
+    for seed in range(args.seed, args.seed + args.retries + 1):
         try:
-            return fn(seed + attempt), seed + attempt
+            return fn(seed), seed
         except errors.RankDeficient as exc:
             last = exc
     raise _RetriesExhausted(str(last))
@@ -189,18 +189,16 @@ def _plan_params(plan, extras: dict) -> dict:
             "run": {k: extras[k] for k in ("rank", "r1", "r2", "route")}}
 
 
-def _run_leverage(args) -> dict:
-    A = io.load_matrix(args.input, args.format)
-    seed = args.seed if args.seed is not None else _default_seed()
+def _run_leverage(args, A) -> dict:
     if args.estimator == "mi":
-        report = mi_estimate(A, seed)
+        report = mi_estimate(A, args.seed)
         params = {"estimator": "mi", "r": report.extras["r"],
                   "n": A.shape[0], "d": A.shape[1]}
-        used_seed, timings = seed, {}
+        used_seed, timings = args.seed, {}
     else:
         plan = _plan_for(args, *A.shape)
         (report, basis), used_seed = _with_retries(
-            lambda s: approx_leverage(A, plan, s), seed, args.retries)
+            lambda s: approx_leverage(A, plan, s), args)
         params = {"estimator": "sketched", "n": A.shape[0], "d": A.shape[1],
                   **_plan_params(plan, {**report.extras,
                                         "route": basis.route})}
@@ -211,28 +209,24 @@ def _run_leverage(args) -> dict:
                        "method": report.method}}
 
 
-def _run_exact(args) -> dict:
-    A = io.load_matrix(args.input, args.format)
+def _run_exact(args, A) -> dict:
     report = matcore.exact_leverage(A)
     return {"params": {"n": A.shape[0], "d": A.shape[1],
                        "rank": report.extras["rank"]},
-            "seed": args.seed if args.seed is not None else _default_seed(),
-            "timings_ms": {},
+            "seed": None, "timings_ms": {},
             "result": {"scores": report.scores, "coherence": report.coherence,
                        "normalized": report.normalized, "method": "exact"}}
 
 
-def _run_coherence(args) -> dict:
-    doc = _run_exact(args) if args.method == "exact" else _run_leverage(args)
+def _run_coherence(args, A) -> dict:
+    doc = (_run_exact if args.method == "exact" else _run_leverage)(args, A)
     doc["result"] = {"coherence": doc["result"]["coherence"],
                      "method": args.method}
     return doc
 
 
-def _run_cross(args) -> dict:
-    A = io.load_matrix(args.input, args.format)
+def _run_cross(args, A) -> dict:
     n, d = A.shape
-    seed = args.seed if args.seed is not None else _default_seed()
     kappa = _resolve_kappa(args.kappa, n)
     if args.exact_pairs:
         t0 = time.perf_counter()
@@ -241,13 +235,12 @@ def _run_cross(args) -> dict:
         hp = heavy_pairs(f.U, kappa)
         hp.timings_ms = {"svd_ms": (t1 - t0) * 1e3,
                          "search_ms": (time.perf_counter() - t1) * 1e3}
-        used_seed = seed
+        used_seed = args.seed
         params = {"n": n, "d": d, "kappa": kappa, "exact": True}
     else:
         plan = _plan_for(args, n, d)
         hp, used_seed = _with_retries(
-            lambda s: approx_cross_leverage(A, plan, kappa, s),
-            seed, args.retries)
+            lambda s: approx_cross_leverage(A, plan, kappa, s), args)
         params = {"n": n, "d": d, "kappa": kappa, "exact": False,
                   **_plan_params(plan, hp.extras)}
     if args.off_diagonal_only:
@@ -259,14 +252,12 @@ def _run_cross(args) -> dict:
                        "candidates": hp.candidates}}
 
 
-def _run_rankk(args) -> dict:
-    A = io.load_matrix(args.input, args.format)
-    seed = args.seed if args.seed is not None else _default_seed()
+def _run_rankk(args, A) -> dict:
     if args.norm == "spectral":
         fn = lambda s: spectral_rankk(A, args.k, args.eps, s, q_override=args.q)
     else:
         fn = lambda s: frobenius_rankk(A, args.k, args.eps, s)
-    report, used_seed = _with_retries(fn, seed, args.retries)
+    report, used_seed = _with_retries(fn, args)
     return {"params": {"n": A.shape[0], "d": A.shape[1], "k": args.k,
                        "norm": args.norm, "epsilon": args.eps, "q": args.q,
                        "beta_claim": report.beta_claim,
@@ -284,21 +275,20 @@ def _rhs_format(args) -> str:
         return args.format
 
 
-def _run_underls(args) -> dict:
-    A = io.load_matrix(args.input, args.format)
+def _run_underls(args, A) -> dict:
     b = io.load_matrix(args.rhs, _rhs_format(args)).reshape(-1)
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.probs == "exact":
         p = leverage_probs_for_columns(A, "exact")
     else:
         plan = _plan_for(args, A.shape[1], A.shape[0])
-        p = leverage_probs_for_columns(A, "sketched", plan=plan, seed=seed)
+        p = leverage_probs_for_columns(A, "sketched", plan=plan,
+                                       seed=args.seed)
     if args.beta is not None:
         p.beta = args.beta
     run: dict = {}
     x, used_seed = _with_retries(
         lambda s: underls_solve(A, b, p, args.eps, args.delta, s, extras=run),
-        seed, args.retries)
+        args)
     residual = float(np.linalg.norm(A @ x - b))
     return {"params": {"n": A.shape[0], "d": A.shape[1], "epsilon": args.eps,
                        "delta": args.delta, "beta": p.beta,
@@ -318,7 +308,10 @@ def main(argv=None) -> int:
         if getattr(args, "retries", 0) < 0:  # ``exact`` does not retry
             raise errors.InvalidParameter(
                 f"--retries must be >= 0, got {args.retries}")
-        doc = _RUNNERS[args.command](args)
+        if getattr(args, "seed", 0) is None:  # nor does it draw
+            args.seed = int(os.environ.get("LEVSKETCH_SEED", "0"))
+        doc = _RUNNERS[args.command](args, io.load_matrix(args.input,
+                                                          args.format))
     except _RetriesExhausted as exc:
         print(f"error: rank-deficient sketch after retries: {exc}",
               file=sys.stderr)

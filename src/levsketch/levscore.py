@@ -257,9 +257,11 @@ def mi_estimate(a, seed: int) -> LeverageReport:
     SRHT of O(n ln d / ln^2 n) rows, then truncates each estimate below at
     d ln^2 n / (4 n) and renormalizes. Only an O(ln^2 n)-factor guarantee.
     With W = R^{-1} from ``build_orthogonalizer``, (Pi A)^+ = W W^T (Pi A)^T:
-    row-wise dots of A with Pi^T (Pi A) W W^T, in O(n d) memory.
+    row-wise dots of A with Pi^T (Pi A) W W^T, in O(n d) memory. A is read
+    once: the SRHT kernel raises ``NonFiniteEntry`` for a NaN or infinite
+    entry as it weighs A, so A is not scanned beforehand.
     """
-    A = validate_matrix(a)
+    A = _as_matrix(a)
     n, d = A.shape
     if n <= d:
         raise errors.ShapeError(f"need n > d, got shape {A.shape}")

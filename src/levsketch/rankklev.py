@@ -55,28 +55,31 @@ def _check_k(n: int, d: int, k: int) -> None:
             f"need 2 <= k < min(n, d) = {min(n, d)}, got k={k}")
 
 
+def _check_eps(epsilon: float) -> None:
+    if not (0.0 < epsilon < 1.0):
+        raise errors.InvalidParameter(f"epsilon must be in (0, 1), got {epsilon}")
+
+
 def power_q(n: int, d: int, k: int, epsilon: float) -> int:
     """Power-iteration depth for the spectral sketch.
 
-    The printed denominator 2 ln(1 + eps/10) - 1/2 is negative for all
-    eps < 1, so the -1/2 term is dropped; see ``--q`` for manual override.
+    The printed denominator 2 ln(1 + eps/10) - 1/2 is negative for every
+    admissible eps (0 < eps < 1), so the -1/2 term is dropped and the
+    denominator is 2 ln(1 + eps/10); see ``--q`` for manual override.
     """
     _check_k(n, d, k)
-    if not (0.0 < epsilon < 1.0):
-        raise errors.InvalidParameter(f"epsilon must be in (0, 1), got {epsilon}")
+    _check_eps(epsilon)
     m = min(n, d)
     num = math.log(1.0 + math.sqrt(k / (k - 1.0))
                    + math.e * math.sqrt(2.0 / k) * math.sqrt(m - k))
-    den = 2.0 * math.log(1.0 + epsilon / 10.0) - 0.5
-    if den <= 0.0:
-        den = 2.0 * math.log(1.0 + epsilon / 10.0)
-    return max(1, math.ceil(num / den))
+    return max(1, math.ceil(num / (2.0 * math.log(1.0 + epsilon / 10.0))))
 
 
 def _power_sketch(A: np.ndarray, k: int, epsilon: float, seed: int,
                   q_override: Optional[int]):
     """(B, q): B = (A A^T)^q A Pi with Pi a seeded d x 2k Gaussian and q
-    from ``power_q`` unless ``q_override`` is given.
+    from ``power_q`` unless ``q_override`` is given. k and eps are checked
+    either way; q = 0 gives B = A Pi and q < 0 raises ``InvalidParameter``.
 
     The q steps run through the min(n, d)^2 Gram: a tall A takes
     B = A (A^T A)^q Pi and a fat one B <- (A A^T) B. The steps are not
@@ -85,7 +88,10 @@ def _power_sketch(A: np.ndarray, k: int, epsilon: float, seed: int,
     """
     n, d = A.shape
     _check_k(n, d, k)
+    _check_eps(epsilon)
     q = int(q_override) if q_override is not None else power_q(n, d, k, epsilon)
+    if q < 0:
+        raise errors.InvalidParameter(f"q must be >= 0, got {q}")
     Y = gaussian_matrix(SketchOperator("Gaussian", seed, d, 2 * k))
     with np.errstate(over="ignore", invalid="ignore"):
         if d <= n:
@@ -147,8 +153,7 @@ def spectral_rankk(a, k: int, epsilon: float, seed: int,
 
 def frobenius_sketch_width(k: int, epsilon: float) -> int:
     """Gaussian sketch width r = k + ceil(10 k / eps + 1)."""
-    if not (0.0 < epsilon < 1.0):
-        raise errors.InvalidParameter(f"epsilon must be in (0, 1), got {epsilon}")
+    _check_eps(epsilon)
     return k + math.ceil(10.0 * k / epsilon + 1.0)
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from ._kernels import fwht_inplace, sampled_fwht, sampled_fwht_adjoint
+from ._kernels import fwht_inplace, sampled_fwht
 from .matcore import _as_matrix, validate_matrix
 from .rng import rademacher, substream
 
@@ -187,12 +187,17 @@ def apply_srht(op: SketchOperator, a) -> np.ndarray:
 
 
 def _srht_transpose(op: SketchOperator, y: np.ndarray) -> np.ndarray:
-    """Pi^T y for the SRHT Pi = ``op`` and a trusted r x m ``y``: the exact
-    adjoint of ``apply_srht``, through the same sampled kernel, in
-    O((n + n_pad / b) m) memory instead of the r x n Pi."""
+    """Pi^T y for the SRHT Pi = ``op`` and a trusted r x m ``y``, the exact
+    adjoint of ``apply_srht``. H is symmetric, so Pi^T y is
+    D H S^T y / sqrt(r): one full transform of y's rows placed at the kept
+    rows, in O(n_pad m) memory instead of the r x n Pi."""
     n_pad = next_pow2(op.in_dim)
-    return sampled_fwht_adjoint(y, _srht_weights(op), _srht_selection(op, n_pad),
-                                n_pad)
+    u = np.zeros((n_pad, y.shape[1]))
+    u[_srht_selection(op, n_pad)] = y
+    fwht_inplace(u)
+    out = u[:op.in_dim]
+    out *= _srht_weights(op)[:, None]
+    return out
 
 
 def _sparse_jlt_matrix(op: SketchOperator) -> np.ndarray:

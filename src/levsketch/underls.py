@@ -41,16 +41,15 @@ class SamplingProbabilities:
 
 @dataclass
 class SamplingMatrix:
-    """Sparse d x r selector of r draws, held as (column, count) pairs:
-    column j, drawn c_j times, stands for c_j columns of S whose single
-    nonzero is 1/sqrt(r p_j), so that A S S^T A^T = C C^T for
-    C = A[:, selected] * sqrt(counts) * weights."""
+    """Sparse d x r selector of r draws from p, held as (column, count)
+    pairs: column j, drawn c_j times, stands for c_j columns of S whose
+    single nonzero is 1/sqrt(r p_j), so that A S S^T A^T = C C^T for
+    C = A[:, selected] * sqrt(counts / (r p[selected]))."""
 
     d: int
     r: int
     selected: np.ndarray   # the distinct drawn columns, ascending
     counts: np.ndarray     # draws of each selected column
-    weights: np.ndarray    # 1 / sqrt(r p_j) for each selected column
 
 
 def sample_size(n: int, beta: float, epsilon: float, delta: float) -> int:
@@ -88,8 +87,7 @@ def draw_sampling_matrix(p: SamplingProbabilities, r: int,
     counts = substream(seed, 4).multinomial(r, p.p / p.p.sum())
     selected = np.flatnonzero(counts)
     return SamplingMatrix(d=p.p.size, r=r, selected=selected,
-                          counts=counts[selected],
-                          weights=1.0 / np.sqrt(r * p.p[selected]))
+                          counts=counts[selected])
 
 
 def leverage_probs_for_columns(a, method: str = "exact",

@@ -199,6 +199,9 @@ def test_cli_exact_leverage(tmp_path, capsys, rng):
     np.testing.assert_allclose(doc["result"]["scores"],
                                exact_leverage(A).scores, atol=1e-12)
     assert set(doc) == {"params", "seed", "timings_ms", "result"}
+    assert doc["seed"] is None  # an exact run draws nothing
+    code, doc = run_cli(capsys, ["coherence", path, "--method", "exact"])
+    assert code == 0 and doc["seed"] is None
 
 
 def test_cli_hadamard_leverage_near_uniform(tmp_path, capsys):
@@ -392,6 +395,17 @@ def test_cli_rankk_reports_what_the_sketch_used(tmp_path, capsys, rng):
     assert doc["params"]["run"] == {"r": 40, "rank": 40, "route": "cholesky"}
 
 
+@pytest.mark.parametrize("eps, q", [("0", "2"), ("1", "2"), ("1.5", "2"),
+                                    ("nan", "2"), ("0.5", "-1")])
+def test_cli_spectral_rankk_rejects_bad_eps_or_q(tmp_path, capsys, rng,
+                                                 eps, q):
+    path = write_fixture(tmp_path, rng.standard_normal((50, 40)))
+    assert main(["rankk", path, "--k", "3", "--norm", "spectral",
+                 "--q", q, "--eps", eps]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_cli_underls_reports_draws(tmp_path, capsys, rng):
     A = rng.standard_normal((6, 200))
     pa = write_fixture(tmp_path, A, "a.csv")
@@ -502,6 +516,7 @@ def test_cli_bad_sketch_parameter_is_a_usage_error(tmp_path, capsys, rng,
                                   ["leverage", "x.csv", "--c1", "20"],
                                   ["exact", "x.csv", "--r1", "5"],
                                   ["exact", "x.csv", "--retries", "2"],
+                                  ["exact", "x.csv", "--seed", "3"],
                                   ["rankk", "x.csv", "--k", "2", "--mode",
                                    "theory"]])
 def test_cli_removed_switches_do_not_parse(argv, capsys):
@@ -518,22 +533,22 @@ def _subparsers():
 def test_cli_option_inventory():
     # each subcommand registers only the options it reads; a new option
     # must be added here on purpose
-    io_opts = {"input", "format", "seed", "output", "output_format"}
-    sketch = {"eps", "retries", "delta", "mode", "r1", "r2"}
+    io_opts = {"input", "format", "output", "output_format"}
+    sketch = {"seed", "eps", "retries", "delta", "mode", "r1", "r2"}
     expected = {
         "leverage": io_opts | sketch | {"estimator"},
         "exact": io_opts,
         "coherence": io_opts | sketch | {"method"},
         "cross": io_opts | sketch | {"kappa", "off_diagonal_only",
                                      "exact_pairs"},
-        "rankk": io_opts | {"eps", "retries", "k", "norm", "q"},
+        "rankk": io_opts | {"seed", "eps", "retries", "k", "norm", "q"},
         "underls": io_opts | sketch | {"rhs", "probs", "beta"},
     }
     found = {name: {a.dest for a in parser._actions
                     if not isinstance(a, argparse._HelpAction)}
              for name, parser in _subparsers().items()}
     assert found == expected
-    assert sum(map(len, found.values())) == 67
+    assert sum(map(len, found.values())) == 66
 
 
 def _choice_runs():

@@ -144,7 +144,8 @@ def test_shape_error_for_fat_matrix():
 def test_input_is_scanned_for_finiteness_once(monkeypatch):
     # A is scanned once: by the SRHT kernel as it reads it (r1 < n, where
     # the guarded Cholesky of the r1 x d PA needs no scan of its own), or
-    # by build_orthogonalizer where A itself is factored (r1 >= n)
+    # by build_orthogonalizer where A itself is factored (r1 >= n);
+    # mi_estimate always runs the SRHT, so the kernel's scan is the only one
     scanned = []
     real = levscore.validate_matrix
 
@@ -158,6 +159,9 @@ def test_input_is_scanned_for_finiteness_once(monkeypatch):
         scanned.clear()
         approx_leverage(A, make_plan(2000, 8, 0.5, r1=r1), seed=1)
         assert scanned == expected
+    scanned.clear()
+    mi_estimate(A, 1)
+    assert scanned == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

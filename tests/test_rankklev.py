@@ -26,7 +26,7 @@ def best_rank_k(A, k):
 
 def test_power_q_denominator_is_negative_for_valid_eps():
     # 2 ln(1 + eps/10) - 1/2 > 0 would need eps > 10 (e^{1/4} - 1);
-    # for every valid eps the fallback denominator is used
+    # for every valid eps the -1/2 is dropped
     for eps in (0.01, 0.5, 0.99):
         assert 2 * math.log(1 + eps / 10) - 0.5 < 0
         assert power_q(100, 100, 5, eps) >= 1
@@ -54,17 +54,31 @@ def test_power_q_validation():
 @pytest.mark.parametrize("shape", [(300, 40), (40, 300)])
 def test_gram_power_steps_match_direct_steps(shape):
     # the tall branch runs A (A^T A)^q Pi, the fat one (A A^T)^q A Pi;
-    # both equal q direct steps B <- A (A^T B) up to rounding
+    # both equal q direct steps B <- A (A^T B) up to rounding, and q = 0
+    # sketches A itself: B = A Pi
     A = np.random.default_rng(11).standard_normal(shape)
-    k, q = 2, 4
-    B, used_q = rankklev._power_sketch(A, k, 0.5, 5, q_override=q)
-    ref = A @ gaussian_matrix(SketchOperator("Gaussian", 5, shape[1], 2 * k))
-    for _ in range(q):
-        ref = A @ (A.T @ ref)
-    assert used_q == q
-    np.testing.assert_allclose(B, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
-    report = spectral_rankk(A, k, 0.5, seed=5, q_override=q)
-    assert report.extras == {"q": q, "rank": 2 * k}
+    k = 2
+    for q in (4, 0):
+        B, used_q = rankklev._power_sketch(A, k, 0.5, 5, q_override=q)
+        ref = A @ gaussian_matrix(
+            SketchOperator("Gaussian", 5, shape[1], 2 * k))
+        for _ in range(q):
+            ref = A @ (A.T @ ref)
+        assert used_q == q
+        np.testing.assert_allclose(B, ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
+        report = spectral_rankk(A, k, 0.5, seed=5, q_override=q)
+        assert report.extras == {"q": q, "rank": 2 * k}
+
+
+@pytest.mark.parametrize("entry", [spectral_rankk, spectral_sketch_matrix])
+@pytest.mark.parametrize("eps, q", [(0.0, 2), (1.0, 2), (1.5, 2),
+                                    (math.nan, 2), (0.5, -1)])
+def test_spectral_checks_eps_and_q_when_q_is_given(entry, eps, q):
+    # a given q skips power_q, not the checks on eps and q
+    A = np.random.default_rng(3).standard_normal((30, 20))
+    with pytest.raises(errors.InvalidParameter):
+        entry(A, 3, eps, 0, q_override=q)
 
 
 # -------------------------------------------------------------- frobenius

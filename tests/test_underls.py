@@ -52,7 +52,6 @@ def test_draw_point_mass():
     p = SamplingProbabilities(p=np.eye(8)[5])
     S = draw_sampling_matrix(p, r=16, seed=0)
     assert S.selected.tolist() == [5] and S.counts.tolist() == [16]
-    np.testing.assert_allclose(S.weights, 1 / math.sqrt(16))
 
 
 def test_draw_deterministic():
@@ -82,8 +81,6 @@ def test_draw_counts_are_the_seeded_multinomial():
     assert np.array_equal(S.selected, np.flatnonzero(expected))
     assert np.array_equal(S.counts, expected[S.selected])
     assert S.r == r and S.d == 300 and S.counts.sum() == r
-    np.testing.assert_allclose(S.weights, 1 / np.sqrt(r * p.p[S.selected]),
-                               rtol=0)
 
 
 def test_dense_sampling_matrix_structure():
@@ -91,12 +88,13 @@ def test_dense_sampling_matrix_structure():
     # in each of the c_j columns of a column j drawn c_j times
     p = SamplingProbabilities(p=np.full(4, 0.25))
     S = draw_sampling_matrix(p, 6, seed=1)
+    weights = 1 / np.sqrt(S.r * p.p[S.selected])
     rows = np.repeat(S.selected, S.counts)
     D = np.zeros((4, 6))
-    D[rows, np.arange(6)] = np.repeat(S.weights, S.counts)
+    D[rows, np.arange(6)] = np.repeat(weights, S.counts)
     np.testing.assert_allclose(D[rows, np.arange(6)], 1 / np.sqrt(6 * 0.25))
     A = np.random.default_rng(1).standard_normal((3, 4))
-    C = A[:, S.selected] * np.sqrt(S.counts) * S.weights
+    C = A[:, S.selected] * np.sqrt(S.counts) * weights
     np.testing.assert_allclose((A @ D) @ (A @ D).T, C @ C.T, rtol=1e-13)
 
 
@@ -104,7 +102,7 @@ def test_draw_memory_does_not_grow_with_r():
     # 10^15 draws are held as one (column, count) pair per drawn column
     p = SamplingProbabilities(p=np.full(50, 1 / 50))
     S = draw_sampling_matrix(p, 10**15, seed=3)
-    assert S.selected.size == S.counts.size == S.weights.size == 50
+    assert S.selected.size == S.counts.size == 50
     assert int(S.counts.sum()) == 10**15
 
 
@@ -212,7 +210,7 @@ def test_conditioned_bound_when_premise_holds():
         from levsketch.underls import draw_sampling_matrix, sample_size
         r = sample_size(6, 1.0, eps, 0.1)
         S = draw_sampling_matrix(p, r, seed)
-        VS = V.T[:, S.selected] * np.sqrt(S.counts) * S.weights
+        VS = V.T[:, S.selected] * np.sqrt(S.counts / (S.r * p.p[S.selected]))
         s = np.linalg.svd(VS, compute_uv=False)
         if np.all((s >= math.sqrt(1 - eps)) & (s <= math.sqrt(1 + eps))):
             x = underls_solve(A, b, p, epsilon=eps, delta=0.1, seed=seed)
@@ -230,7 +228,7 @@ def test_unbiased_sampled_gram():
     grams = []
     for seed in range(200):
         S = draw_sampling_matrix(p, 50, seed)
-        VS = V.T[:, S.selected] * np.sqrt(S.counts) * S.weights
+        VS = V.T[:, S.selected] * np.sqrt(S.counts / (S.r * p.p[S.selected]))
         grams.append(VS @ VS.T)
     mean = np.mean(grams, axis=0)
     sem = np.std(grams, axis=0, ddof=1) / math.sqrt(len(grams))
@@ -260,7 +258,8 @@ def test_solve_matches_explicit_sample_formula():
     for seed in range(3):
         S = draw_sampling_matrix(p, r, seed)
         draws = np.repeat(np.arange(S.selected.size), S.counts)
-        AS_pinv = pseudoinverse(A[:, S.selected[draws]] * S.weights[draws])
+        weights = 1 / np.sqrt(S.r * p.p[S.selected])
+        AS_pinv = pseudoinverse(A[:, S.selected[draws]] * weights[draws])
         ref = A.T @ (AS_pinv.T @ (AS_pinv @ b))
         x = underls_solve(A, b, p, epsilon=0.5, delta=0.1, seed=seed)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
