@@ -28,6 +28,10 @@ from which the kept rows are gathered. So the SRHT reads x once, writes
 and reads the slabs z once each, and writes its r kept rows. Its
 transpose needs no kernel of its own: H is symmetric, so it is one
 ``fwht_inplace`` of the r rows placed at their indices.
+
+``product_sq_norms`` reads the squared row norms of a product a w tile by
+tile, each row tile formed in one reused scratch, so the n-row product is
+never stored.
 """
 
 from __future__ import annotations
@@ -231,17 +235,17 @@ def row_sq_norms(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
-def product_sq_norms(a: np.ndarray, w: np.ndarray):
-    """``(x, row_sq_norms(x))`` for x = a @ w, in one pass over row tiles
-    of at most ``_SCRATCH_BYTES``, so each tile of x is still in cache
-    when its norms are read."""
+def product_sq_norms(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``row_sq_norms(a @ w)`` without the n x k product: each row tile of
+    a @ w is formed in one reused scratch of at most ``_SCRATCH_BYTES``
+    and its norms are read while it is still in cache."""
     n, k = a.shape[0], w.shape[1]
-    x, sq = np.empty((n, k)), np.empty(n)
     step = max(1, _SCRATCH_BYTES // (8 * max(a.shape[1], k)))
+    sq, tile = np.empty(n), np.empty((min(step, n), k))
     for i in range(0, n, step):
-        t = np.matmul(a[i:i + step], w, out=x[i:i + step])
+        t = np.matmul(a[i:i + step], w, out=tile[:min(step, n - i)])
         np.einsum("ij,ij->i", t, t, out=sq[i:i + step])
-    return x, sq
+    return sq
 
 
 def backend_name() -> str:

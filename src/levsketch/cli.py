@@ -112,13 +112,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _parse(cast, raw: str, what: str):
+    """``cast(raw)``, or ``InvalidParameter`` naming ``what`` and ``raw``."""
+    try:
+        return cast(raw)
+    except ValueError:
+        raise errors.InvalidParameter(f"bad {what} value {raw!r}") from None
+
+
 def _resolve_kappa(raw, n: int) -> float:
     if isinstance(raw, str) and raw.strip().lower() == "nlogn":
         return n * math.log(n)
-    try:
-        return float(raw)
-    except ValueError:
-        raise errors.InvalidParameter(f"bad --kappa value {raw!r}")
+    return _parse(float, raw, "--kappa")
 
 
 def _emit(doc: dict, args) -> None:
@@ -228,6 +233,7 @@ def _run_coherence(args, A) -> dict:
 def _run_cross(args, A) -> dict:
     n, d = A.shape
     kappa = _resolve_kappa(args.kappa, n)
+    params = {"n": n, "d": d, "kappa": kappa, "exact": args.exact_pairs}
     if args.exact_pairs:
         t0 = time.perf_counter()
         f = matcore.thin_svd(A)
@@ -236,13 +242,11 @@ def _run_cross(args, A) -> dict:
         hp.timings_ms = {"svd_ms": (t1 - t0) * 1e3,
                          "search_ms": (time.perf_counter() - t1) * 1e3}
         used_seed = args.seed
-        params = {"n": n, "d": d, "kappa": kappa, "exact": True}
     else:
         plan = _plan_for(args, n, d)
         hp, used_seed = _with_retries(
             lambda s: approx_cross_leverage(A, plan, kappa, s), args)
-        params = {"n": n, "d": d, "kappa": kappa, "exact": False,
-                  **_plan_params(plan, hp.extras)}
+        params.update(_plan_params(plan, hp.extras))
     if args.off_diagonal_only:
         hp = hp.off_diagonal()
     return {"params": params, "seed": used_seed, "timings_ms": hp.timings_ms,
@@ -309,7 +313,8 @@ def main(argv=None) -> int:
             raise errors.InvalidParameter(
                 f"--retries must be >= 0, got {args.retries}")
         if getattr(args, "seed", 0) is None:  # nor does it draw
-            args.seed = int(os.environ.get("LEVSKETCH_SEED", "0"))
+            args.seed = _parse(int, os.environ.get("LEVSKETCH_SEED", "0"),
+                               "$LEVSKETCH_SEED")
         doc = _RUNNERS[args.command](args, io.load_matrix(args.input,
                                                           args.format))
     except _RetriesExhausted as exc:

@@ -7,12 +7,13 @@ Rows are ranked by numpy's default (SIMD) sort; the order it gives
 equal norms changes nothing in the result, as the candidates depend only
 on the sorted norms and the pairs are returned ordered by (i, j).
 ``heavy_pairs`` validates X; the search itself, ``_heavy_pairs``, trusts
-X and takes its X^T X. The sketched variant searches the factor X that
-``approx_leverage`` returns: A R^{-1}, or, when stage 2 compresses,
-Omega = A R^{-1} Pi2. The search runs with kappa rescaled by
-||X^T X||_F^2 / d, giving an effective cutoff of d / kappa, and reuses the
-X^T X of that rescaling; X, which the sketch formed, is not validated
-again.
+X and takes its X^T X and squared row norms. The sketched variant forms
+X = A W from the map W that ``approx_leverage`` returns: A R^{-1}, or,
+when stage 2 compresses, Omega = A R^{-1} Pi2. It is the only consumer of
+X. The search runs with kappa rescaled by ||X^T X||_F^2 / d, giving an
+effective cutoff of d / kappa, and reuses the X^T X of that rescaling and
+the leverage scores as X's row norms; X, formed from an input the sketch
+validated, is not validated again.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import errors
 from ._kernels import row_sq_norms
 from .levscore import approx_leverage
-from .matcore import validate_matrix
+from .matcore import _as_matrix, validate_matrix
 from .sketch import SketchPlan
 
 # float64 elements in one tile of inner products or of gathered rows (4 MB)
@@ -74,11 +75,11 @@ def heavy_pairs(x, kappa: float) -> HeavyPairSet:
     ||x_z||^2 ||x_j||^2 >= threshold, and the candidates first[z] <= j <= z
     are verified by blocked matrix products.
     O(nr + kappa r^2 + n ln n). Validates X and kappa, forms X^T X and
-    runs the trusted search ``_heavy_pairs``.
+    the squared row norms and runs the trusted search ``_heavy_pairs``.
     """
     X = validate_matrix(x)
     _check_kappa(kappa)
-    return _heavy_pairs(X, X.T @ X, kappa)
+    return _heavy_pairs(X, X.T @ X, row_sq_norms(X), kappa)
 
 
 def _check_kappa(kappa: float) -> None:
@@ -87,17 +88,16 @@ def _check_kappa(kappa: float) -> None:
             f"kappa must exceed 1 and be finite, got {kappa}")
 
 
-def _heavy_pairs(X: np.ndarray, gram: np.ndarray,
+def _heavy_pairs(X: np.ndarray, gram: np.ndarray, norms: np.ndarray,
                  kappa: float) -> HeavyPairSet:
-    """``heavy_pairs`` on a trusted X (finite, C-contiguous float64) and
-    its Gram ``gram`` = X^T X."""
+    """``heavy_pairs`` on a trusted X (finite, C-contiguous float64), its
+    Gram ``gram`` = X^T X and its squared row norms ``norms``."""
     n, r = X.shape
     gram_fro_sq = float(np.sum(gram * gram))
     if gram_fro_sq <= 0.0:
         raise errors.ZeroMatrix("||X^T X||_F is zero; threshold degenerate")
     threshold = gram_fro_sq / kappa
 
-    norms = row_sq_norms(X)
     # numpy's default sort is a SIMD one, several times faster than the
     # stable sort; it may rank equal norms either way, which moves a pair
     # between tiles but changes neither first[] nor the pairs found
@@ -212,21 +212,24 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
                           seed: int) -> HeavyPairSet:
     """Large cross-leverage scores via the leverage sketch.
 
-    Runs ``approx_leverage`` and searches its factor X for heavy pairs.
-    X is A R^{-1} when ``plan.r2 >= rank``, and otherwise the sketch
-    Omega = A R^{-1} Pi2 for the seeded stage-2 map Pi2. The search runs
-    at the rescaled threshold kappa' = kappa ||X^T X||_F^2 / d, so that
-    the effective cutoff on sketched inner products is exactly d / kappa;
-    it reuses that X^T X and trusts X, which ``approx_leverage`` formed
-    itself. Since
+    Runs ``approx_leverage``, forms X = A W from the map W it returns and
+    searches X for heavy pairs. X is A R^{-1} when ``plan.r2 >= rank``,
+    and otherwise the sketch Omega = A R^{-1} Pi2 for the seeded stage-2
+    map Pi2. The search runs at the rescaled threshold
+    kappa' = kappa ||X^T X||_F^2 / d, so that the effective cutoff on
+    sketched inner products is exactly d / kappa; it reuses that X^T X,
+    takes the leverage scores as X's squared row norms (they are those
+    norms, bit for bit) and trusts X, whose input ``approx_leverage``
+    validated. Since
     ||X^T X||_F^2 <= d (1 + 30 d eps) whenever the sketch preserves
     pairwise inner products, kappa' <= kappa (1 + 30 d eps).
     """
     _check_kappa(kappa)
     t0 = time.perf_counter()
-    report, basis = approx_leverage(a, plan, seed)
+    A = _as_matrix(a)
+    report, basis = approx_leverage(A, plan, seed)
     d = report.extras["rank"]  # equals d: a rank-deficient sketch raises
-    X = basis.factor
+    X = A @ basis.W
     gram = X.T @ X
     gram_fro_sq = float(np.sum(gram * gram))
     if not math.isfinite(gram_fro_sq):
@@ -238,7 +241,7 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
             f"kappa {kappa} is too large: the rescaled kappa * "
             f"||X^T X||_F^2 / d overflowed")
     t1 = time.perf_counter()
-    result = _heavy_pairs(X, gram, kappa_prime)
+    result = _heavy_pairs(X, gram, report.scores, kappa_prime)
     t2 = time.perf_counter()
     result.kappa = kappa
     result.extras = {**report.extras, "route": basis.route}

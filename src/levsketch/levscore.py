@@ -4,8 +4,10 @@ The two-stage sketch: an SRHT compresses the rows of A so that a cheap
 d x d orthogonalizer R^{-1} of the compressed matrix makes A R^{-1}
 approximately orthonormal; when its target dimension r2 is below the
 rank, a sparse JLT Pi2 then compresses the columns, and the leverage
-estimates are the squared row norms of Omega = A R^{-1} Pi2, formed as
-A (R^{-1} Pi2). Each stage is skipped where it cannot compress (r1 >= n,
+estimates are the squared row norms of Omega = A W for the d x r2 map
+W = R^{-1} Pi2, read tile by tile: Omega itself is never stored, and a
+caller that needs it (the cross-leverage search) forms A W from the
+returned W. Each stage is skipped where it cannot compress (r1 >= n,
 r2 >= rank), which makes the plan r1 = n, r2 = d exact.
 
 R comes by one of three routes (``Orthogonalizer.route``). A sketch is
@@ -58,15 +60,16 @@ class Orthogonalizer:
 
 @dataclass
 class SketchedBasis:
-    """The n x min(rank, r2) factor X whose squared row norms are the scores.
+    """The d x min(rank, r2) map W whose product A W has the scores as its
+    squared row norms.
 
-    X = A R^{-1} when r2 >= rank, and the sketch Omega = A R^{-1} Pi2
-    otherwise. ``route`` is the orthogonalizer's; ``timings_ms`` holds
-    ``sketch_apply_ms``, ``factorization_ms`` and ``product_ms`` (the pass
-    that forms X and its row norms).
+    W = R^{-1} when r2 >= rank, and R^{-1} Pi2 otherwise, so that A W is
+    A R^{-1} or the sketch Omega. ``route`` is the orthogonalizer's;
+    ``timings_ms`` holds ``sketch_apply_ms``, ``factorization_ms`` and
+    ``product_ms`` (the pass that reads the row norms of A W).
     """
 
-    factor: np.ndarray
+    W: np.ndarray
     route: str
     timings_ms: dict = field(default_factory=dict, compare=False)
 
@@ -206,10 +209,11 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     entries as it weighs them (r1 < n), and ``build_orthogonalizer``
     validates A itself (r1 >= n); both raise ``NonFiniteEntry``. Only the
     SRHT's PA is factored as a sketch (``sketched=True``); the exact plan
-    keeps CholeskyQR2. X = A W, with W = R^{-1} or the d x r2 product
-    R^{-1} Pi2, is formed with its squared row norms in one pass over row
-    tiles of A. Returns ``(LeverageReport, SketchedBasis)``;
-    ``extras["r2"]`` is the number of columns of X, ``min(rank, plan.r2)``.
+    keeps CholeskyQR2. With W = R^{-1} or the d x r2 product R^{-1} Pi2,
+    the scores are the squared row norms of A W, read tile by tile without
+    forming the n-row product. Returns ``(LeverageReport, SketchedBasis)``
+    with W in the basis; ``extras["r2"]`` is the number of columns of W,
+    ``min(rank, plan.r2)``.
     """
     A = _as_matrix(a)
     n, d = A.shape
@@ -224,27 +228,20 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     orth = build_orthogonalizer(PA, allow_rank_deficient=allow_rank_deficient,
                                 sketched=plan.r1 < n)
     r1 = PA.shape[0]
-    del PA  # free the sketched matrix before the n x rank products
+    del PA  # free the sketched matrix before the product pass
     t2 = time.perf_counter()
     rank = orth.rank
     W = orth.Rinv
     if plan.r2 < rank:
         W = apply_sparse_jlt(SketchOperator("SparseJLT", seed, rank, plan.r2),
                              W)
-    X, scores = product_sq_norms(A, W)
+    scores = product_sq_norms(A, W)
     t3 = time.perf_counter()
-    total = float(scores.sum())
-    report = LeverageReport(
-        scores=scores,
-        coherence=float(scores.max()),
-        normalized=scores / total if total > 0 else np.zeros_like(scores),
-        method="sketched",
-        params=plan,
-        seed=int(seed),
-        extras={"rank": rank, "r1": r1, "r2": X.shape[1]},
-    )
+    report = LeverageReport.from_scores(
+        scores, "sketched", params=plan, seed=int(seed),
+        extras={"rank": rank, "r1": r1, "r2": W.shape[1]})
     return report, SketchedBasis(
-        factor=X, route=orth.route,
+        W=W, route=orth.route,
         timings_ms={"sketch_apply_ms": (t1 - t0) * 1e3,
                     "factorization_ms": (t2 - t1) * 1e3,
                     "product_ms": (t3 - t2) * 1e3})
@@ -274,12 +271,6 @@ def mi_estimate(a, seed: int) -> LeverageReport:
                              sketched=True).Rinv
     w_raw = np.einsum("ts,ts->t", A, _srht_transpose(op, (PA @ W) @ W.T))
     floor = d * ln_n**2 / (4.0 * n)
-    w = np.maximum(w_raw, floor)
-    return LeverageReport(
-        scores=w,
-        coherence=float(w.max()),
-        normalized=w / float(w.sum()),
-        method="mi_estimator",
-        seed=int(seed),
-        extras={"r": r, "floor": floor},
-    )
+    return LeverageReport.from_scores(
+        np.maximum(w_raw, floor), "mi_estimator", seed=int(seed),
+        extras={"r": r, "floor": floor})

@@ -73,6 +73,17 @@ class LeverageReport:
     def n(self) -> int:
         return int(self.scores.size)
 
+    @classmethod
+    def from_scores(cls, scores: np.ndarray, method: str,
+                    **fields) -> "LeverageReport":
+        """The report of ``scores``: their maximum as the coherence and
+        their normalization (all zeros where every score is 0)."""
+        total = float(scores.sum())
+        return cls(scores=scores, coherence=float(scores.max()),
+                   normalized=(scores / total if total > 0
+                               else np.zeros_like(scores)),
+                   method=method, **fields)
+
 
 def thin_svd(a) -> ThinSVD:
     """Thin SVD with singular values at or below ``DEFAULT_RANK_TOL * s[0]``
@@ -98,16 +109,8 @@ def pseudoinverse(a) -> np.ndarray:
 def exact_leverage(a) -> LeverageReport:
     """Exact leverage scores: squared row norms of the thin-SVD basis U."""
     f = thin_svd(a)
-    scores = row_sq_norms(f.U)
-    total = float(scores.sum())
-    normalized = scores / total if total > 0 else np.zeros_like(scores)
-    return LeverageReport(
-        scores=scores,
-        coherence=float(scores.max()),
-        normalized=normalized,
-        method="exact",
-        extras={"rank": f.rank},
-    )
+    return LeverageReport.from_scores(row_sq_norms(f.U), "exact",
+                                      extras={"rank": f.rank})
 
 
 def exact_cross_leverage(a) -> np.ndarray:

@@ -123,14 +123,15 @@ def underls_solve(a, b, p: SamplingProbabilities, epsilon: float,
     sqrt(draws_j / (r p_j)), and (C C^T)^{-1} = W W^T for the n x n
     W = R^{-1} that ``build_orthogonalizer(C^T, sketched=True)`` returns
     (C being a sample of A's columns); it raises ``RankDeficient`` when C
-    has rank below n. If ``extras`` is a dict it receives ``r``,
-    ``distinct`` (c) and the orthogonalizer's ``route``.
+    has rank below n. A and b are checked finite (``NonFiniteEntry``). If
+    ``extras`` is a dict it receives ``r``, ``distinct`` (c) and the
+    orthogonalizer's ``route``.
     """
     A = validate_matrix(a)
     n, d = A.shape
     if n >= d:
         raise errors.ShapeError(f"need n < d, got shape {A.shape}")
-    bvec = np.asarray(b, dtype=np.float64).reshape(-1)
+    bvec = validate_matrix(b, "b").reshape(-1)
     if bvec.size != n:
         raise errors.DimensionMismatch(f"b has length {bvec.size}, expected {n}")
     if p.p.size != d:

@@ -325,7 +325,7 @@ def test_narrow_factor_matches_search_on_full_sketch(stage2, d, r2):
     for seed in range(3):
         hp = approx_cross_leverage(A, plan, kappa, seed)
         # Omega = (A R^-1) Pi2, with A R^-1 from the same seed's stage 1
-        omega = approx_leverage(A, stage1_only, seed)[1].factor
+        omega = A @ approx_leverage(A, stage1_only, seed)[1].W
         if stage2 == "sparse":
             omega = omega @ _sparse_jlt_matrix(
                 SketchOperator("SparseJLT", seed, d, plan.r2))
@@ -351,7 +351,7 @@ def test_sketched_search_equals_heavy_pairs_on_its_own_factor(n, d, r2):
     kappa = n * math.log(n)
     for seed in range(2):
         hp = approx_cross_leverage(A, plan, kappa, seed)
-        X = approx_leverage(A, plan, seed)[1].factor
+        X = A @ approx_leverage(A, plan, seed)[1].W
         gram = X.T @ X
         ref = heavy_pairs(X, kappa * float(np.sum(gram * gram)) / d)
         assert (3, 7) in hp.indices()
@@ -359,6 +359,27 @@ def test_sketched_search_equals_heavy_pairs_on_its_own_factor(n, d, r2):
         assert hp.threshold == ref.threshold
         assert hp.gram_fro_sq == ref.gram_fro_sq
         assert hp.candidates == ref.candidates
+
+
+def test_sketched_search_reuses_the_scores_as_row_norms(monkeypatch):
+    # the leverage scores are X's squared row norms, so the sketched search
+    # takes them and does not compute the norms again; heavy_pairs does
+    calls = []
+    real = crosslev.row_sq_norms
+
+    def counting(x):
+        calls.append(x.shape)
+        return real(x)
+
+    monkeypatch.setattr(crosslev, "row_sq_norms", counting)
+    A = planted_matrix(seed=6, n=4096, d=8)
+    for r2 in (None, 4):
+        hp = approx_cross_leverage(A, make_plan(4096, 8, 0.5, r2=r2),
+                                   4096 * math.log(4096), seed=1)
+        assert (3, 7) in hp.indices()
+    assert calls == []
+    heavy_pairs(A, 4096 * math.log(4096))
+    assert calls == [(4096, 8)]
 
 
 def test_kappa_just_above_one_finds_no_pairs():

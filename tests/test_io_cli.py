@@ -494,6 +494,16 @@ def test_cli_env_seed(tmp_path, capsys, rng, monkeypatch):
     assert doc["seed"] == 123
 
 
+def test_cli_non_integer_env_seed_is_a_usage_error(tmp_path, capsys, rng,
+                                                   monkeypatch):
+    path = write_fixture(tmp_path, rng.standard_normal((50, 4)))
+    monkeypatch.setenv("LEVSKETCH_SEED", "abc")
+    assert main(["leverage", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "LEVSKETCH_SEED" in err and "'abc'" in err
+
+
 def test_cli_hard_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\nx,y\n")

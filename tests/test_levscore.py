@@ -84,7 +84,7 @@ def test_report_metadata():
     assert report.params is plan
     rank = report.extras["rank"]
     assert report.extras["r2"] == min(rank, plan.r2)
-    assert basis.factor.shape == (64, min(rank, plan.r2))
+    assert basis.W.shape == (4, min(rank, plan.r2))
     assert abs(report.normalized.sum() - 1.0) <= 1e-12
     assert report.coherence == pytest.approx(report.scores.max())
 
@@ -103,8 +103,9 @@ def test_basis_and_cross_pairs_report_the_route():
 
 
 def test_stage2_factor_has_the_row_inner_products_of_omega():
-    # at r2 = 5 < rank = 12 the factor is Omega = (A R^-1) Pi2 itself, with
-    # A R^-1 from the same seed's stage 1; at r2 = rank stage 2 is skipped
+    # at r2 = 5 < rank = 12 the factor A W is Omega = (A R^-1) Pi2 itself,
+    # with A R^-1 from the same seed's stage 1; at r2 = rank stage 2 is
+    # skipped
     rng = np.random.default_rng(2)
     A = rng.standard_normal((64, 12))
     report, basis = approx_leverage(A, make_plan(64, 12, 0.5, r2=5), seed=3)
@@ -112,17 +113,18 @@ def test_stage2_factor_has_the_row_inner_products_of_omega():
     report12, basis12 = approx_leverage(A, make_plan(64, 12, 0.5, r2=12),
                                         seed=3)
     assert report12.extras["r2"] == 12
-    omega = basis12.factor @ _sparse_jlt_matrix(
+    omega = (A @ basis12.W) @ _sparse_jlt_matrix(
         SketchOperator("SparseJLT", 3, 12, 5))
-    assert basis.factor.shape == omega.shape == (64, 5)
-    np.testing.assert_allclose(basis.factor, omega, rtol=1e-13,
+    X = A @ basis.W
+    assert X.shape == omega.shape == (64, 5)
+    np.testing.assert_allclose(X, omega, rtol=1e-13,
                                atol=1e-13 * np.abs(omega).max())
     np.testing.assert_allclose(report.scores, np.sum(omega**2, axis=1),
                                rtol=1e-13)
 
 
 def test_stage2_skipped_when_r2_reaches_rank():
-    # r1 = 915 < n, r2 = 366 >= rank: the factor is A R^-1 from stage 1
+    # r1 = 915 < n, r2 = 366 >= rank: the factor A W is A R^-1 from stage 1
     rng = np.random.default_rng(13)
     n, d = 2048, 6
     A = rng.standard_normal((n, d))
@@ -130,8 +132,10 @@ def test_stage2_skipped_when_r2_reaches_rank():
     assert plan.r1 < n and plan.r2 >= d
     report, basis = approx_leverage(A, plan, seed=5)
     PA = apply_srht(SketchOperator("SRHT", 5, n, plan.r1), A)
-    np.testing.assert_array_equal(
-        basis.factor, A @ build_orthogonalizer(PA, sketched=True).Rinv)
+    X = A @ build_orthogonalizer(PA, sketched=True).Rinv
+    np.testing.assert_array_equal(A @ basis.W, X)
+    # the tiled scores are the row norms of the one product, bit for bit
+    np.testing.assert_array_equal(report.scores, np.einsum("ij,ij->i", X, X))
     assert report.extras["r2"] == report.extras["rank"] == d
     assert report.extras["r1"] == plan.r1
 
@@ -191,7 +195,7 @@ def test_zero_rows_score_exactly_zero():
         assert report.extras["r1"] == 512
         assert report.extras["r2"] == (r2 or 16)
         assert np.all(report.scores[[0, 777, 1999]] == 0.0)
-        assert np.all(basis.factor[[0, 777, 1999]] == 0.0)
+        assert np.all((A @ basis.W)[[0, 777, 1999]] == 0.0)
         assert np.all(report.scores[1:777] > 0.0)
 
 

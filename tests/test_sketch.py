@@ -278,9 +278,25 @@ def test_product_sq_norms_tiles_match_one_product(monkeypatch):
     monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", 3840)
     rng = np.random.default_rng(5)
     a, w = rng.standard_normal((1000, 5)), rng.standard_normal((5, 3))
-    x, sq = _kernels.product_sq_norms(a, w)
-    np.testing.assert_allclose(x, a @ w, rtol=1e-13, atol=0)
-    np.testing.assert_array_equal(sq, _kernels.row_sq_norms(x))
+    sq = _kernels.product_sq_norms(a, w)
+    assert sq.shape == (1000,)
+    np.testing.assert_array_equal(sq, _kernels.row_sq_norms(a @ w))
+
+
+def test_product_sq_norms_does_not_form_the_product():
+    # the n x k product is never stored: its row tiles share one scratch,
+    # so the peak is the n scores plus at most _SCRATCH_BYTES
+    rng = np.random.default_rng(8)
+    a, w = rng.standard_normal((200_000, 16)), rng.standard_normal((16, 16))
+    product_bytes = a.shape[0] * w.shape[1] * 8
+    tracemalloc.start()
+    try:
+        sq = _kernels.product_sq_norms(a, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < product_bytes / 2, f"peak {peak / product_bytes:.2f} x n k"
+    assert sq.shape == (200_000,)
 
 
 @pytest.mark.parametrize("scratch_bytes", [None, 3840, 512])

@@ -245,6 +245,17 @@ def test_shape_and_dimension_errors():
         underls_solve(np.ones((2, 4)), np.ones(3), p, 0.5, 0.1, 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rhs_is_a_typed_error(bad):
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((8, 200))
+    p = leverage_probs_for_columns(A, "exact")
+    b = rng.standard_normal(8)
+    b[5] = bad
+    with pytest.raises(errors.NonFiniteEntry, match="b contains"):
+        underls_solve(A, b, p, 0.5, 0.1, 0)
+
+
 def test_solve_matches_explicit_sample_formula():
     # r >> d: most draws repeat a column, and merging repeats must not
     # change A^T (AS)^{+T} (AS)^+ b with AS built from every draw
