@@ -8,26 +8,31 @@ cost O(n d log n); a scratch of at most ``_SCRATCH_BYTES`` keeps the extra
 memory independent of n and d.
 
 One helper, ``_fwht_slabs``, transforms every slab (2^k consecutive rows)
-of an array, slab groups at a time: a group whose rows fit in half of the
-scratch is read once into one half (weighted, when the rows are the
-SRHT's D x, and checked finite there), moved between the two halves by
-every block but the last, and written once by the last. A slab larger
-than half the scratch first takes its leading blocks in place, tile by
-tile through the scratch, until the pieces it leaves fit. At the default
-2 MiB that happens for ``fwht_inplace`` once n d > 2^17 and for
-``sampled_fwht`` once (n_pad / 64) d > 2^17, that is n_pad > 2^23 / d.
+of an array, a batch of slabs at a time: a batch whose rows fit in half of
+the scratch is read once into one half (weighted, when the rows are the
+SRHT's D x), moved between the two halves by every block but the last,
+and written once by the last. A slab larger than half the scratch first
+takes its leading blocks in place, tile by tile through the scratch,
+until the pieces it leaves fit. At the default 2 MiB that happens for
+``fwht_inplace`` once n d > 2^17 and for ``sampled_fwht`` once
+(n_pad / 64) d > 2^17, that is n_pad > 2^23 / d.
 
 The subsampled transform computes only the kept rows of H_n [x; 0] for an
 x of n <= n_pad rows. With H_n = H_b (x) H_slab, b the first block and
 slab = n_pad / b, row I * slab + k of H_n [x; 0] is sum_J H_b[I, J] z_J[k],
 where z_J = H_slab x_J is the transform of the J-th slab of x. Only the
-ceil(n / slab) slabs that hold x are stored and transformed, so the
-padding costs less than one slab; the last block is then one product of
-H_b's first ceil(n / slab) columns with each tile of slab positions,
-from which the kept rows are gathered. So the SRHT reads x once, writes
-and reads the slabs z once each, and writes its r kept rows. Its
-transpose needs no kernel of its own: H is symmetric, so it is one
-``fwht_inplace`` of the r rows placed at their indices.
+ceil(n / slab) slabs that hold x are transformed, so the padding costs
+less than one slab, and they are transformed a group at a time into one
+buffer of at most ``_GROUP_SCRATCHES`` scratches (32 MiB at the default).
+Each group adds its share sum_{J in group} H_b[I, J] z_J[k] into every
+kept row: one product of the group's columns of H_b with each tile of
+slab positions, from which the kept rows are gathered. So the SRHT reads
+x once, writes and reads each slab once, and its memory is the group
+buffer and O(r d) for its r kept rows, whatever n is. The first row of
+each transformed slab sums the slab (row 0 of H_slab is all ones), so it
+is the input check: it is finite unless the slab holds a NaN or Inf, or
+overflows. The transpose needs no kernel of its own: H is symmetric, so
+it is one ``fwht_inplace`` of the r rows placed at their indices.
 
 ``product_sq_norms`` reads the squared row norms of a product a w tile by
 tile, each row tile formed in one reused scratch, so the n-row product is
@@ -46,6 +51,9 @@ _MAX_LOG_BLOCK = 6  # blocks of at most 64: one BLAS call outruns 6 butterflies
 # within one core's L2, and small enough that apply_srht's peak stays below
 # that of the padded n_pad x d buffer it replaces
 _SCRATCH_BYTES = 2 << 20
+_GROUP_SCRATCHES = 16  # transformed slabs sampled_fwht holds at once, 32 MiB:
+# smaller groups make more, smaller products with H_b (at 100000 x 64, five
+# groups took 1.15x the time of two)
 
 
 def _scratch(size: int) -> np.ndarray:
@@ -84,16 +92,12 @@ def _apply_block(x3: np.ndarray, h: np.ndarray, scratch: np.ndarray) -> None:
 
 
 def _weigh(src: np.ndarray, weights, dst: np.ndarray) -> None:
-    """dst <- diag(weights) [src; 0], or [src; 0] when ``weights`` is None.
-    Weighted rows are checked finite: with every |weight| <= 1 they are
-    finite exactly when ``src`` is, so this is the check on the input."""
+    """dst <- diag(weights) [src; 0], or [src; 0] when ``weights`` is None."""
     m = src.shape[0]
     if weights is None:
         dst[:m] = src
     else:
         np.multiply(src, weights[:, None], out=dst[:m])
-        if not np.isfinite(dst[:m]).all():
-            raise errors.NonFiniteEntry("matrix contains NaN or Inf entries")
     dst[m:] = 0.0
 
 
@@ -102,8 +106,8 @@ def _fwht_slabs(src: np.ndarray, weights, out: np.ndarray, log_slab: int,
     """out[s] <- H_slab (diag(weights) [src; 0])[s], unnormalized, for each
     slab of 2^log_slab rows of ``out``; ``src`` may be ``out`` itself.
 
-    Slabs are transformed in groups that fit in half of ``scratch``: a
-    group's weighted rows are written into one half, every Kronecker block
+    Slabs are transformed in batches that fit in half of ``scratch``: a
+    batch's weighted rows are written into one half, every Kronecker block
     but the last moves them to the other half and back, and the last
     writes into ``out``. A slab too large for half the scratch is first
     weighted into ``out`` and given its leading blocks in place, tile by
@@ -128,10 +132,10 @@ def _fwht_slabs(src: np.ndarray, weights, out: np.ndarray, log_slab: int,
         if k == len(logs):
             return
     rest = logs[k:]
-    group = (half // d) >> log_piece << log_piece
+    batch = (half // d) >> log_piece << log_piece
     halves = scratch[:half], scratch[half:2 * half]
-    for g0 in range(0, out.shape[0], group):
-        g1 = min(g0 + group, out.shape[0])
+    for g0 in range(0, out.shape[0], batch):
+        g1 = min(g0 + batch, out.shape[0])
         buf = halves[0][:(g1 - g0) * d]
         _weigh(src[g0:g1], None if weights is None else weights[g0:g1],
                buf.reshape(g1 - g0, d))
@@ -168,65 +172,101 @@ def _split(n: int, n_pad: int) -> tuple[int, np.ndarray]:
 
 def _tiles(rows: np.ndarray, log_slab: int, b: int, cols: int,
            scratch: np.ndarray) -> list:
-    """(flat, cs, kept, src, buf) for each tile that holds kept ``rows``.
+    """(flat, cs, span, src, buf) for each tile that holds kept ``rows``,
+    which come sorted by slab position ``rows & (slab - 1)``.
 
     With the slabs viewed as rows of slab * cols values, ``flat`` slices
     a tile of whole slab positions, or column slice ``cs`` of a single
-    position when its b output rows overflow ``scratch``. ``kept`` indexes
-    the rows that fall in the tile and ``src`` is their row in ``buf``,
-    the scratch for the tile's output of b * positions rows of ``cs``.
+    position when its b output rows overflow ``scratch``. The rows that
+    fall in the tile are the contiguous run ``rows[span]``, and ``src`` is
+    their row in ``buf``, the scratch for the tile's output of
+    b * positions rows of ``cs``.
     """
     slab = 1 << log_slab
     width = max(1, min(cols, scratch.size // b))
     per = scratch.size // (b * cols) if width == cols else 1
-    if width == cols and per >= slab:  # one tile: all positions and columns
-        buf = scratch[:b * slab * cols].reshape(-1, cols)
-        return [(slice(None), slice(None), slice(None), rows, buf)]
     offset = rows & (slab - 1)
-    order = np.argsort(offset, kind="stable")
     starts = np.arange(0, slab, per)
-    edges = np.searchsorted(offset[order], np.append(starts, slab))
+    edges = np.searchsorted(offset, np.append(starts, slab))
     tiles = []
     for t in np.flatnonzero(np.diff(edges)):
         k0 = int(starts[t])
         k1 = min(k0 + per, slab)
-        kept = order[edges[t]:edges[t + 1]]
-        src = (rows[kept] >> log_slab) * (k1 - k0) + offset[kept] - k0
+        span = slice(edges[t], edges[t + 1])
+        src = (rows[span] >> log_slab) * (k1 - k0) + offset[span] - k0
         for c0 in range(0, cols, width):
             cs = slice(c0, min(c0 + width, cols))
             flat = slice(k0 * cols + c0, (k1 - 1) * cols + cs.stop)
             buf = scratch[:b * (flat.stop - flat.start)]
-            tiles.append((flat, cs, kept, src, buf.reshape(-1, cs.stop - c0)))
+            tiles.append((flat, cs, span, src, buf.reshape(-1, cs.stop - c0)))
     return tiles
 
 
+def _check_slabs(z: np.ndarray, src: np.ndarray, log_slab: int) -> None:
+    """Raise ``NonFiniteEntry`` if a slab of ``src`` holds a NaN or infinite
+    entry, given its transformed weighted slabs ``z``. Row 0 of H_slab is
+    all ones, so the first row of each slab of ``z`` sums the slab's
+    weighted entries, column by column: it is finite unless the slab holds
+    a NaN or Inf or its finite entries overflow. Only a slab whose first
+    row is not finite is scanned, to tell the two apart; overflow is not
+    an error here."""
+    for j in np.flatnonzero(~np.isfinite(z[::1 << log_slab]).all(axis=1)):
+        if not np.isfinite(src[j << log_slab:(j + 1) << log_slab]).all():
+            raise errors.NonFiniteEntry("matrix contains NaN or Inf entries")
+
+
+@np.errstate(invalid="ignore")  # an Inf entry's slab raises NonFiniteEntry
 def sampled_fwht(a: np.ndarray, weights: np.ndarray, rows: np.ndarray,
                  n_pad: int) -> np.ndarray:
     """``(H_{n_pad} [diag(weights) a; 0])[rows]`` without the n_pad rows.
 
     ``a`` is a trusted n x d float64 array with n <= n_pad (a power of
-    two), ``weights`` its n row weights and ``rows`` distinct row indices
-    below n_pad. H is unnormalized. The only buffer of the input's size
-    holds the ceil(n / slab) transformed slabs of diag(weights) a; the
-    rest is the r x d result and a scratch of at most ``_SCRATCH_BYTES``.
-    ``a`` is not scanned beforehand: each slab group of diag(weights) a
-    is checked as it is weighted, and a NaN or infinite entry raises
-    ``NonFiniteEntry``. With every |weight| <= 1 that happens exactly when
-    ``a`` holds one.
+    two), ``weights`` its n finite row weights and ``rows`` distinct row
+    indices below n_pad. H is unnormalized. The slabs of diag(weights) a
+    are transformed a group at a time, each group in one buffer of at
+    most ``_GROUP_SCRATCHES`` scratches (a slab larger than that is split
+    into column blocks), and each group's share of every kept row is
+    added into the r x d result before the next group. So the memory is
+    that buffer, the result twice over (it is gathered in tile order and
+    put in row order once, at the end) and a scratch of at most
+    ``_SCRATCH_BYTES``, whatever n is. ``a`` is not scanned beforehand:
+    each transformed slab's first row is checked (see ``_check_slabs``),
+    and a NaN or infinite entry of ``a`` raises ``NonFiniteEntry``.
     """
     n, d = a.shape
     log_slab, h = _split(n, n_pad)
-    z = np.empty((h.shape[1] << log_slab, d))
+    b, slabs = h.shape
+    budget = _GROUP_SCRATCHES * _SCRATCH_BYTES // 8  # values in one group
+    width = min(d, max(1, budget >> log_slab))  # columns of a group
+    groups = -(-slabs // max(1, budget // (width << log_slab)))
+    per = -(-slabs // groups)  # slabs per group, evened out
+    order = np.argsort(rows & ((1 << log_slab) - 1), kind="stable")
+    kept = rows[order]
     scratch = _scratch(2 * n_pad * d)
-    _fwht_slabs(a, weights, z, log_slab, scratch)
-    z2 = z.reshape(h.shape[1], -1)
-    out = np.empty((rows.size, d))
-    for flat, cs, kept, src, buf in _tiles(rows, log_slab, h.shape[0], d, scratch):
-        np.matmul(h, z2[:, flat], out=buf.reshape(h.shape[0], -1))
-        if isinstance(kept, slice):  # the only tile: all rows, in order
-            buf.take(src, axis=0, out=out, mode="clip")  # unbuffered
-        else:
-            out[kept, cs] = buf[src]
+    z = np.empty((per << log_slab) * width)
+    acc = np.empty((rows.size, d))  # the kept rows in tile order
+    for c0 in range(0, d, width):
+        cols = slice(c0, min(c0 + width, d))
+        w = cols.stop - c0
+        tiles = _tiles(kept, log_slab, b, w, scratch)
+        for j0 in range(0, slabs, per):
+            j1 = min(j0 + per, slabs)
+            i0, i1 = j0 << log_slab, j1 << log_slab  # rows, with padding
+            src = a[i0:i1, cols]
+            zg = z[:(i1 - i0) * w].reshape(-1, w)
+            _fwht_slabs(src, weights[i0:i1], zg, log_slab, scratch)
+            _check_slabs(zg, src, log_slab)
+            z2 = zg.reshape(j1 - j0, -1)
+            for flat, cs, span, src_rows, buf in tiles:
+                np.matmul(h[:, j0:j1], z2[:, flat], out=buf.reshape(b, -1))
+                part = acc[span, c0 + cs.start:c0 + cs.stop]
+                if j0:
+                    part += buf[src_rows]
+                else:  # unbuffered where part is whole rows of acc
+                    buf.take(src_rows, axis=0, out=part, mode="clip")
+    del z, zg, z2  # the group buffer goes before the result is copied
+    out = np.empty_like(acc)
+    out[order] = acc
     return out
 
 

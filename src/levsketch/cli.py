@@ -241,7 +241,7 @@ def _run_cross(args, A) -> dict:
         hp = heavy_pairs(f.U, kappa)
         hp.timings_ms = {"svd_ms": (t1 - t0) * 1e3,
                          "search_ms": (time.perf_counter() - t1) * 1e3}
-        used_seed = args.seed
+        used_seed = None  # an exact search draws nothing
     else:
         plan = _plan_for(args, n, d)
         hp, used_seed = _with_retries(

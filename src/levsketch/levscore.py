@@ -38,8 +38,8 @@ from . import errors
 from ._kernels import product_sq_norms
 from .matcore import (DEFAULT_RANK_TOL, LeverageReport, _as_matrix,
                       validate_matrix)
-from .sketch import (SketchOperator, SketchPlan, apply_sparse_jlt, apply_srht,
-                     _srht_transpose)
+from .sketch import (SketchOperator, SketchPlan, _sparse_jlt_matrix,
+                     _srht_transpose, apply_srht)
 
 
 @dataclass(frozen=True)
@@ -206,10 +206,11 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     row norms of Omega = A R^{-1} Pi2. Otherwise they are the squared row
     norms of A R^{-1} itself; a zero row of A scores exactly 0, as R^{-1}
     is finite. A is read for validation once: the SRHT kernel checks its
-    entries as it weighs them (r1 < n), and ``build_orthogonalizer``
-    validates A itself (r1 >= n); both raise ``NonFiniteEntry``. Only the
-    SRHT's PA is factored as a sketch (``sketched=True``); the exact plan
-    keeps CholeskyQR2. With W = R^{-1} or the d x r2 product R^{-1} Pi2,
+    entries as it transforms them (r1 < n), and ``build_orthogonalizer``
+    validates A itself (r1 >= n); both raise ``NonFiniteEntry``. Stage 2
+    multiplies R^{-1}, which ``build_orthogonalizer`` returns finite, by
+    Pi2 without scanning it again. Only the SRHT's PA is factored as a
+    sketch (``sketched=True``); the exact plan keeps CholeskyQR2. With W = R^{-1} or the d x r2 product R^{-1} Pi2,
     the scores are the squared row norms of A W, read tile by tile without
     forming the n-row product. Returns ``(LeverageReport, SketchedBasis)``
     with W in the basis; ``extras["r2"]`` is the number of columns of W,
@@ -232,9 +233,9 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     t2 = time.perf_counter()
     rank = orth.rank
     W = orth.Rinv
-    if plan.r2 < rank:
-        W = apply_sparse_jlt(SketchOperator("SparseJLT", seed, rank, plan.r2),
-                             W)
+    if plan.r2 < rank:  # R^{-1} is finite: apply_sparse_jlt would rescan it
+        W = W @ _sparse_jlt_matrix(
+            SketchOperator("SparseJLT", seed, rank, plan.r2))
     scores = product_sq_norms(A, W)
     t3 = time.perf_counter()
     report = LeverageReport.from_scores(
@@ -256,7 +257,7 @@ def mi_estimate(a, seed: int) -> LeverageReport:
     With W = R^{-1} from ``build_orthogonalizer``, (Pi A)^+ = W W^T (Pi A)^T:
     row-wise dots of A with Pi^T (Pi A) W W^T, in O(n d) memory. A is read
     once: the SRHT kernel raises ``NonFiniteEntry`` for a NaN or infinite
-    entry as it weighs A, so A is not scanned beforehand.
+    entry as it transforms A, so A is not scanned beforehand.
     """
     A = _as_matrix(a)
     n, d = A.shape

@@ -165,12 +165,13 @@ def apply_srht(op: SketchOperator, a) -> np.ndarray:
     of two, applied to the rows of ``a`` with zero rows appended; D is a
     seeded +/-1 diagonal and S^T selects r distinct rows uniformly at
     random (all of them, in order, when r = n_pad). Only the r selected
-    rows are computed, and of the padding only the rest of the last slab
-    is stored (see ``sampled_fwht``): a slab holds n_pad / b rows, b being
-    the first Kronecker block, 32 or 64 once n_pad >= 512. Memory is
-    O((n + n_pad / b + r) d). ``a`` is read once: the kernel checks each
-    slab group's entries as it weighs them, and raises ``NonFiniteEntry``
-    for a NaN or infinite entry, so ``a`` is not scanned beforehand.
+    rows are computed, from slabs of n_pad / b rows (b being the first
+    Kronecker block, 32 or 64 once n_pad >= 512) transformed a bounded
+    group at a time (see ``sampled_fwht``). Beyond ``a`` itself, memory is
+    the 32 MiB group buffer, O(r d) and the n signs of D, whatever n is.
+    ``a`` is read once: the kernel checks the first row of each transformed
+    slab, which sums the slab, and raises ``NonFiniteEntry`` for a NaN or
+    infinite entry, so ``a`` is not scanned beforehand.
     """
     if op.kind != "SRHT":
         raise errors.InvalidParameter(f"not an SRHT operator: {op.kind}")

@@ -202,6 +202,9 @@ def test_cli_exact_leverage(tmp_path, capsys, rng):
     assert doc["seed"] is None  # an exact run draws nothing
     code, doc = run_cli(capsys, ["coherence", path, "--method", "exact"])
     assert code == 0 and doc["seed"] is None
+    for seed in ([], ["--seed", "7"]):
+        code, doc = run_cli(capsys, ["cross", path, "--exact-pairs", *seed])
+        assert code == 0 and doc["seed"] is None
 
 
 def test_cli_hadamard_leverage_near_uniform(tmp_path, capsys):

@@ -149,7 +149,9 @@ def test_input_is_scanned_for_finiteness_once(monkeypatch):
     # A is scanned once: by the SRHT kernel as it reads it (r1 < n, where
     # the guarded Cholesky of the r1 x d PA needs no scan of its own), or
     # by build_orthogonalizer where A itself is factored (r1 >= n);
-    # mi_estimate always runs the SRHT, so the kernel's scan is the only one
+    # mi_estimate always runs the SRHT, so the kernel's scan is the only one.
+    # Stage 2 (r2 = 4 < rank = 8) multiplies the finite R^-1 by Pi2 without
+    # the scan the public apply_sparse_jlt makes.
     scanned = []
     real = levscore.validate_matrix
 
@@ -158,11 +160,13 @@ def test_input_is_scanned_for_finiteness_once(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(levscore, "validate_matrix", counting)
+    monkeypatch.setattr(levsketch.sketch, "validate_matrix", counting)
     A = np.random.default_rng(4).standard_normal((2000, 8))
     for r1, expected in ((256, []), (2000, [(2000, 8)])):
-        scanned.clear()
-        approx_leverage(A, make_plan(2000, 8, 0.5, r1=r1), seed=1)
-        assert scanned == expected
+        for r2 in (None, 4):
+            scanned.clear()
+            approx_leverage(A, make_plan(2000, 8, 0.5, r1=r1, r2=r2), seed=1)
+            assert scanned == expected
     scanned.clear()
     mi_estimate(A, 1)
     assert scanned == []

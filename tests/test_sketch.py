@@ -152,22 +152,33 @@ def test_full_srht_pads_to_power_of_two():
     assert abs(np.linalg.norm(out) - np.linalg.norm(A)) <= 1e-12 * np.linalg.norm(A)
 
 
-def test_srht_allocates_no_input_sized_temporary():
-    # the slabs of D A (under n + n_pad / 64 rows: the first Kronecker
-    # block is 64 at both shapes) and the r x d output are the only large
-    # allocations; the n_pad x d padded buffer would add 31% of the input
-    # at 100000 rows, an n x d product A * D 100%
-    for n, d, r in ((100_000, 64, 4096), (60_000, 32, 7041)):
-        A = np.random.default_rng(2).standard_normal((n, d))
-        op = SketchOperator("SRHT", 3, n, r)
-        tracemalloc.start()
-        try:
-            apply_srht(op, A)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        budget = (n + next_pow2(n) // 64 + 2 * r) * d * 8 + 4 * 2**20
-        assert peak < budget, f"{n}x{d}: peak {peak / 2**20:.1f} MiB"
+def test_srht_allocates_no_input_sized_temporary(monkeypatch):
+    # the transformed slabs of D A are held one group at a time, in at most
+    # _GROUP_SCRATCHES scratches; beyond that buffer the peak is the r x d
+    # result twice (gathered in tile order, then put in row order), the
+    # scratch, one tile's gathered rows and the O(n) signs and selection,
+    # so it does not grow with n. At the default scratch 140000 x 64 takes
+    # 3 groups (35 slabs of 2 MiB, 16 to a group at most: groups of 12);
+    # at 512 KiB the three shapes take 7, 2 and 9. At 140000 x 64 the
+    # budget at the default scratch is 44 MiB, and a buffer for every slab
+    # would alone take 70.
+    for scratch_bytes in (_kernels._SCRATCH_BYTES, 1 << 19):
+        monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", scratch_bytes)
+        group = _kernels._GROUP_SCRATCHES * scratch_bytes
+        for n, d, r in ((100_000, 64, 4096), (60_000, 32, 7041),
+                        (140_000, 64, 4096)):
+            A = np.random.default_rng(2).standard_normal((n, d))
+            op = SketchOperator("SRHT", 3, n, r)
+            tracemalloc.start()
+            try:
+                apply_srht(op, A)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            budget = (group + 2 * scratch_bytes + 2 * r * d * 8
+                      + 2 * next_pow2(n) * 8)
+            assert peak < budget, (f"{n}x{d} at {scratch_bytes} bytes: "
+                                   f"peak {peak / 2**20:.1f} MiB")
 
 
 def hadamard_rows(rows, n, n_pad):
@@ -242,17 +253,19 @@ def test_sampled_fwht_tiles_match_oracle(monkeypatch, n, rows, scratch_bytes,
     # n = 63: n_pad = 64 = 64 blocks x 1 position, and 512 bytes hold one
     # column of the 64 output rows, so the one position splits in three.
     # Slab transforms: at 3840 bytes, n = 1000's 32-row slabs go two to a
-    # group through half the scratch; at 512 bytes a slab exceeds half and
+    # batch through half the scratch; at 512 bytes a slab exceeds half and
     # is transformed in place. n = 5000: n_pad = 8192 = 32 blocks x 256
     # positions; a 256-row slab (blocks 16, 16) exceeds half of 3840 bytes,
     # so its first block runs in place and its 16-row pieces go five to a
-    # group through the scratch.
+    # batch through the scratch.
     monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", scratch_bytes)
     d, n_pad = 3, next_pow2(n)
     rows = np.array(rows)
     log_slab, h = _kernels._split(n, n_pad)
     scratch = _kernels._scratch(n_pad * d)
-    assert len(_kernels._tiles(rows, log_slab, h.shape[0], d, scratch)) == tiles
+    by_position = rows[np.argsort(rows & ((1 << log_slab) - 1), kind="stable")]
+    assert len(_kernels._tiles(by_position, log_slab, h.shape[0], d,
+                               scratch)) == tiles
     rng = np.random.default_rng(19)
     A = rng.standard_normal((n, d))
     signs = rademacher(4, n, 0)
@@ -260,6 +273,48 @@ def test_sampled_fwht_tiles_match_oracle(monkeypatch, n, rows, scratch_bytes,
     np.testing.assert_allclose(sampled_fwht(A, 0.5 * signs, rows, n_pad),
                                0.5 * H @ (A * signs[:, None]), rtol=0,
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("n, d, scratch_bytes, groups, blocks", [
+    (1000, 3, 512, 4, 1),
+    (5000, 3, 512, 20, 1),
+    (5000, 6, 512, 20, 2),
+    (5000, 3, 3840, 2, 1),
+])
+def test_sampled_fwht_groups_match_oracle(monkeypatch, n, d, scratch_bytes,
+                                          groups, blocks):
+    # The group buffer holds 16 scratches: 1024 values at 512 bytes, 7680
+    # at 3840. n = 1000: 32 slabs of 32 rows x 3 columns, at most 10 a
+    # group, so 4 groups of 8. n = 5000: 20 slabs of 256 rows; at 512
+    # bytes each is a group of its own and exceeds half the scratch, so it
+    # is transformed in place, and every tile splits its columns (32
+    # output rows of 2 columns fill the scratch). With 6 columns a slab
+    # exceeds the group, which takes 4 columns: two column blocks, of 4
+    # and 2. At 3840 bytes 10 slabs fit a group: 2 groups.
+    monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", scratch_bytes)
+    checked = []
+    real = _kernels._check_slabs
+
+    def counting(z, src, log_slab):
+        checked.append(z.shape)
+        return real(z, src, log_slab)
+
+    monkeypatch.setattr(_kernels, "_check_slabs", counting)
+    n_pad = next_pow2(n)
+    rng = np.random.default_rng(n + d)
+    rows = np.union1d(rng.choice(n_pad, size=300, replace=False),
+                      [0, 1, n - 1, n_pad - 1])
+    A = rng.standard_normal((n, d))
+    signs = rademacher(7, n, 0)
+    H = hadamard_rows(rows, n, n_pad) * math.sqrt(n_pad)  # unnormalized
+    np.testing.assert_allclose(sampled_fwht(A, 0.5 * signs, rows, n_pad),
+                               0.5 * H @ (A * signs[:, None]), rtol=0,
+                               atol=1e-12)
+    assert len(checked) == groups * blocks
+    B = A.copy()
+    B[n // 2, d - 1] = np.nan  # in a middle group of the last column block
+    with pytest.raises(errors.NonFiniteEntry):
+        sampled_fwht(B, 0.5 * signs, rows, n_pad)
 
 
 def test_kernel_surface_inventory():
@@ -303,21 +358,24 @@ def test_product_sq_norms_does_not_form_the_product():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_entry_raises_wherever_it_sits(monkeypatch, scratch_bytes,
                                                   bad):
-    # apply_srht does not scan its input; the kernel checks D A as it
-    # weighs each group of slabs. With the default scratch every slab of
-    # n = 1000 (32 rows) and of n = 5000 (256 rows) sits in one group; at
-    # 3840 bytes n = 1000 runs two slabs a group, and n = 5000's slabs
-    # exceed half the scratch, so D A is written into the slab buffer and
-    # checked there; at 512 bytes both are. approx_leverage validates A
-    # itself, whether it runs the SRHT (r1 < n) or factors A (r1 >= n);
-    # mi_estimate leaves the check to the kernel.
+    # apply_srht does not scan its input; the kernel checks the first row
+    # of each transformed slab of D A, which sums the slab. With the
+    # default scratch every slab of n = 1000 (32 rows) and of n = 5000
+    # (256 rows) sits in one group; at 3840 bytes n = 5000 runs 2 groups,
+    # and its slabs exceed half the scratch, so they are transformed in
+    # place; at 512 bytes n = 1000 runs 4 groups and n = 5000 runs 20.
+    # Rows 0, n // 2 and n - 1 sit in the first, a middle and the last
+    # group, and last_slab on the first row of the slab that holds the
+    # padding. approx_leverage validates A itself, whether it runs the
+    # SRHT (r1 < n) or factors A (r1 >= n); mi_estimate leaves the check
+    # to the kernel.
     if scratch_bytes is not None:
         monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", scratch_bytes)
     for n in (1000, 5000):
         A = np.random.default_rng(n).standard_normal((n, 3))
         log_slab, _ = _kernels._split(n, next_pow2(n))
         last_slab = (n - 1) >> log_slab << log_slab  # holds padding rows
-        for row in (0, n - 1, last_slab):
+        for row in (0, n // 2, n - 1, last_slab):
             B = A.copy()
             B[row, 1] = bad
             with pytest.raises(errors.NonFiniteEntry):
@@ -331,6 +389,19 @@ def test_non_finite_entry_raises_wherever_it_sits(monkeypatch, scratch_bytes,
         B[last_slab, 1] = 1e300  # huge but finite: no error
         out = apply_srht(SketchOperator("SRHT", 1, n, 100), B)
         assert np.all(np.isfinite(out))
+        # a middle slab's first column at 1e308 with D's signs: its weighted
+        # entries, 1e307 each, overflow in the slab's sum, and that first
+        # row's infinity is no error, as no entry of B is infinite
+        op = SketchOperator("SRHT", 1, n, 100)
+        weights = rademacher(1, n, 0) / math.sqrt(op.out_dim)
+        B = A.copy()
+        mid = slice(n // 2 >> log_slab << log_slab,
+                    (n // 2 >> log_slab) + 1 << log_slab)
+        B[mid, 0] = 1e308 * np.sign(weights[mid])
+        with np.errstate(over="ignore"):
+            apply_srht(op, B)
+            total = sampled_fwht(B, weights, np.array([0]), next_pow2(n))
+        assert total[0, 0] == np.inf
 
 
 @pytest.mark.parametrize("n, r", [(1, 1), (3, 2), (65, 128), (1000, 77),
