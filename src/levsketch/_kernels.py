@@ -34,9 +34,9 @@ is the input check: it is finite unless the slab holds a NaN or Inf, or
 overflows. The transpose needs no kernel of its own: H is symmetric, so
 it is one ``fwht_inplace`` of the r rows placed at their indices.
 
-``product_sq_norms`` reads the squared row norms of a product a w tile by
-tile, each row tile formed in one reused scratch, so the n-row product is
-never stored.
+``product_sq_norms`` and ``product_gram`` read the squared row norms and
+the Gram of a product a w tile by tile, each row tile formed in one reused
+scratch, so the n-row product is never stored.
 """
 
 from __future__ import annotations
@@ -275,17 +275,34 @@ def row_sq_norms(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
-def product_sq_norms(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``row_sq_norms(a @ w)`` without the n x k product: each row tile of
-    a @ w is formed in one reused scratch of at most ``_SCRATCH_BYTES``
-    and its norms are read while it is still in cache."""
+def _product_tiles(a: np.ndarray, w: np.ndarray):
+    """(i, a[i:i + m] @ w) for each row tile of a @ w, every tile formed in
+    one reused scratch of at most ``_SCRATCH_BYTES``: a tile is valid only
+    until the next one is formed."""
     n, k = a.shape[0], w.shape[1]
     step = max(1, _SCRATCH_BYTES // (8 * max(a.shape[1], k)))
-    sq, tile = np.empty(n), np.empty((min(step, n), k))
+    tile = np.empty((min(step, n), k))
     for i in range(0, n, step):
-        t = np.matmul(a[i:i + step], w, out=tile[:min(step, n - i)])
-        np.einsum("ij,ij->i", t, t, out=sq[i:i + step])
+        yield i, np.matmul(a[i:i + step], w, out=tile[:min(step, n - i)])
+
+
+def product_sq_norms(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``row_sq_norms(a @ w)`` without the n x k product: its norms are read
+    from each row tile while the tile is still in cache."""
+    sq = np.empty(a.shape[0])
+    for i, t in _product_tiles(a, w):
+        np.einsum("ij,ij->i", t, t, out=sq[i:i + t.shape[0]])
     return sq
+
+
+def product_gram(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The k x k Gram (a @ w)^T (a @ w) without the n x k product: the Grams
+    of its row tiles are added up, so it equals the one-product Gram to
+    rounding, and bit for bit when a @ w fits in one tile."""
+    gram = np.zeros((w.shape[1], w.shape[1]))
+    for _, t in _product_tiles(a, w):
+        gram += t.T @ t
+    return gram
 
 
 def backend_name() -> str:

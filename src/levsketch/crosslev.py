@@ -7,13 +7,16 @@ Rows are ranked by numpy's default (SIMD) sort; the order it gives
 equal norms changes nothing in the result, as the candidates depend only
 on the sorted norms and the pairs are returned ordered by (i, j).
 ``heavy_pairs`` validates X; the search itself, ``_heavy_pairs``, trusts
-X and takes its X^T X and squared row norms. The sketched variant forms
-X = A W from the map W that ``approx_leverage`` returns: A R^{-1}, or,
-when stage 2 compresses, Omega = A R^{-1} Pi2. It is the only consumer of
-X. The search runs with kappa rescaled by ||X^T X||_F^2 / d, giving an
-effective cutoff of d / kappa, and reuses the X^T X of that rescaling and
-the leverage scores as X's row norms; X, formed from an input the sketch
-validated, is not validated again.
+X and takes its X^T X and squared row norms. The sketched variant
+searches X = A W for the map W that ``approx_leverage`` returns: A R^{-1},
+or, when stage 2 compresses, Omega = A R^{-1} Pi2. X is never stored:
+its Gram is summed over row tiles of A W (``product_gram``), and the
+search gathers each row block and column window from A and multiplies
+the gathered tile by W, so the cross path holds A, one tile of A W at a
+time and O(n) vectors. The search runs with kappa rescaled by
+||X^T X||_F^2 / d, giving an effective cutoff of d / kappa, and reuses
+the X^T X of that rescaling and the leverage scores as X's row norms; A,
+which the sketch validated, is not validated again.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import List, Tuple
 import numpy as np
 
 from . import errors
-from ._kernels import row_sq_norms
+from ._kernels import product_gram, row_sq_norms
 from .levscore import approx_leverage
 from .matcore import _as_matrix, validate_matrix
 from .sketch import SketchPlan
@@ -79,7 +82,7 @@ def heavy_pairs(x, kappa: float) -> HeavyPairSet:
     """
     X = validate_matrix(x)
     _check_kappa(kappa)
-    return _heavy_pairs(X, X.T @ X, row_sq_norms(X), kappa)
+    return _heavy_pairs(X, None, X.T @ X, row_sq_norms(X), kappa)
 
 
 def _check_kappa(kappa: float) -> None:
@@ -88,11 +91,18 @@ def _check_kappa(kappa: float) -> None:
             f"kappa must exceed 1 and be finite, got {kappa}")
 
 
-def _heavy_pairs(X: np.ndarray, gram: np.ndarray, norms: np.ndarray,
+def _heavy_pairs(A: np.ndarray, W, gram: np.ndarray, norms: np.ndarray,
                  kappa: float) -> HeavyPairSet:
-    """``heavy_pairs`` on a trusted X (finite, C-contiguous float64), its
-    Gram ``gram`` = X^T X and its squared row norms ``norms``."""
-    n, r = X.shape
+    """``heavy_pairs`` on X = A W, or X = A where ``W`` is None, for a
+    trusted A (finite, C-contiguous float64), given X's Gram ``gram`` =
+    X^T X and its squared row norms ``norms``.
+
+    X is never formed: each row block and column window of X is gathered
+    from A with ``take`` and multiplied by W in a tile of its own.
+    """
+    n, d = A.shape
+    r = d if W is None else W.shape[1]
+    wide = max(d, r)  # row width of a tile: gathered rows of A, or of X
     gram_fro_sq = float(np.sum(gram * gram))
     if gram_fro_sq <= 0.0:
         raise errors.ZeroMatrix("||X^T X||_F is zero; threshold degenerate")
@@ -111,7 +121,7 @@ def _heavy_pairs(X: np.ndarray, gram: np.ndarray, norms: np.ndarray,
     z0 = int(with_partner[0]) if with_partner.size else n
 
     rows_per = max(1, min(n - z0, math.isqrt(_BLOCK_ELEMS),
-                          _BLOCK_ELEMS // r))
+                          _BLOCK_ELEMS // wide))
     # A block of ranks [a, b) is tested against ranks [first[b-1], b), a
     # window that widens with b: the last one, of n - first[n-1] ranks, is
     # the widest. Each tile holds at most _BLOCK_ELEMS, and no more than
@@ -120,17 +130,29 @@ def _heavy_pairs(X: np.ndarray, gram: np.ndarray, norms: np.ndarray,
     row_tile = np.empty(rows_per * r)
     col_tile = np.empty(min(_BLOCK_ELEMS, widest * r))
     sq_tile = np.empty(min(_BLOCK_ELEMS, rows_per * widest))
+    # the rows of A a tile of X is made from; a row block's are used up
+    # before a column window's are gathered
+    gather = None if W is None else np.empty(
+        min(_BLOCK_ELEMS, max(rows_per, widest) * d))
+
+    def rows_of_x(ranks: slice, tile: np.ndarray) -> np.ndarray:
+        """The rows of X at ``ranks``, written into ``tile``."""
+        m = ranks.stop - ranks.start
+        rows = A.take(order[ranks], axis=0, mode="clip",  # clip: unbuffered
+                      out=(tile if W is None else gather)[:m * d].reshape(m, d))
+        if W is None:
+            return rows
+        return np.matmul(rows, W, out=tile[:m * r].reshape(m, r))
+
     found_i, found_j = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     found_c = [np.empty(0)]
     for a in range(z0, n, rows_per):
         b = min(a + rows_per, n)
-        xa = X.take(order[a:b], axis=0, mode="clip",  # clip: unbuffered
-                    out=row_tile[:(b - a) * r].reshape(-1, r))
-        cols_per = max(1, _BLOCK_ELEMS // max(b - a, r))
+        xa = rows_of_x(slice(a, b), row_tile)
+        cols_per = max(1, _BLOCK_ELEMS // max(b - a, wide))
         for c0 in range(int(first[b - 1]), b, cols_per):
             c1 = min(c0 + cols_per, b)
-            xc = X.take(order[c0:c1], axis=0, mode="clip",
-                        out=col_tile[:(c1 - c0) * r].reshape(-1, r))
+            xc = rows_of_x(slice(c0, c1), col_tile)
             sq = np.matmul(xa, xc.T,
                            out=sq_tile[:(b - a) * (c1 - c0)].reshape(b - a, -1))
             sq *= sq
@@ -212,15 +234,17 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
                           seed: int) -> HeavyPairSet:
     """Large cross-leverage scores via the leverage sketch.
 
-    Runs ``approx_leverage``, forms X = A W from the map W it returns and
-    searches X for heavy pairs. X is A R^{-1} when ``plan.r2 >= rank``,
-    and otherwise the sketch Omega = A R^{-1} Pi2 for the seeded stage-2
-    map Pi2. The search runs at the rescaled threshold
-    kappa' = kappa ||X^T X||_F^2 / d, so that the effective cutoff on
-    sketched inner products is exactly d / kappa; it reuses that X^T X,
-    takes the leverage scores as X's squared row norms (they are those
-    norms, bit for bit) and trusts X, whose input ``approx_leverage``
-    validated. Since
+    Runs ``approx_leverage`` and searches X = A W for heavy pairs, for
+    the map W it returns, without storing X. X is A R^{-1} when
+    ``plan.r2 >= rank``, and otherwise the sketch Omega = A R^{-1} Pi2
+    for the seeded stage-2 map Pi2. X^T X is summed over row tiles of
+    A W (timed with the sketch), and the search forms each tile of X it
+    needs from gathered rows of A. The search runs at the rescaled
+    threshold kappa' = kappa ||X^T X||_F^2 / d, so that the effective
+    cutoff on sketched inner products is d / kappa; it reuses that
+    X^T X, takes the leverage scores as X's squared row norms (they are
+    those norms up to the rounding of the tile products) and trusts A,
+    which ``approx_leverage`` validated. Since
     ||X^T X||_F^2 <= d (1 + 30 d eps) whenever the sketch preserves
     pairwise inner products, kappa' <= kappa (1 + 30 d eps).
     """
@@ -229,8 +253,7 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
     A = _as_matrix(a)
     report, basis = approx_leverage(A, plan, seed)
     d = report.extras["rank"]  # equals d: a rank-deficient sketch raises
-    X = A @ basis.W
-    gram = X.T @ X
+    gram = product_gram(A, basis.W)
     gram_fro_sq = float(np.sum(gram * gram))
     if not math.isfinite(gram_fro_sq):
         raise errors.NonFiniteFactor(
@@ -241,7 +264,7 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
             f"kappa {kappa} is too large: the rescaled kappa * "
             f"||X^T X||_F^2 / d overflowed")
     t1 = time.perf_counter()
-    result = _heavy_pairs(X, gram, report.scores, kappa_prime)
+    result = _heavy_pairs(A, basis.W, gram, report.scores, kappa_prime)
     t2 = time.perf_counter()
     result.kappa = kappa
     result.extras = {**report.extras, "route": basis.route}

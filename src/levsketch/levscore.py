@@ -6,9 +6,10 @@ approximately orthonormal; when its target dimension r2 is below the
 rank, a sparse JLT Pi2 then compresses the columns, and the leverage
 estimates are the squared row norms of Omega = A W for the d x r2 map
 W = R^{-1} Pi2, read tile by tile: Omega itself is never stored, and a
-caller that needs it (the cross-leverage search) forms A W from the
-returned W. Each stage is skipped where it cannot compress (r1 >= n,
-r2 >= rank), which makes the plan r1 = n, r2 = d exact.
+caller that needs more of A W (the cross-leverage search) forms it a
+tile at a time from A and the returned W. Each stage is skipped where it
+cannot compress (r1 >= n, r2 >= rank), which makes the plan r1 = n,
+r2 = d exact.
 
 R comes by one of three routes (``Orthogonalizer.route``). A sketch is
 needed only to within its own 1 +- eps distortion, so a caller that
@@ -64,9 +65,11 @@ class SketchedBasis:
     squared row norms.
 
     W = R^{-1} when r2 >= rank, and R^{-1} Pi2 otherwise, so that A W is
-    A R^{-1} or the sketch Omega. ``route`` is the orthogonalizer's;
-    ``timings_ms`` holds ``sketch_apply_ms``, ``factorization_ms`` and
-    ``product_ms`` (the pass that reads the row norms of A W).
+    A R^{-1} or the sketch Omega; no caller stores the n-row A W, which
+    is formed a row tile or a gathered tile at a time. ``route`` is the
+    orthogonalizer's; ``timings_ms`` holds ``sketch_apply_ms``,
+    ``factorization_ms`` and ``product_ms`` (the pass that reads the row
+    norms of A W).
     """
 
     W: np.ndarray

@@ -20,5 +20,7 @@ def substream(seed: int, *stream_ids: int) -> np.random.Generator:
 
 def rademacher(seed: int, n: int, *stream_ids: int) -> np.ndarray:
     """Seeded i.i.d. +/-1 vector of length ``n``."""
-    g = substream(seed, *stream_ids)
-    return (2.0 * g.integers(0, 2, size=n) - 1.0).astype(np.float64)
+    s = substream(seed, *stream_ids).integers(0, 2, size=n).astype(np.float64)
+    s *= 2.0  # in place: the int64 draw and s are the only n-long arrays
+    s -= 1.0
+    return s

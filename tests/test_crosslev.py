@@ -1,15 +1,15 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from levsketch import (SketchOperator, approx_cross_leverage,
+from levsketch import (SketchOperator, _kernels, approx_cross_leverage,
                        approx_leverage, crosslev, errors,
                        exact_cross_leverage, exact_leverage, heavy_pairs,
                        make_plan, thin_svd)
 from levsketch.crosslev import _finish, heavy_pairs_brute
 from levsketch.sketch import _sparse_jlt_matrix
+from conftest import traced_peak
 
 
 def assert_same_as_brute(X, kappa):
@@ -168,12 +168,7 @@ def test_search_memory_stays_below_half_the_input():
     X = rng.standard_normal((60_000, 256))
     X[rng.choice(60_000, size=16, replace=False)] *= 30.0
     n = X.shape[0]
-    tracemalloc.start()
-    try:
-        hp = heavy_pairs(X, n * math.log(n))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    hp, peak = traced_peak(lambda: heavy_pairs(X, n * math.log(n)))
     assert hp.candidates > 16 * (n - 16)
     assert peak < 0.5 * X.nbytes, f"peak {peak / X.nbytes:.2f} x input"
 
@@ -359,6 +354,47 @@ def test_sketched_search_equals_heavy_pairs_on_its_own_factor(n, d, r2):
         assert hp.threshold == ref.threshold
         assert hp.gram_fro_sq == ref.gram_fro_sq
         assert hp.candidates == ref.candidates
+
+
+@pytest.mark.parametrize("n, d, r2", [(3000, 40, 20), (20_000, 50, None)])
+def test_sketched_search_matches_heavy_pairs_across_tiles(n, d, r2):
+    # X = A W is never formed: its Gram is summed over several row tiles
+    # (20000 x 50 takes 4) and the search multiplies gathered rows of A by
+    # W, a d x 20 stage-2 map at r2 = 20, so values agree with heavy_pairs
+    # on the one product to rounding, and the pairs found are the same
+    A = planted_matrix(seed=6, n=n, d=d)
+    plan = make_plan(n, d, 0.5, r2=r2)
+    kappa = n * math.log(n)
+    for seed in range(6):
+        hp = approx_cross_leverage(A, plan, kappa, seed)
+        X = A @ approx_leverage(A, plan, seed)[1].W
+        gram = X.T @ X
+        ref = heavy_pairs(X, kappa * float(np.sum(gram * gram)) / d)
+        assert (3, 7) in hp.indices()
+        assert hp.indices() == ref.indices()
+        assert hp.candidates == ref.candidates
+        np.testing.assert_allclose([c for _, _, c in hp.pairs],
+                                   [c for _, _, c in ref.pairs], rtol=1e-13)
+        assert hp.gram_fro_sq == pytest.approx(ref.gram_fro_sq, rel=1e-13)
+
+
+def test_sketched_search_stores_no_product(monkeypatch):
+    # the cross path holds at most one tile of A W at a time, so its peak
+    # exceeds approx_leverage's own by less than half of the n x k A W.
+    # The smaller scratch and search tiles keep the SRHT's group buffer
+    # (16 scratches, 4 MiB) and the search's tiles below that product.
+    monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", 1 << 18)
+    monkeypatch.setattr(crosslev, "_BLOCK_ELEMS", 1 << 15)
+    n, d = 100_000, 16
+    A = planted_matrix(seed=6, n=n, d=d)
+    plan = make_plan(n, d, 0.5)
+    kappa = n * math.log(n)
+    (_, basis), base = traced_peak(lambda: approx_leverage(A, plan, 3))
+    hp, peak = traced_peak(lambda: approx_cross_leverage(A, plan, kappa, 3))
+    product_bytes = n * basis.W.shape[1] * 8
+    assert (3, 7) in hp.indices()
+    assert peak - base < product_bytes / 2, (
+        f"peak {base / 2**20:.1f} -> {peak / 2**20:.1f} MiB")
 
 
 def test_sketched_search_reuses_the_scores_as_row_norms(monkeypatch):

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -20,6 +19,7 @@ from levsketch import (SketchOperator, apply_srht, approx_cross_leverage,
                        make_plan, mi_estimate, pseudoinverse)
 from levsketch.matcore import DEFAULT_RANK_TOL
 from levsketch.sketch import _sparse_jlt_matrix
+from conftest import traced_peak
 
 
 def degenerate_plan(n, d, eps=0.5):
@@ -250,12 +250,7 @@ def test_memory_is_linear_without_omega():
     n, d = 60000, 32
     A = np.random.default_rng(14).standard_normal((n, d))
     plan = make_plan(n, d, 0.5)
-    tracemalloc.start()
-    try:
-        approx_leverage(A, plan, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: approx_leverage(A, plan, seed=0))
     assert peak < 4 * A.nbytes, f"peak {peak / 2**20:.1f} MB"
 
 
@@ -599,10 +594,5 @@ def test_mi_estimate_memory_is_linear_in_n():
     # forming the r x n operator through n x n intermediates takes ~1.5 GB
     n, d = 8192, 8
     A = np.random.default_rng(12).standard_normal((n, d))
-    tracemalloc.start()
-    try:
-        mi_estimate(A, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: mi_estimate(A, seed=0))
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -2,7 +2,6 @@ import json
 import math
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +14,10 @@ from levsketch import (SketchOperator, _kernels, apply_sparse_jlt, apply_srht,
                        approx_leverage, errors, fjlt_dim, fwht,
                        hadamard_matrix, jlt_dim, make_plan, mi_estimate)
 from levsketch._kernels import fwht_inplace, sampled_fwht
-from levsketch.rng import rademacher
+from levsketch.rng import rademacher, substream
 from levsketch.sketch import (_srht_selection, _srht_transpose,
                               gaussian_matrix, next_pow2)
+from conftest import traced_peak
 
 
 def naive_hadamard(n):
@@ -169,12 +169,7 @@ def test_srht_allocates_no_input_sized_temporary(monkeypatch):
                         (140_000, 64, 4096)):
             A = np.random.default_rng(2).standard_normal((n, d))
             op = SketchOperator("SRHT", 3, n, r)
-            tracemalloc.start()
-            try:
-                apply_srht(op, A)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(lambda: apply_srht(op, A))
             budget = (group + 2 * scratch_bytes + 2 * r * d * 8
                       + 2 * next_pow2(n) * 8)
             assert peak < budget, (f"{n}x{d} at {scratch_bytes} bytes: "
@@ -324,7 +319,7 @@ def test_kernel_surface_inventory():
               if not name.startswith("_") and callable(value)
               and getattr(value, "__module__", None) == _kernels.__name__}
     assert public == {"fwht_inplace", "sampled_fwht", "row_sq_norms",
-                      "product_sq_norms", "backend_name"}
+                      "product_sq_norms", "product_gram", "backend_name"}
 
 
 def test_product_sq_norms_tiles_match_one_product(monkeypatch):
@@ -338,18 +333,29 @@ def test_product_sq_norms_tiles_match_one_product(monkeypatch):
     np.testing.assert_array_equal(sq, _kernels.row_sq_norms(a @ w))
 
 
+def test_rademacher_forms_its_signs_in_place():
+    # the signs are 2 u - 1 of the seeded 0/1 draw u, bit for bit, formed
+    # in place: the peak is the int64 draw and the float64 vector it
+    # returns, with no casting buffer (64 KiB, 0.08 x at n = 10^5). The
+    # calls above have already paid the generator's one-time set-up.
+    for seed, n, ids in ((0, 1, (0,)), (3, 1000, (0,)), (7, 4097, (2, 5)),
+                         (11, 100_000, ())):
+        u = substream(seed, *ids).integers(0, 2, size=n)
+        signs = rademacher(seed, n, *ids)
+        assert signs.dtype == np.float64
+        assert signs.tobytes() == (2.0 * u - 1.0).astype(np.float64).tobytes()
+    for n in (10**5, 10**6):
+        signs, peak = traced_peak(lambda: rademacher(5, n, 0))
+        assert peak <= 2.01 * signs.nbytes, f"peak {peak / signs.nbytes:.3f} x"
+
+
 def test_product_sq_norms_does_not_form_the_product():
     # the n x k product is never stored: its row tiles share one scratch,
     # so the peak is the n scores plus at most _SCRATCH_BYTES
     rng = np.random.default_rng(8)
     a, w = rng.standard_normal((200_000, 16)), rng.standard_normal((16, 16))
     product_bytes = a.shape[0] * w.shape[1] * 8
-    tracemalloc.start()
-    try:
-        sq = _kernels.product_sq_norms(a, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    sq, peak = traced_peak(lambda: _kernels.product_sq_norms(a, w))
     assert peak < product_bytes / 2, f"peak {peak / product_bytes:.2f} x n k"
     assert sq.shape == (200_000,)
 

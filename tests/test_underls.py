@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from levsketch import (SamplingProbabilities, draw_sampling_matrix, errors,
                        hadamard_matrix, leverage_probs_for_columns, make_plan,
                        pseudoinverse, sample_size, thin_svd, underls_solve)
 from levsketch.rng import substream
+from conftest import traced_peak
 
 
 def test_sample_size_frozen_value():
@@ -291,10 +291,6 @@ def test_solve_memory_does_not_grow_with_sample_size():
     b = rng.standard_normal(16)
     p = leverage_probs_for_columns(A, "exact")
     assert sample_size(16, p.beta, 0.5, 0.1) == 60670
-    tracemalloc.start()
-    try:
-        underls_solve(A, b, p, epsilon=0.5, delta=0.1, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        lambda: underls_solve(A, b, p, epsilon=0.5, delta=0.1, seed=0))
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
