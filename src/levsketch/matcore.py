@@ -18,6 +18,7 @@ from ._kernels import row_sq_norms
 
 DEFAULT_RANK_TOL = 1e-12
 DEFAULT_GRAM_CAP = 4096
+_CHECK_ELEMS = 1 << 18  # entries per finiteness check: a 256 KiB mask
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -36,8 +37,12 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 def validate_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting empty or non-finite input."""
     arr = _as_matrix(a, name)
-    if not np.all(np.isfinite(arr)):
-        raise errors.NonFiniteEntry(f"{name} contains NaN or Inf entries")
+    flat = arr.reshape(-1)
+    mask = np.empty(min(flat.size, _CHECK_ELEMS), dtype=bool)
+    for lo in range(0, flat.size, _CHECK_ELEMS):
+        block = flat[lo:lo + _CHECK_ELEMS]
+        if not np.isfinite(block, out=mask[:block.size]).all():
+            raise errors.NonFiniteEntry(f"{name} contains NaN or Inf entries")
     return arr
 
 

@@ -8,8 +8,11 @@ import threading
 import numpy as np
 import pytest
 
-from levsketch import (approx_leverage, cli, errors, exact_leverage,
-                       hadamard_matrix, make_plan, power_q, sample_size)
+from conftest import traced_peak
+from levsketch import (approx_cross_leverage, approx_leverage, cli, errors,
+                       exact_leverage, hadamard_matrix, make_plan, power_q,
+                       sample_size)
+from levsketch import io as levs_io
 from levsketch.cli import main
 from levsketch.crosslev import _finish
 from levsketch.io import load_matrix, save_matrix
@@ -69,8 +72,12 @@ def test_binary_rejects_garbage(tmp_path):
         load_matrix(path)
 
 
-def levs_bytes(n, d, body, magic=b"LEVS", version=1):
-    return magic + bytes([version]) + struct.pack("<QQ", n, d) + body
+def levs_bytes(n, d, body, magic=b"LEVS", version=1, pad=None):
+    """A LEVS file's bytes; ``pad`` defaults to the zero bytes that take a
+    version-2 header to 64 bytes (version 1 has none)."""
+    if pad is None:
+        pad = bytes(43 if version == 2 else 0)
+    return magic + bytes([version]) + struct.pack("<QQ", n, d) + pad + body
 
 
 # (file bytes, the ParseError message after "<path>: "); the body of a
@@ -82,9 +89,20 @@ _BAD_LEVS = {
     "long": (levs_bytes(2, 3, bytes(56)), "expected 6 floats, found 7"),
     "magic": (levs_bytes(2, 3, bytes(48), magic=b"LEVZ"),
               "not a LEVS binary matrix"),
-    "version": (levs_bytes(2, 3, bytes(48), version=2),
-                "unsupported version 2"),
+    "version": (levs_bytes(2, 3, bytes(48), version=3),
+                "unsupported version 3"),
     "header": (b"LEVS\x01" + bytes(10), "not a LEVS binary matrix"),
+    "v2-ragged": (levs_bytes(2, 3, bytes(45), version=2),
+                  "expected 6 floats, found 5 and 5 stray bytes"),
+    "v2-short": (levs_bytes(2, 3, bytes(40), version=2),
+                 "expected 6 floats, found 5"),
+    "v2-long": (levs_bytes(2, 3, bytes(56), version=2),
+                "expected 6 floats, found 7"),
+    "v2-padding-cut": (levs_bytes(2, 3, b"", version=2, pad=bytes(20)),
+                       "not a LEVS binary matrix"),
+    "v2-reserved": (levs_bytes(2, 3, bytes(48), version=2,
+                               pad=bytes(42) + b"\x01"),
+                    "not a LEVS binary matrix"),
 }
 
 
@@ -119,10 +137,69 @@ def test_binary_load_is_writable_and_validated(tmp_path, rng):
     assert B.flags.writeable
     assert np.array_equal(B, A)
     raw = bytearray(path.read_bytes())
-    raw[21:29] = struct.pack("<d", np.nan)
+    assert raw[4] == 2  # a version-2 body starts at byte 64
+    raw[64:72] = struct.pack("<d", np.nan)
     path.write_bytes(bytes(raw))
     with pytest.raises(errors.NonFiniteEntry):
         load_matrix(path)
+
+
+def test_binary_v2_body_is_mapped_not_copied(tmp_path, rng):
+    A = rng.standard_normal((200000, 8))  # a 12.8 MB body
+    path = tmp_path / "m.levs"
+    save_matrix(A, path)
+    raw = path.read_bytes()
+    assert raw[:5] == b"LEVS\x02" and raw[21:64] == bytes(43)
+    assert len(raw) == 64 + A.nbytes
+    B, peak = traced_peak(lambda: load_matrix(path))
+    assert peak < 2**20
+    assert B.flags.c_contiguous and B.flags.aligned and B.flags.writeable
+    assert np.array_equal(B, A)
+    B[0, 0] = 7.0  # copy-on-write: the file keeps its bytes
+    assert path.read_bytes() == raw
+    assert np.array_equal(load_matrix(path), A)
+
+
+def test_binary_save_writes_the_body_without_a_copy(tmp_path, rng):
+    A = rng.standard_normal((200000, 32))  # 48.8 MiB
+    path = tmp_path / "m.levs"
+    _, peak = traced_peak(lambda: save_matrix(A, path))
+    assert peak < 2**20
+    assert np.array_equal(load_matrix(path), A)
+
+
+def test_binary_v1_file_still_loads_by_copy(tmp_path, rng):
+    A = rng.standard_normal((9, 4))
+    path = tmp_path / "old.levs"
+    path.write_bytes(levs_bytes(9, 4, A.astype("<f8").tobytes()))
+    B = load_matrix(path)
+    assert B.flags.writeable and B.flags.c_contiguous
+    assert np.array_equal(B, A)
+
+
+@pytest.mark.parametrize("n, d", [(0, 3), (2, 0), (0, 0)])
+def test_binary_v2_header_only_is_empty(tmp_path, n, d):
+    path = tmp_path / "empty.levs"
+    path.write_bytes(levs_bytes(n, d, b"", version=2))
+    with pytest.raises(errors.EmptyMatrix):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("size, found", [(64 + 20, 2), (30, 0), (0, 0)])
+def test_binary_v2_file_that_shrinks_before_mapping(tmp_path, monkeypatch,
+                                                    size, found):
+    path = tmp_path / "m.levs"
+    save_matrix(np.ones((2, 3)), path)
+    real = levs_io.mmap.mmap
+
+    def shrink_then_map(fileno, *args, **kwargs):
+        os.truncate(path, size)
+        return real(fileno, *args, **kwargs)
+
+    monkeypatch.setattr(levs_io.mmap, "mmap", shrink_then_map)
+    with pytest.raises(errors.ParseError) as exc:
+        load_matrix(path)
+    assert str(exc.value) == f"{path}: expected 6 floats, found {found}"
 
 
 def fifo_feeding(tmp_path, raw, name="pipe.levs"):
@@ -148,6 +225,7 @@ def test_binary_loads_from_a_pipe(tmp_path, capsys, rng):
     A[7] = 0.0
     save_matrix(A, tmp_path / "m.levs")
     raw = (tmp_path / "m.levs").read_bytes()
+    assert raw[4] == 2
     B = load_matrix(fifo_feeding(tmp_path, raw))
     assert B.flags.writeable and B.flags.c_contiguous
     assert np.array_equal(B, A)
@@ -383,6 +461,65 @@ def test_cli_underls(tmp_path, capsys, rng):
     x = np.asarray(doc["result"]["solution"])
     assert x.shape == (200,)
     assert doc["result"]["residual"] <= 1.0
+
+
+_NO_WRITE_RUNS = {
+    "leverage": ["leverage", "tall"],
+    "leverage-mi": ["leverage", "tall", "--estimator", "mi"],
+    "exact": ["exact", "tall"],
+    "coherence": ["coherence", "tall"],
+    "cross": ["cross", "tall", "--kappa", "5"],
+    "cross-exact": ["cross", "tall", "--kappa", "5", "--exact-pairs"],
+    "rankk-spectral": ["rankk", "square", "--k", "2", "--norm", "spectral"],
+    "rankk-frobenius": ["rankk", "square", "--k", "2", "--norm", "frobenius"],
+    "underls": ["underls", "wide", "--rhs", "b"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(_NO_WRITE_RUNS))
+def test_cli_no_subcommand_writes_into_its_input(tmp_path, capsys,
+                                                 monkeypatch, run):
+    """A mapped input stays shared with the page cache only while nothing
+    writes into it, so every subcommand must run on read-only arrays."""
+    rng = np.random.default_rng(3)
+    tall = rng.standard_normal((128, 4))
+    tall[9] = tall[2] * 20
+    tall[2] *= 20
+    inputs = {"tall": tall, "square": rng.standard_normal((20, 12)),
+              "wide": rng.standard_normal((4, 40)),
+              "b": rng.standard_normal((4, 1))}
+    for name, M in inputs.items():
+        save_matrix(M, tmp_path / f"{name}.levs")
+    real, loaded = levs_io.load_matrix, []
+
+    def read_only(*args):
+        m = real(*args)
+        m.flags.writeable = False
+        loaded.append(m)
+        return m
+
+    monkeypatch.setattr(levs_io, "load_matrix", read_only)
+    argv = [str(tmp_path / f"{w}.levs") if w in inputs else w
+            for w in _NO_WRITE_RUNS[run]]
+    assert main(argv) == 0
+    assert len(loaded) == (2 if run == "underls" else 1)
+
+
+def test_cli_cross_peak_does_not_count_the_mapped_input(tmp_path, capsys,
+                                                        rng):
+    A = rng.standard_normal((200000, 8))
+    path = tmp_path / "big.levs"
+    save_matrix(A, path)
+    argv = ["cross", str(path), "--kappa", "5", "--seed", "0"]
+    assert main(argv) == 0  # warm-up
+    capsys.readouterr()
+    plan = make_plan(*A.shape, epsilon=0.5, delta=0.1, mode="practical")
+    hp, lib_peak = traced_peak(lambda: approx_cross_leverage(A, plan, 5.0, 0))
+    code, cli_peak = traced_peak(lambda: main(argv))
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"]["candidates"] == hp.candidates
+    assert cli_peak - lib_peak < A.nbytes / 4
 
 
 def test_cli_rankk_reports_what_the_sketch_used(tmp_path, capsys, rng):

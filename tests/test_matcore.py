@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from levsketch import (errors, exact_cross_leverage, exact_leverage,
                        hadamard_matrix, pseudoinverse, thin_svd)
+from levsketch.matcore import validate_matrix
 
 
 def test_thin_svd_identity():
@@ -140,3 +142,14 @@ def test_exact_cross_leverage_matches_uut():
 def test_exact_cross_leverage_size_cap():
     with pytest.raises(errors.MatrixTooLargeForDenseGram):
         exact_cross_leverage(np.ones((4097, 2)))
+
+
+def test_validate_matrix_checks_in_bounded_blocks():
+    A = np.random.default_rng(0).standard_normal((200000, 32))  # 48.8 MiB
+    B, peak = traced_peak(lambda: validate_matrix(A))
+    assert B is A
+    assert peak < 2**20
+    A[-1, -1] = np.nan
+    with pytest.raises(errors.NonFiniteEntry,
+                       match="^matrix contains NaN or Inf entries$"):
+        validate_matrix(A)
