@@ -1,7 +1,7 @@
 """Hot numeric kernels, in numpy and BLAS.
 
 The Walsh-Hadamard transform uses the Kronecker form of Sylvester's
-matrix: H_n = H_b1 (x) H_b2 (x) ... with every block b_i <= 64.
+matrix: H_n = H_b1 (x) H_b2 (x) ... with every block b_i <= 16.
 Viewing the rows axis as the index tuple (i1, i2, ...), each factor is one
 dense +/-1 matrix product along its own axis. A constant block keeps the
 cost O(n d log n); a scratch of at most ``_SCRATCH_BYTES`` keeps the extra
@@ -18,21 +18,24 @@ until the pieces it leaves fit. At the default 2 MiB that happens for
 (n_pad / 64) d > 2^17, that is n_pad > 2^23 / d.
 
 The subsampled transform computes only the kept rows of H_n [x; 0] for an
-x of n <= n_pad rows. With H_n = H_b (x) H_slab, b the first block and
-slab = n_pad / b, row I * slab + k of H_n [x; 0] is sum_J H_b[I, J] z_J[k],
-where z_J = H_slab x_J is the transform of the J-th slab of x. Only the
-ceil(n / slab) slabs that hold x are transformed, so the padding costs
-less than one slab, and they are transformed a group at a time into one
-buffer of at most ``_GROUP_SCRATCHES`` scratches (32 MiB at the default).
-Each group adds its share sum_{J in group} H_b[I, J] z_J[k] into every
-kept row: one product of the group's columns of H_b with each tile of
-slab positions, from which the kept rows are gathered. So the SRHT reads
-x once, writes and reads each slab once, and its memory is the group
-buffer and O(r d) for its r kept rows, whatever n is. The first row of
-each transformed slab sums the slab (row 0 of H_slab is all ones), so it
-is the input check: it is finite unless the slab holds a NaN or Inf, or
-overflows. The transpose needs no kernel of its own: H is symmetric, so
-it is one ``fwht_inplace`` of the r rows placed at their indices.
+x of n <= n_pad rows. With H_n = H_b (x) H_slab, b <= 64 the first block
+of n_pad's split into blocks of at most 64 and slab = n_pad / b, row
+I * slab + k of H_n [x; 0] is sum_J H_b[I, J] z_J[k], where z_J = H_slab
+x_J is the transform of the J-th slab of x. Only the ceil(n / slab) slabs
+that hold x are transformed, so the padding costs less than one slab.
+They are transformed a group of g at a time into one buffer of at most 4
+scratches (8 MiB at the default), g being the largest power of two <= b
+whose g slabs fit. Sylvester's H_b is H_{b/g} (x) H_g, so group q, the
+slabs J = q g + j for j < g, adds H_{b/g}[I >> log g, q] sum_j H_g[I mod
+g, j] z_J[k] to row I * slab + k: one g x g product per tile of slab
+positions mixes the group, and each kept row adds its mixed row times
+that sign. The mix costs g n d multiply-adds instead of b n d. So the
+SRHT reads x once, writes and reads each slab once, and its memory is the
+group buffer and O(r d) for its r kept rows, whatever n is. The first row
+of each transformed slab sums the slab (row 0 of H_slab is all ones), so
+it is the input check: it is finite unless the slab holds a NaN or Inf,
+or overflows. The transpose needs no kernel of its own: H is symmetric,
+so it is one ``fwht_inplace`` of the r rows placed at their indices.
 
 ``product_sq_norms`` and ``product_gram`` read the squared row norms and
 the Gram of a product a w tile by tile, each row tile formed in one reused
@@ -47,13 +50,12 @@ import numpy as np
 
 from . import errors
 
-_MAX_LOG_BLOCK = 6  # blocks of at most 64: one BLAS call outruns 6 butterflies
-# within one core's L2, and small enough that apply_srht's peak stays below
-# that of the padded n_pad x d buffer it replaces
-_SCRATCH_BYTES = 2 << 20
-_GROUP_SCRATCHES = 16  # transformed slabs sampled_fwht holds at once, 32 MiB:
-# smaller groups make more, smaller products with H_b (at 100000 x 64, five
-# groups took 1.15x the time of two)
+_MAX_LOG_BLOCK = 4  # transform blocks of at most 16: a pass multiplies each
+# entry by 16 values, not 64, and the extra pass costs less than that saves
+# (fwht_inplace on 131072 x 64, 2 CPUs: best of 7 65 ms, 68 with blocks of 64)
+_MIX_LOG_BLOCK = 6  # sampled_fwht's b, at most 64: the mix costs g n d
+# whatever b is, and more, thinner slabs pad less and fill a group finer
+_SCRATCH_BYTES = 2 << 20  # at least 512: one column of b <= 64 mixed rows
 
 
 def _scratch(size: int) -> np.ndarray:
@@ -68,13 +70,13 @@ def _sylvester(log_b: int) -> np.ndarray:
     return h
 
 
-_HADAMARD = tuple(_sylvester(k) for k in range(_MAX_LOG_BLOCK + 1))
+_HADAMARD = tuple(_sylvester(k) for k in range(_MIX_LOG_BLOCK + 1))
 
 
 @functools.cache  # log_n < 64: a few dozen entries, read on every call
-def _block_logs(log_n: int) -> tuple[int, ...]:
-    """Split log2(n) into the fewest, most even parts <= _MAX_LOG_BLOCK."""
-    parts = -(-log_n // _MAX_LOG_BLOCK)
+def _block_logs(log_n: int, most: int) -> tuple[int, ...]:
+    """Split log2(n) into the fewest, most even parts <= ``most``."""
+    parts = -(-log_n // most)
     return tuple(log_n // parts + (i < log_n % parts) for i in range(parts))
 
 
@@ -115,7 +117,7 @@ def _fwht_slabs(src: np.ndarray, weights, out: np.ndarray, log_slab: int,
     """
     d = src.shape[1]
     half = scratch.size // 2
-    logs = _block_logs(log_slab)
+    logs = _block_logs(log_slab, _MAX_LOG_BLOCK)
     k, log_piece = 0, log_slab
     while k < len(logs) and (d << log_piece) > half:
         log_piece -= logs[k]
@@ -160,31 +162,31 @@ def fwht_inplace(a: np.ndarray) -> None:
     _fwht_slabs(a, None, a, a.shape[0].bit_length() - 1, _scratch(2 * a.size))
 
 
-def _split(n: int, n_pad: int) -> tuple[int, np.ndarray]:
-    """H_{n_pad} = H_b (x) H_slab, b the first of ``_block_logs``' blocks:
-    log2(slab) and the b x ceil(n / slab) columns of H_b for the slabs
-    that hold n rows."""
+def _split(n_pad: int) -> tuple[int, int]:
+    """H_{n_pad} = H_b (x) H_slab: log2(b) and log2(slab), b being the
+    first of the blocks of at most 2^_MIX_LOG_BLOCK that split n_pad."""
     log_n = n_pad.bit_length() - 1
-    log_b = _block_logs(log_n)[0] if log_n else 0
-    log_slab = log_n - log_b
-    return log_slab, _HADAMARD[log_b][:, :-(-n >> log_slab)]
+    log_b = _block_logs(log_n, _MIX_LOG_BLOCK)[0] if log_n else 0
+    return log_b, log_n - log_b
 
 
-def _tiles(rows: np.ndarray, log_slab: int, b: int, cols: int,
-           scratch: np.ndarray) -> list:
+def _tiles(rows: np.ndarray, log_slab: int, log_b: int, log_g: int,
+           cols: int, scratch: np.ndarray) -> list:
     """(flat, cs, span, src, buf) for each tile that holds kept ``rows``,
     which come sorted by slab position ``rows & (slab - 1)``.
 
-    With the slabs viewed as rows of slab * cols values, ``flat`` slices
-    a tile of whole slab positions, or column slice ``cs`` of a single
-    position when its b output rows overflow ``scratch``. The rows that
-    fall in the tile are the contiguous run ``rows[span]``, and ``src`` is
-    their row in ``buf``, the scratch for the tile's output of
-    b * positions rows of ``cs``.
+    With a group's slabs viewed as rows of slab * cols values, ``flat``
+    slices a tile of whole slab positions, or column slice ``cs`` of a
+    single position when b = 2^log_b rows of it overflow ``scratch``. The
+    rows that fall in the tile, at most b a position, are the contiguous
+    run ``rows[span]``, so their gathered rows fit in a scratch too.
+    ``buf`` is the scratch for the tile's g * positions mixed rows of
+    ``cs``, g = 2^log_g, and ``src`` is each kept row's row in it: row
+    I * slab + k reads mixed row I mod g of position k.
     """
-    slab = 1 << log_slab
-    width = max(1, min(cols, scratch.size // b))
-    per = scratch.size // (b * cols) if width == cols else 1
+    slab, g = 1 << log_slab, 1 << log_g
+    width = max(1, min(cols, scratch.size >> log_b))
+    per = scratch.size // (cols << log_b) if width == cols else 1
     offset = rows & (slab - 1)
     starts = np.arange(0, slab, per)
     edges = np.searchsorted(offset, np.append(starts, slab))
@@ -193,11 +195,12 @@ def _tiles(rows: np.ndarray, log_slab: int, b: int, cols: int,
         k0 = int(starts[t])
         k1 = min(k0 + per, slab)
         span = slice(edges[t], edges[t + 1])
-        src = (rows[span] >> log_slab) * (k1 - k0) + offset[span] - k0
+        src = ((rows[span] >> log_slab) & (g - 1)) * (k1 - k0) \
+            + offset[span] - k0
         for c0 in range(0, cols, width):
             cs = slice(c0, min(c0 + width, cols))
             flat = slice(k0 * cols + c0, (k1 - 1) * cols + cs.stop)
-            buf = scratch[:b * (flat.stop - flat.start)]
+            buf = scratch[:g * (flat.stop - flat.start)]
             tiles.append((flat, cs, span, src, buf.reshape(-1, cs.stop - c0)))
     return tiles
 
@@ -223,46 +226,59 @@ def sampled_fwht(a: np.ndarray, weights: np.ndarray, rows: np.ndarray,
     ``a`` is a trusted n x d float64 array with n <= n_pad (a power of
     two), ``weights`` its n finite row weights and ``rows`` distinct row
     indices below n_pad. H is unnormalized. The slabs of diag(weights) a
-    are transformed a group at a time, each group in one buffer of at
-    most ``_GROUP_SCRATCHES`` scratches (a slab larger than that is split
-    into column blocks), and each group's share of every kept row is
-    added into the r x d result before the next group. So the memory is
-    that buffer, the result twice over (it is gathered in tile order and
-    put in row order once, at the end) and a scratch of at most
-    ``_SCRATCH_BYTES``, whatever n is. ``a`` is not scanned beforehand:
-    each transformed slab's first row is checked (see ``_check_slabs``),
-    and a NaN or infinite entry of ``a`` raises ``NonFiniteEntry``.
+    are transformed a group of g at a time into one buffer of at most 4
+    scratches (a slab larger than that is split into column blocks, and
+    then g = 1), mixed by H_g, and each group's signed share of every kept
+    row is added into the r x d result before the next group. So the
+    memory is that buffer, the result twice over (it is gathered in tile
+    order and put in row order once, at the end), a scratch of at most
+    ``_SCRATCH_BYTES`` and one tile's gathered rows, no larger, whatever
+    n is. ``a`` is not scanned beforehand: each transformed slab's first
+    row is checked (see ``_check_slabs``), and a NaN or infinite entry of
+    ``a`` raises ``NonFiniteEntry``.
     """
     n, d = a.shape
-    log_slab, h = _split(n, n_pad)
-    b, slabs = h.shape
-    budget = _GROUP_SCRATCHES * _SCRATCH_BYTES // 8  # values in one group
+    log_b, log_slab = _split(n_pad)
+    slabs = -(-n >> log_slab)
+    budget = _SCRATCH_BYTES // 2  # values in one group: 4 scratches
     width = min(d, max(1, budget >> log_slab))  # columns of a group
-    groups = -(-slabs // max(1, budget // (width << log_slab)))
-    per = -(-slabs // groups)  # slabs per group, evened out
+    fit = budget // (width << log_slab)  # slabs a group could hold
+    log_g = min(log_b, max(0, fit.bit_length() - 1))
+    g = 1 << log_g
     order = np.argsort(rows & ((1 << log_slab) - 1), kind="stable")
     kept = rows[order]
+    high = kept >> (log_slab + log_g)  # each kept row's row of H_{b/g}
     scratch = _scratch(2 * n_pad * d)
-    z = np.empty((per << log_slab) * width)
+    z = np.empty((min(g, slabs) << log_slab) * width)
     acc = np.empty((rows.size, d))  # the kept rows in tile order
     for c0 in range(0, d, width):
         cols = slice(c0, min(c0 + width, d))
         w = cols.stop - c0
-        tiles = _tiles(kept, log_slab, b, w, scratch)
-        for j0 in range(0, slabs, per):
-            j1 = min(j0 + per, slabs)
+        tiles = _tiles(kept, log_slab, log_b, log_g, w, scratch)
+        if slabs > g:  # signed rows of a tile, gathered for the later groups
+            gather = np.empty(w * max(span.stop - span.start
+                                      for _, _, span, _, _ in tiles))
+        for j0 in range(0, slabs, g):
+            j1 = min(j0 + g, slabs)
             i0, i1 = j0 << log_slab, j1 << log_slab  # rows, with padding
             src = a[i0:i1, cols]
             zg = z[:(i1 - i0) * w].reshape(-1, w)
             _fwht_slabs(src, weights[i0:i1], zg, log_slab, scratch)
             _check_slabs(zg, src, log_slab)
             z2 = zg.reshape(j1 - j0, -1)
+            mix = _HADAMARD[log_g][:, :j1 - j0]
+            if j0:  # group q = j0 / g: H_b[I, J] is H_{b/g}[I >> log_g, q]
+                # times H_g[I mod g, J - j0], so its kept rows take signs
+                signs = _HADAMARD[log_b - log_g][high, j0 >> log_g]
             for flat, cs, span, src_rows, buf in tiles:
-                np.matmul(h[:, j0:j1], z2[:, flat], out=buf.reshape(b, -1))
+                np.matmul(mix, z2[:, flat], out=buf.reshape(g, -1))
                 part = acc[span, c0 + cs.start:c0 + cs.stop]
                 if j0:
-                    part += buf[src_rows]
-                else:  # unbuffered where part is whole rows of acc
+                    t = buf.take(src_rows, axis=0, mode="clip",
+                                 out=gather[:part.size].reshape(part.shape))
+                    t *= signs[span, None]
+                    part += t
+                else:  # signs all +1; unbuffered where part is whole rows
                     buf.take(src_rows, axis=0, out=part, mode="clip")
     del z, zg, z2  # the group buffer goes before the result is copied
     out = np.empty_like(acc)

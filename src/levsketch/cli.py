@@ -127,15 +127,14 @@ def _resolve_kappa(raw, n: int) -> float:
 
 
 def _emit(doc: dict, args) -> None:
-    payload = json.dumps(doc, sort_keys=True, indent=2, default=_json_default)
-    if getattr(args, "output", None):
-        if getattr(args, "output_format", "json") == "csv":
-            _emit_csv(doc, args.output)
-        else:
-            with open(args.output, "w") as fh:
-                fh.write(payload + "\n")
+    output = getattr(args, "output", None)
+    if output and getattr(args, "output_format", "json") == "csv":
+        _emit_csv(doc, output)
+    elif output:
+        with open(output, "w") as fh:
+            _write_json(doc, fh)
     else:
-        print(payload)
+        _write_json(doc, sys.stdout)
 
 
 def _json_default(obj):
@@ -144,6 +143,48 @@ def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     raise TypeError(f"not serializable: {type(obj)}")
+
+
+_ARRAY_MARK = "\0levsketch-array\0"  # stands for a float array in the skeleton
+_CHUNK = 4096  # array values formatted at a time
+
+
+def _write_json(doc: dict, fh) -> None:
+    """Write ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline to
+    ``fh``, byte for byte, without the whole text: each non-empty 1-d
+    float64 array is left out of the dumped skeleton and written in
+    chunks of ``_CHUNK`` values in its place."""
+    arrays = []
+
+    def default(obj):
+        if (isinstance(obj, np.ndarray) and obj.dtype == np.float64
+                and obj.ndim == 1 and obj.size):
+            arrays.append(obj)
+            return _ARRAY_MARK
+        return _json_default(obj)
+
+    skeleton = json.dumps(doc, sort_keys=True, indent=2, default=default)
+    parts = skeleton.split(json.dumps(_ARRAY_MARK))
+    for text, values in zip(parts, arrays):
+        fh.write(text)
+        line = text[text.rfind("\n") + 1:]
+        _write_floats(fh, values, len(line) - len(line.lstrip(" ")))
+    fh.write(parts[-1] + "\n")
+
+
+def _write_floats(fh, values: np.ndarray, indent: int) -> None:
+    """A non-empty float array as ``json`` indents it on a line indented
+    by ``indent``: each value on its own line, in ``float.__repr__``
+    (``NaN``, ``Infinity`` and ``-Infinity`` where not finite)."""
+    sep = ",\n" + " " * (indent + 2)
+    fh.write("[")
+    for i in range(0, values.size, _CHUNK):
+        chunk = values[i:i + _CHUNK]
+        texts = map(float.__repr__ if np.isfinite(chunk).all()
+                    else json.dumps, chunk.tolist())
+        fh.write(sep[1:] if i == 0 else sep)
+        fh.write(sep.join(texts))
+    fh.write("\n" + " " * indent + "]")
 
 
 def _emit_csv(doc: dict, path: str) -> None:

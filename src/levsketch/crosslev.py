@@ -34,8 +34,8 @@ from .levscore import approx_leverage
 from .matcore import _as_matrix, validate_matrix
 from .sketch import SketchPlan
 
-# float64 elements in one tile of inner products or of gathered rows (4 MB)
-_BLOCK_ELEMS = 1 << 19
+# float64 elements in one tile of inner products or of gathered rows (1 MiB)
+_BLOCK_ELEMS = 1 << 17
 
 
 @dataclass

@@ -382,7 +382,8 @@ def test_sketched_search_stores_no_product(monkeypatch):
     # the cross path holds at most one tile of A W at a time, so its peak
     # exceeds approx_leverage's own by less than half of the n x k A W.
     # The smaller scratch and search tiles keep the SRHT's group buffer
-    # (16 scratches, 4 MiB) and the search's tiles below that product.
+    # (4 scratches, 1 MiB) and the search's tiles (256 KiB each) well
+    # below that 12.8 MB product.
     monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", 1 << 18)
     monkeypatch.setattr(crosslev, "_BLOCK_ELEMS", 1 << 15)
     n, d = 100_000, 16
@@ -395,6 +396,35 @@ def test_sketched_search_stores_no_product(monkeypatch):
     assert (3, 7) in hp.indices()
     assert peak - base < product_bytes / 2, (
         f"peak {base / 2**20:.1f} -> {peak / 2**20:.1f} MiB")
+
+
+@pytest.mark.parametrize("through_w", [False, True])
+def test_search_peak_does_not_grow_with_its_widest_window(monkeypatch,
+                                                          through_w):
+    # one row of norm 100, orthogonal to the other unit rows, is the only
+    # row with a partner, and its window holds every row that is not
+    # shrunk: an eighth of them, or all. The window's tiles (inner
+    # products, gathered rows and, through W, rows of X) are capped at
+    # _BLOCK_ELEMS, so the peak is the same for both; uncapped, the widest
+    # window's tiles would take 5 MB. The one pair found is the big row's.
+    monkeypatch.setattr(crosslev, "_BLOCK_ELEMS", 1 << 12)
+    n, d = 40_000, 16
+    peaks = []
+    for unshrunk in (n // 8, n - 1):
+        X = np.random.default_rng(1).standard_normal((n, d))
+        X[:, 0] = 0.0
+        X /= np.linalg.norm(X, axis=1)[:, None]
+        X[unshrunk:] *= 1e-3  # too small to partner the big row
+        X[-1] = 0.0
+        X[-1, 0] = 100.0
+        gram, norms = X.T @ X, np.einsum("ij,ij->i", X, X)
+        W = np.eye(d) if through_w else None
+        hp, peak = traced_peak(
+            lambda: crosslev._heavy_pairs(X, W, gram, norms, 1e6))
+        assert hp.indices() == {(n - 1, n - 1)}
+        assert hp.candidates == unshrunk + 1
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 16 << 10, f"peaks {peaks}"
 
 
 def test_sketched_search_reuses_the_scores_as_row_norms(monkeypatch):

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io as io_module
 import json
 import os
 import struct
@@ -743,3 +744,95 @@ def test_cli_every_choice_runs(tmp_path, capsys, command, option, value):
         code, doc = run_cli(capsys, argv)
         assert code == 0
         assert set(doc) == {"params", "seed", "timings_ms", "result"}
+
+
+# ---------------------------------------------------------------- json writer
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2,
+                      default=cli._json_default) + "\n"
+
+
+_EVERY_DOCUMENT = [
+    ["leverage", "--seed", "2"], ["leverage", "--estimator", "mi"],
+    ["exact"], ["coherence"], ["coherence", "--method", "sketched"],
+    ["cross"], ["cross", "--exact-pairs"], ["cross", "--kappa", "1.5"],
+    ["rankk", "--k", "2"], ["rankk", "--k", "2", "--norm", "spectral"],
+    ["underls"], ["underls", "--probs", "sketched"],
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_DOCUMENT, ids=" ".join)
+def test_cli_json_is_what_json_dumps_writes(tmp_path, capsys, monkeypatch,
+                                            argv):
+    # the document is written a float array chunk at a time, to -o and to
+    # stdout, in the bytes json.dumps(doc, sort_keys=True, indent=2) gives;
+    # a 3-value chunk splits the 60 scores across chunks. cross at kappa
+    # 1.5 finds no pairs: an empty list.
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    docs = []
+    real = cli._emit
+    monkeypatch.setattr(cli, "_emit",
+                        lambda doc, args: (docs.append(doc), real(doc, args)))
+    rng = np.random.default_rng(5)
+    command, *options = argv
+    if command == "underls":
+        A = rng.standard_normal((4, 40))
+        save_matrix(rng.standard_normal((4, 1)), tmp_path / "b.csv")
+        options += ["--rhs", str(tmp_path / "b.csv")]
+    else:
+        A = rng.standard_normal((60, 4))
+        A[9] = A[2] * 20
+        A[2] *= 20
+    save_matrix(A, tmp_path / "a.levs")
+    argv = [command, str(tmp_path / "a.levs"), *options]
+    out = tmp_path / "out.json"
+    assert main([*argv, "-o", str(out)]) == 0
+    assert main(argv) == 0
+    written = (out.read_text(), capsys.readouterr().out)
+    assert [_dumps(doc) for doc in docs] == list(written)
+    if argv[-1] == "1.5":
+        assert json.loads(written[0])["result"]["pairs"] == []
+
+
+def test_json_writer_matches_json_dumps_on_any_array():
+    # empty, non-finite, nested, chunk-sized and non-float arrays all come
+    # out as json.dumps writes them
+    docs = [{}, {"a": []}, {"a": np.empty(0)}, {"a": [np.empty(0)]},
+            {"x": np.arange(3.0), "y": np.arange(3), "z": np.ones((2, 2))},
+            {"r": {"s": np.array([0.1, np.nan, np.inf, -np.inf, -0.0,
+                                  1e-300, 5e300]),
+                   "t": [np.ones(2), [np.zeros(1)], {"u": np.full(1, 2.5)}],
+                   "c": np.float64(0.5), "k": np.int64(4)}},
+            {"s": np.random.default_rng(0).random(2 * cli._CHUNK + 1) - 0.5},
+            {"s": np.linspace(0.0, 1.0, cli._CHUNK)}]
+    for doc in docs:
+        buf = io_module.StringIO()
+        cli._write_json(doc, buf)
+        assert buf.getvalue() == _dumps(doc)
+
+
+def test_cli_csv_output_dumps_no_json(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called for CSV output")
+
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    A = np.random.default_rng(5).standard_normal((60, 4))
+    save_matrix(A, tmp_path / "a.levs")
+    out = tmp_path / "out.csv"
+    assert main(["leverage", str(tmp_path / "a.levs"), "-o", str(out),
+                 "--output-format", "csv"]) == 0
+    assert out.read_text().startswith("score\n")
+
+
+def test_json_writer_peak_does_not_grow_with_the_scores(tmp_path):
+    # 100000 scores: json.dumps held the whole 2.3 MB text and a Python
+    # float per score, a 22 MiB peak; chunk by chunk the writer holds one
+    # chunk's floats and text, under 1 MiB
+    doc = {"params": {}, "result": {"scores": np.random.default_rng(1)
+                                    .random(100_000) * 1e-4}}
+    args = argparse.Namespace(output=str(tmp_path / "out.json"),
+                              output_format="json")
+    _, peak = traced_peak(lambda: cli._emit(doc, args))
+    assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
+    assert (tmp_path / "out.json").read_text() == _dumps(doc)

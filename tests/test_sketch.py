@@ -154,23 +154,23 @@ def test_full_srht_pads_to_power_of_two():
 
 def test_srht_allocates_no_input_sized_temporary(monkeypatch):
     # the transformed slabs of D A are held one group at a time, in at most
-    # _GROUP_SCRATCHES scratches; beyond that buffer the peak is the r x d
-    # result twice (gathered in tile order, then put in row order), the
-    # scratch, one tile's gathered rows and the O(n) signs and selection,
-    # so it does not grow with n. At the default scratch 140000 x 64 takes
-    # 3 groups (35 slabs of 2 MiB, 16 to a group at most: groups of 12);
-    # at 512 KiB the three shapes take 7, 2 and 9. At 140000 x 64 the
-    # budget at the default scratch is 44 MiB, and a buffer for every slab
-    # would alone take 70.
+    # 4 scratches; beyond that buffer the peak is the r x d result twice
+    # (gathered in tile order, then put in row order), the scratch, one
+    # tile's gathered rows (at most a scratch) and the O(n) signs and
+    # selection, so it does not grow with n. At the default scratch
+    # 100000 x 64 takes 7 groups of 8 slabs of 1 MiB (the last holds one)
+    # and 140000 x 64 takes 9 of 4 slabs of 2 MiB; at 512 KiB the three
+    # shapes take 25, 8 and 35 groups. A buffer for every slab would alone
+    # take 49, 15 and 70 MiB, and the 16-scratch groups this bound replaced
+    # exceed it at 100000 x 64 (25 MiB of slabs).
     for scratch_bytes in (_kernels._SCRATCH_BYTES, 1 << 19):
         monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", scratch_bytes)
-        group = _kernels._GROUP_SCRATCHES * scratch_bytes
         for n, d, r in ((100_000, 64, 4096), (60_000, 32, 7041),
                         (140_000, 64, 4096)):
             A = np.random.default_rng(2).standard_normal((n, d))
             op = SketchOperator("SRHT", 3, n, r)
             _, peak = traced_peak(lambda: apply_srht(op, A))
-            budget = (group + 2 * scratch_bytes + 2 * r * d * 8
+            budget = (4 * scratch_bytes + 2 * scratch_bytes + 2 * r * d * 8
                       + 2 * next_pow2(n) * 8)
             assert peak < budget, (f"{n}x{d} at {scratch_bytes} bytes: "
                                    f"peak {peak / 2**20:.1f} MiB")
@@ -256,11 +256,12 @@ def test_sampled_fwht_tiles_match_oracle(monkeypatch, n, rows, scratch_bytes,
     monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", scratch_bytes)
     d, n_pad = 3, next_pow2(n)
     rows = np.array(rows)
-    log_slab, h = _kernels._split(n, n_pad)
+    log_b, log_slab = _kernels._split(n_pad)
     scratch = _kernels._scratch(n_pad * d)
     by_position = rows[np.argsort(rows & ((1 << log_slab) - 1), kind="stable")]
-    assert len(_kernels._tiles(by_position, log_slab, h.shape[0], d,
-                               scratch)) == tiles
+    for log_g in range(log_b + 1):  # g sizes each tile's mix, not its span
+        assert len(_kernels._tiles(by_position, log_slab, log_b, log_g, d,
+                                   scratch)) == tiles
     rng = np.random.default_rng(19)
     A = rng.standard_normal((n, d))
     signs = rademacher(4, n, 0)
@@ -270,46 +271,87 @@ def test_sampled_fwht_tiles_match_oracle(monkeypatch, n, rows, scratch_bytes,
                                atol=1e-12)
 
 
-@pytest.mark.parametrize("n, d, scratch_bytes, groups, blocks", [
-    (1000, 3, 512, 4, 1),
-    (5000, 3, 512, 20, 1),
-    (5000, 6, 512, 20, 2),
-    (5000, 3, 3840, 2, 1),
+def sampled_oracle(A, weights, rows, n_pad):
+    """The unnormalized (H_{n_pad} [diag(weights) A; 0])[rows], densely."""
+    H = hadamard_rows(rows, A.shape[0], n_pad) * math.sqrt(n_pad)
+    return H @ (A * weights[:, None])
+
+
+@pytest.mark.parametrize("n, d, scratch_bytes, g, groups, blocks", [
+    (3100, 2, 2048, 8, 7, 1),
+    (1000, 3, 2 << 20, 32, 1, 1),
+    (1000, 3, 512, 2, 16, 1),
+    (5000, 3, 512, 1, 20, 3),
+    (5000, 6, 512, 1, 20, 6),
+    (5000, 3, 3840, 2, 10, 1),
 ])
 def test_sampled_fwht_groups_match_oracle(monkeypatch, n, d, scratch_bytes,
-                                          groups, blocks):
-    # The group buffer holds 16 scratches: 1024 values at 512 bytes, 7680
-    # at 3840. n = 1000: 32 slabs of 32 rows x 3 columns, at most 10 a
-    # group, so 4 groups of 8. n = 5000: 20 slabs of 256 rows; at 512
-    # bytes each is a group of its own and exceeds half the scratch, so it
-    # is transformed in place, and every tile splits its columns (32
-    # output rows of 2 columns fill the scratch). With 6 columns a slab
-    # exceeds the group, which takes 4 columns: two column blocks, of 4
-    # and 2. At 3840 bytes 10 slabs fit a group: 2 groups.
+                                          g, groups, blocks):
+    # A group holds 4 scratches: 1024 values at 2048 bytes, 256 at 512,
+    # 1920 at 3840. n = 3100: n_pad = 4096 = 64 blocks x 64-row slabs,
+    # 49 of which hold A; 8 slabs of 2 columns fill a group, so the last
+    # of 7 groups holds one slab. n = 1000: 32 blocks x 32-row slabs; at
+    # the default scratch a group could hold far more than b = 32 slabs,
+    # so g = b and one group mixes them all; at 512 bytes 2 slabs of 3
+    # columns fill a group. n = 5000: 32 blocks x 256-row slabs; at 512
+    # bytes one column of a slab fills a group, so each slab is a group
+    # of its own, split into one-column blocks; at 3840 bytes 2 slabs of
+    # 3 columns fit.
     monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", scratch_bytes)
     checked = []
     real = _kernels._check_slabs
 
     def counting(z, src, log_slab):
-        checked.append(z.shape)
+        checked.append(z.shape[0] >> log_slab)
         return real(z, src, log_slab)
 
     monkeypatch.setattr(_kernels, "_check_slabs", counting)
     n_pad = next_pow2(n)
+    _, log_slab = _kernels._split(n_pad)
+    slabs = -(-n >> log_slab)
     rng = np.random.default_rng(n + d)
     rows = np.union1d(rng.choice(n_pad, size=300, replace=False),
                       [0, 1, n - 1, n_pad - 1])
     A = rng.standard_normal((n, d))
-    signs = rademacher(7, n, 0)
-    H = hadamard_rows(rows, n, n_pad) * math.sqrt(n_pad)  # unnormalized
-    np.testing.assert_allclose(sampled_fwht(A, 0.5 * signs, rows, n_pad),
-                               0.5 * H @ (A * signs[:, None]), rtol=0,
-                               atol=1e-12)
+    weights = 0.5 * rademacher(7, n, 0)
+    np.testing.assert_allclose(sampled_fwht(A, weights, rows, n_pad),
+                               sampled_oracle(A, weights, rows, n_pad),
+                               rtol=0, atol=1e-12)
     assert len(checked) == groups * blocks
-    B = A.copy()
-    B[n // 2, d - 1] = np.nan  # in a middle group of the last column block
-    with pytest.raises(errors.NonFiniteEntry):
-        sampled_fwht(B, 0.5 * signs, rows, n_pad)
+    assert max(checked) == g and sum(checked) == slabs * blocks
+    last = (min(g, slabs) << log_slab) - 1  # the first group's last row
+    for bad in ({n // 2: np.nan},  # a middle group, last column block
+                {0: np.inf, min(last, n - 1): -np.inf}):  # one group
+        B = A.copy()
+        for row, value in bad.items():
+            B[row, d - 1] = value
+        with pytest.raises(errors.NonFiniteEntry):
+            sampled_fwht(B, weights, rows, n_pad)
+
+
+@given(st.integers(1, 300), st.integers(1, 4), st.integers(1, 40),
+       st.sampled_from([512, 1024, 3840, 2 << 20]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sampled_fwht_matches_dense_oracle(n, d, r, scratch_bytes, seed):
+    # any n, d, kept rows and scratch (the smallest holds the 64 values of
+    # one column of a slab position's b <= 64 rows): groups, column
+    # blocks, in-place slab transforms and split tiles all give the dense
+    # product
+    n_pad = next_pow2(n)
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(n_pad, size=min(r, n_pad), replace=False)
+    A = rng.standard_normal((n, d))
+    weights = rng.standard_normal(n)
+    default = _kernels._SCRATCH_BYTES
+    try:
+        _kernels._SCRATCH_BYTES = scratch_bytes
+        got = sampled_fwht(A, weights, rows, n_pad)
+    finally:
+        _kernels._SCRATCH_BYTES = default
+    want = sampled_oracle(A, weights, rows, n_pad)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
 def test_kernel_surface_inventory():
@@ -379,7 +421,7 @@ def test_non_finite_entry_raises_wherever_it_sits(monkeypatch, scratch_bytes,
         monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", scratch_bytes)
     for n in (1000, 5000):
         A = np.random.default_rng(n).standard_normal((n, 3))
-        log_slab, _ = _kernels._split(n, next_pow2(n))
+        _, log_slab = _kernels._split(next_pow2(n))
         last_slab = (n - 1) >> log_slab << log_slab  # holds padding rows
         for row in (0, n // 2, n - 1, last_slab):
             B = A.copy()
