@@ -14,8 +14,8 @@ SRHT's D x), moved between the two halves by every block but the last,
 and written once by the last. A slab larger than half the scratch first
 takes its leading blocks in place, tile by tile through the scratch,
 until the pieces it leaves fit. At the default 2 MiB that happens for
-``fwht_inplace`` once n d > 2^17 and for ``sampled_fwht`` once
-(n_pad / 64) d > 2^17, that is n_pad > 2^23 / d.
+``fwht_inplace`` once n d > 2^17 and for ``sampled_fwht`` once a slab of
+n_pad / b rows times its group's columns exceeds 2^17 values.
 
 The subsampled transform computes only the kept rows of H_n [x; 0] for an
 x of n <= n_pad rows. With H_n = H_b (x) H_slab, b <= 64 the first block
@@ -24,8 +24,11 @@ I * slab + k of H_n [x; 0] is sum_J H_b[I, J] z_J[k], where z_J = H_slab
 x_J is the transform of the J-th slab of x. Only the ceil(n / slab) slabs
 that hold x are transformed, so the padding costs less than one slab.
 They are transformed a group of g at a time into one buffer of at most 4
-scratches (8 MiB at the default), g being the largest power of two <= b
-whose g slabs fit. Sylvester's H_b is H_{b/g} (x) H_g, so group q, the
+scratches (8 MiB at the default), in column panels where g whole-row
+slabs would not fit. g is chosen by cost (``_group``): a group's mix
+grows with g, and each group after the first pays a signed gather of
+every kept row, so a small g gathers too often and a large one mixes too
+much. Sylvester's H_b is H_{b/g} (x) H_g, so group q, the
 slabs J = q g + j for j < g, adds H_{b/g}[I >> log g, q] sum_j H_g[I mod
 g, j] z_J[k] to row I * slab + k: one g x g product per tile of slab
 positions mixes the group, and each kept row adds its mixed row times
@@ -56,6 +59,12 @@ _MAX_LOG_BLOCK = 4  # transform blocks of at most 16: a pass multiplies each
 _MIX_LOG_BLOCK = 6  # sampled_fwht's b, at most 64: the mix costs g n d
 # whatever b is, and more, thinner slabs pad less and fill a group finer
 _SCRATCH_BYTES = 2 << 20  # at least 512: one column of b <= 64 mixed rows
+# sampled_fwht's cost model, in multiply-adds of its mix (about 0.09 ns each
+# on 2 CPUs), fit to apply_srht times at every g over n in {2^15, 100000,
+# 2^17}, d in 16..1024 and r in {8 d, 20 d ln n}:
+_GATHER_COST = 29  # one element of a signed gather of the kept rows
+_TILE_COST = 100_000  # one tile's numpy calls, about 9 us
+_COST_TIE = 0.1  # costs this close are a tie, within the fit's error
 
 
 def _scratch(size: int) -> np.ndarray:
@@ -205,6 +214,39 @@ def _tiles(rows: np.ndarray, log_slab: int, log_b: int, log_g: int,
     return tiles
 
 
+def _group(n: int, d: int, r: int, n_pad: int) -> tuple[int, int]:
+    """(log2 g, columns) of ``sampled_fwht``'s groups for r kept rows of
+    an n x d input padded to n_pad rows.
+
+    A group of g slabs costs g slab d multiply-adds to mix; each group
+    after the first costs a signed gather of the r kept rows, r d element
+    operations at ``_GATHER_COST`` multiply-adds each; and each group
+    visits about n_pad d / scratch tiles, at ``_TILE_COST`` each for its
+    numpy calls. g is the power of two <= b whose total is least, or the
+    smallest one within ``_COST_TIE`` of it: memory breaks the tie. A
+    group keeps whole rows while 4 scratches hold at least g / 2
+    whole-row slabs, and then g is cut to what they hold; otherwise it
+    takes as many columns as fit g slabs. A slab column larger than the
+    4 scratches takes a group of its own: g = 1, one column.
+    """
+    log_b, log_slab = _split(n_pad)
+    slabs = -(-n >> log_slab)
+    tiles = -(-n_pad * d // (_SCRATCH_BYTES // 8))
+    cost = []
+    for k in range(log_b + 1):
+        groups = -(-slabs >> k)
+        cost.append(((slabs << log_slab + k) + (groups - 1) * _GATHER_COST * r)
+                    * d + groups * tiles * _TILE_COST)
+    least = min(cost)
+    log_g = next(k for k, c in enumerate(cost) if c <= (1 + _COST_TIE) * least)
+    columns = _SCRATCH_BYTES // 2 >> log_slab  # slab columns a group holds
+    fit = columns // d  # whole-row slabs a group holds
+    if 2 * fit >= 1 << log_g:
+        return min(log_g, fit.bit_length() - 1), d
+    log_g = min(log_g, max(0, columns.bit_length() - 1))
+    return log_g, max(1, columns >> log_g)
+
+
 def _check_slabs(z: np.ndarray, src: np.ndarray, log_slab: int) -> None:
     """Raise ``NonFiniteEntry`` if a slab of ``src`` holds a NaN or infinite
     entry, given its transformed weighted slabs ``z``. Row 0 of H_slab is
@@ -226,10 +268,11 @@ def sampled_fwht(a: np.ndarray, weights: np.ndarray, rows: np.ndarray,
     ``a`` is a trusted n x d float64 array with n <= n_pad (a power of
     two), ``weights`` its n finite row weights and ``rows`` distinct row
     indices below n_pad. H is unnormalized. The slabs of diag(weights) a
-    are transformed a group of g at a time into one buffer of at most 4
-    scratches (a slab larger than that is split into column blocks, and
-    then g = 1), mixed by H_g, and each group's signed share of every kept
-    row is added into the r x d result before the next group. So the
+    are transformed a group of g at a time, whole rows or a column panel
+    at a time as ``_group`` chooses by cost, into one buffer of at most 4
+    scratches (a slab column larger than that is a group of its own),
+    mixed by H_g, and each group's signed share of every kept row is
+    added into the r x d result before the next group. So the
     memory is that buffer, the result twice over (it is gathered in tile
     order and put in row order once, at the end), a scratch of at most
     ``_SCRATCH_BYTES`` and one tile's gathered rows, no larger, whatever
@@ -240,10 +283,7 @@ def sampled_fwht(a: np.ndarray, weights: np.ndarray, rows: np.ndarray,
     n, d = a.shape
     log_b, log_slab = _split(n_pad)
     slabs = -(-n >> log_slab)
-    budget = _SCRATCH_BYTES // 2  # values in one group: 4 scratches
-    width = min(d, max(1, budget >> log_slab))  # columns of a group
-    fit = budget // (width << log_slab)  # slabs a group could hold
-    log_g = min(log_b, max(0, fit.bit_length() - 1))
+    log_g, width = _group(n, d, rows.size, n_pad)
     g = 1 << log_g
     order = np.argsort(rows & ((1 << log_slab) - 1), kind="stable")
     kept = rows[order]

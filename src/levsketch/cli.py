@@ -188,27 +188,42 @@ def _write_floats(fh, values: np.ndarray, indent: int) -> None:
 
 
 def _emit_csv(doc: dict, path: str) -> None:
+    """Write the result's rows as CSV, every float in ``%.17g``, in chunks
+    of ``_CHUNK`` lines."""
     result = doc.get("result", {})
     with open(path, "w") as fh:
         if "pairs" in result:
             fh.write("i,j,c_sq\n")
-            for i, j, c in result["pairs"]:
-                fh.write(f"{i},{j},{c:.17g}\n")
+            _write_lines(fh, result["pairs"], "%s,%s,%.17g\n")
         elif "solution" in result:
             fh.write("x\n")
-            for v in result["solution"]:
-                fh.write(f"{v:.17g}\n")
+            _write_lines(fh, np.asarray(result["solution"]), "%.17g\n")
         elif "coherence" in result and "scores" not in result:
-            fh.write(f"coherence\n{result['coherence']:.17g}\n")
+            fh.write("coherence\n%.17g\n" % result["coherence"])
         else:
             fh.write("score\n")
-            for v in result.get("scores", result.get("p_hat", [])):
-                fh.write(f"{v:.17g}\n")
+            scores = result.get("scores", result.get("p_hat", []))
+            _write_lines(fh, np.asarray(scores), "%.17g\n")
 
 
-def _with_retries(fn, args):
+def _write_lines(fh, rows, line: str) -> None:
+    """``line % row`` for each of ``rows``, a float array or a list of
+    (i, j, value) pairs, ``_CHUNK`` lines at a time."""
+    for i in range(0, len(rows), _CHUNK):
+        chunk = rows[i:i + _CHUNK]
+        values = (chunk.tolist() if isinstance(chunk, np.ndarray)
+                  else [v for row in chunk for v in row])
+        fh.write((line * len(chunk)) % tuple(values))
+
+
+def _with_retries(fn, args, exact: bool = False):
     """(fn(seed), seed) for the first seed from ``--seed`` on, one per
-    attempt, at which ``fn`` does not raise ``RankDeficient``."""
+    attempt, at which ``fn`` does not raise ``RankDeficient``. An
+    ``exact`` plan (r1 >= n) samples no rows, so no seed changes its
+    rank: it makes one attempt, and its ``RankDeficient`` is a hard
+    error."""
+    if exact:
+        return fn(args.seed), args.seed
     last = None
     for seed in range(args.seed, args.seed + args.retries + 1):
         try:
@@ -244,7 +259,8 @@ def _run_leverage(args, A) -> dict:
     else:
         plan = _plan_for(args, *A.shape)
         (report, basis), used_seed = _with_retries(
-            lambda s: approx_leverage(A, plan, s), args)
+            lambda s: approx_leverage(A, plan, s), args,
+            exact=plan.r1 >= A.shape[0])
         params = {"estimator": "sketched", "n": A.shape[0], "d": A.shape[1],
                   **_plan_params(plan, {**report.extras,
                                         "route": basis.route})}
@@ -286,7 +302,8 @@ def _run_cross(args, A) -> dict:
     else:
         plan = _plan_for(args, n, d)
         hp, used_seed = _with_retries(
-            lambda s: approx_cross_leverage(A, plan, kappa, s), args)
+            lambda s: approx_cross_leverage(A, plan, kappa, s), args,
+            exact=plan.r1 >= n)
         params.update(_plan_params(plan, hp.extras))
     if args.off_diagonal_only:
         hp = hp.off_diagonal()

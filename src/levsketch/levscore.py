@@ -165,6 +165,9 @@ def build_orthogonalizer(pa, allow_rank_deficient: bool = False,
     guard rejects R, the SVD of Householder ``qr(PA)``'s R decides. Rank
     decisions at ``DEFAULT_RANK_TOL`` therefore always come from a
     backward-stable R, and ``pa @ Rinv`` is orthonormal. Raises
+    ``RankDeficient`` naming the rank where it is below d and
+    ``allow_rank_deficient`` is false (a sketch's message asks for a new
+    seed; a matrix that is not a sketch has no seed to change), and
     ``NonFiniteFactor`` where R^{-1} overflows, so that a zero row of A is
     an exact zero row of A R^{-1}.
     """
@@ -183,11 +186,13 @@ def build_orthogonalizer(pa, allow_rank_deficient: bool = False,
         route = "householder"
         _, s, Vt = np.linalg.svd(np.linalg.qr(PA, mode="r"))
     rho = int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
+    what = "sketched matrix" if sketched else "matrix"
     if rho < d and not allow_rank_deficient:
         raise errors.RankDeficient(
-            f"sketched matrix has rank {rho} < {d}; resample with a new seed")
+            f"{what} has rank {rho} < {d}"
+            + ("; resample with a new seed" if sketched else ""))
     if rho == 0:
-        raise errors.RankDeficient("sketched matrix is numerically zero")
+        raise errors.RankDeficient(f"{what} is numerically zero")
     V = Vt[:rho].T
     V *= np.sign(V[np.abs(V).argmax(axis=0), np.arange(rho)])
     with np.errstate(over="ignore"):

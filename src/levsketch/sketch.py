@@ -167,9 +167,10 @@ def apply_srht(op: SketchOperator, a) -> np.ndarray:
     random (all of them, in order, when r = n_pad). Only the r selected
     rows are computed, from slabs of n_pad / b rows (b being the first
     Kronecker block, 32 or 64 once n_pad >= 512) transformed and mixed a
-    bounded group at a time (see ``sampled_fwht``). Beyond ``a`` itself,
-    memory is the 8 MiB group buffer, a 2 MiB scratch, O(r d) and the n
-    signs of D, whatever n is.
+    group at a time, the group's size chosen by cost (see
+    ``sampled_fwht``). Beyond ``a`` itself, memory is a group buffer of at
+    most 8 MiB, a 2 MiB scratch, O(r d) and the n signs of D, whatever n
+    is.
     ``a`` is read once: the kernel checks the first row of each transformed
     slab, which sums the slab, and raises ``NonFiniteEntry`` for a NaN or
     infinite entry, so ``a`` is not scanned beforehand.

@@ -651,6 +651,34 @@ def test_cli_hard_error_exit_code(tmp_path, capsys):
     assert main(["exact", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("argv", [["leverage"], ["cross"],
+                                  ["coherence", "--method", "sketched"]])
+def test_cli_exact_plan_rank_deficiency_is_not_retried(tmp_path, capsys,
+                                                       monkeypatch, argv):
+    # 100 x 8 with two equal columns: the default r1 = 737 is capped at
+    # n = 100, so the plan samples nothing and factors A itself. No seed
+    # changes A's rank 7: one factorization, exit 1, and the message names
+    # the matrix's rank. A sampling plan (r1 = 50) still retries each seed.
+    from levsketch import levscore
+    factored = []
+    real = levscore.build_orthogonalizer
+    monkeypatch.setattr(levscore, "build_orthogonalizer",
+                        lambda *a, **k: (factored.append(1), real(*a, **k))[1])
+    A = np.random.default_rng(3).standard_normal((100, 8))
+    A[:, 7] = A[:, 2]
+    command, *options = argv
+    path = write_fixture(tmp_path, A)
+    assert main([command, path, *options]) == cli.EXIT_HARD
+    err = capsys.readouterr().err
+    assert err == "error: matrix has rank 7 < 8\n"
+    assert len(factored) == 1
+    factored.clear()
+    assert main([command, path, *options, "--r1", "50"]) \
+        == cli.EXIT_RETRY_EXHAUSTED
+    assert "sketched matrix has rank 7 < 8" in capsys.readouterr().err
+    assert len(factored) == 4  # --seed and the 3 default retries
+
+
 @pytest.mark.parametrize("flag, value", [("--r2", "0"), ("--r2", "-3"),
                                          ("--r1", "0"), ("--retries", "-1")])
 def test_cli_bad_sketch_parameter_is_a_usage_error(tmp_path, capsys, rng,
@@ -836,3 +864,37 @@ def test_json_writer_peak_does_not_grow_with_the_scores(tmp_path):
     _, peak = traced_peak(lambda: cli._emit(doc, args))
     assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
     assert (tmp_path / "out.json").read_text() == _dumps(doc)
+
+
+def _csv_per_value(result) -> str:
+    """The CSV text of ``result``, written one value at a time."""
+    if "pairs" in result:
+        return "i,j,c_sq\n" + "".join(f"{i},{j},{c:.17g}\n"
+                                      for i, j, c in result["pairs"])
+    if "solution" in result:
+        return "x\n" + "".join(f"{v:.17g}\n" for v in result["solution"])
+    if "coherence" in result and "scores" not in result:
+        return f"coherence\n{result['coherence']:.17g}\n"
+    return "score\n" + "".join(
+        f"{v:.17g}\n" for v in result.get("scores", result.get("p_hat", [])))
+
+
+def test_csv_writer_matches_the_per_value_text(tmp_path, monkeypatch):
+    # chunks of 3 lines split every array; non-finite, subnormal and
+    # signed-zero values, int and float pairs and empty results come out
+    # as the per-value writer wrote them
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    values = np.array([0.1, np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300,
+                       1 / 3])
+    results = [{"scores": values, "coherence": 1.0},
+               {"scores": np.random.default_rng(0).random(2 * 3 + 1)},
+               {"p_hat": values[::-1].copy()}, {"solution": values},
+               {"pairs": [[0, 0, 0.5], [1, 7, 1 / 3], [2, 9, np.float64(2.0)],
+                          [3, 4, 1e-300]]},
+               {"coherence": np.float64(0.25), "method": "exact"},
+               {"solution": [0.5, 1 / 3]}, {"scores": np.empty(0)},
+               {"pairs": []}, {"solution": []}, {}]
+    out = tmp_path / "out.csv"
+    for result in results:
+        cli._emit_csv({"result": result}, str(out))
+        assert out.read_text() == _csv_per_value(result)

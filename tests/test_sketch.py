@@ -158,9 +158,11 @@ def test_srht_allocates_no_input_sized_temporary(monkeypatch):
     # (gathered in tile order, then put in row order), the scratch, one
     # tile's gathered rows (at most a scratch) and the O(n) signs and
     # selection, so it does not grow with n. At the default scratch
-    # 100000 x 64 takes 7 groups of 8 slabs of 1 MiB (the last holds one)
-    # and 140000 x 64 takes 9 of 4 slabs of 2 MiB; at 512 KiB the three
-    # shapes take 25, 8 and 35 groups. A buffer for every slab would alone
+    # 100000 x 64 takes 7 groups of 8 slabs of 1 MiB (the last holds one),
+    # 60000 x 32 4 of 16 slabs of 256 KiB and 140000 x 64 9 of 4 slabs of
+    # 2 MiB; at 512 KiB the three shapes take 7 groups in each of 4
+    # column panels, 8 groups, and 5 in each of 8 panels, every group 8
+    # slabs of 256 KiB. A buffer for every slab would alone
     # take 49, 15 and 70 MiB, and the 16-scratch groups this bound replaced
     # exceed it at 100000 x 64 (25 MiB of slabs).
     for scratch_bytes in (_kernels._SCRATCH_BYTES, 1 << 19):
@@ -278,25 +280,33 @@ def sampled_oracle(A, weights, rows, n_pad):
 
 
 @pytest.mark.parametrize("n, d, scratch_bytes, g, groups, blocks", [
-    (3100, 2, 2048, 8, 7, 1),
+    (3100, 2, 2048, 16, 4, 2),
     (1000, 3, 2 << 20, 32, 1, 1),
-    (1000, 3, 512, 2, 16, 1),
+    (1000, 3, 512, 8, 4, 3),
     (5000, 3, 512, 1, 20, 3),
     (5000, 6, 512, 1, 20, 6),
-    (5000, 3, 3840, 2, 10, 1),
+    (5000, 3, 3840, 4, 5, 3),
+    (3100, 6, 2 << 20, 16, 4, 1),
+    (20000, 2, 512, 1, 20, 2),
 ])
 def test_sampled_fwht_groups_match_oracle(monkeypatch, n, d, scratch_bytes,
                                           g, groups, blocks):
     # A group holds 4 scratches: 1024 values at 2048 bytes, 256 at 512,
-    # 1920 at 3840. n = 3100: n_pad = 4096 = 64 blocks x 64-row slabs,
-    # 49 of which hold A; 8 slabs of 2 columns fill a group, so the last
-    # of 7 groups holds one slab. n = 1000: 32 blocks x 32-row slabs; at
-    # the default scratch a group could hold far more than b = 32 slabs,
-    # so g = b and one group mixes them all; at 512 bytes 2 slabs of 3
-    # columns fill a group. n = 5000: 32 blocks x 256-row slabs; at 512
-    # bytes one column of a slab fills a group, so each slab is a group
-    # of its own, split into one-column blocks; at 3840 bytes 2 slabs of
-    # 3 columns fit.
+    # 1920 at 3840; 302-304 rows are kept. The cost model asks for g = 64
+    # at n = 3100, 2048 bytes, and for g = 32 in the other small-scratch
+    # cases, more than a whole-row group holds, so groups take column
+    # panels of as many slabs as fit. n = 3100: n_pad = 4096 = 64 blocks
+    # x 64-row slabs, 49 of which hold A; 16 one-column slabs fill a
+    # group, so each of 2 panels runs 4 groups, the last holding one slab.
+    # n = 1000: 32 blocks x 32-row slabs; at the default scratch one
+    # group mixes all b = 32; at 512 bytes 8 one-column slabs fill a
+    # group. n = 5000: 32 blocks x 256-row slabs; at 512 bytes one column
+    # of a slab fills a group, so each slab is a group of its own in
+    # one-column blocks; at 3840 bytes 7 slab columns fit, so groups of 4
+    # one-column slabs. At the default scratch n = 3100, d = 6 keeps whole
+    # rows, in 4 groups of the g = 16 the cost model asks for. n = 20000:
+    # a 1024-row slab column is wider than the 256-value group, so g = 1
+    # and each slab is split into one-column blocks.
     monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", scratch_bytes)
     checked = []
     real = _kernels._check_slabs
@@ -329,15 +339,57 @@ def test_sampled_fwht_groups_match_oracle(monkeypatch, n, d, scratch_bytes,
             sampled_fwht(B, weights, rows, n_pad)
 
 
-@given(st.integers(1, 300), st.integers(1, 4), st.integers(1, 40),
+def sampled_group(n, d, r):
+    """(g, columns) of ``sampled_fwht``'s groups for r kept rows of n x d."""
+    log_g, columns = _kernels._group(n, d, r, next_pow2(n))
+    return 1 << log_g, columns
+
+
+def test_group_size_follows_the_cost_model(monkeypatch):
+    # the benchmark's whole-row shapes keep the groups of the fit rule the
+    # cost model replaced: tall-leverage's 100000 x 64 (g = 8 of b = 64)
+    # and wide-general's 8192 x 32 (g = b = 32). cross-pairs' 60000 x 32
+    # needs no more than 16 slabs a group, where 32 fit; at 32768 x 2048,
+    # where no whole-row slab fits a group, g >= 16 in column panels
+    assert sampled_group(100_000, 64, 14737) == (8, 64)
+    assert sampled_group(8192, 32, 5767) == (32, 32)
+    assert sampled_group(60_000, 32, 7042)[0] <= 16
+    g, columns = sampled_group(32768, 2048, 16384)
+    assert g >= 16 and columns < 2048
+    # a slab column wider than the group buffer is a group of its own, in
+    # one-column blocks: 1024-row slabs at 512 bytes (256 values a group),
+    # 2^21-row slabs of n = 2^27 at the default scratch
+    assert sampled_group(1 << 27, 4, 5000) == (1, 1)
+    monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", 512)
+    assert sampled_group(20_000, 3, 100) == (1, 1)
+
+
+@pytest.mark.parametrize("scratch_bytes", [512, 3840, 2 << 20])
+def test_group_buffer_stays_within_four_scratches(monkeypatch,
+                                                  scratch_bytes):
+    # g slabs of the group's columns fit 4 scratches, whatever n, d and r
+    # are, unless one slab column alone is wider (then g = 1, one column)
+    monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", scratch_bytes)
+    for n in (1, 63, 1000, 60_000, 100_000, 1 << 17, 10**7):
+        _, log_slab = _kernels._split(next_pow2(n))
+        for d in (1, 3, 16, 64, 256, 2048):
+            for r in (1, 8 * d, 20 * d * 12, next_pow2(n)):
+                g, columns = sampled_group(n, d, min(r, next_pow2(n)))
+                assert 1 <= columns <= d
+                assert (g << log_slab) * columns <= scratch_bytes // 2 \
+                    or (g, columns) == (1, 1)
+
+
+@given(st.integers(1, 300), st.integers(1, 16), st.integers(1, 40),
        st.sampled_from([512, 1024, 3840, 2 << 20]),
        st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_sampled_fwht_matches_dense_oracle(n, d, r, scratch_bytes, seed):
     # any n, d, kept rows and scratch (the smallest holds the 64 values of
     # one column of a slab position's b <= 64 rows): groups, column
-    # blocks, in-place slab transforms and split tiles all give the dense
-    # product
+    # blocks, column panels mixed in groups of g > 1 (up to 16 columns
+    # overflow a small scratch's whole-row group), in-place slab
+    # transforms and split tiles all give the dense product
     n_pad = next_pow2(n)
     rng = np.random.default_rng(seed)
     rows = rng.choice(n_pad, size=min(r, n_pad), replace=False)
@@ -408,10 +460,12 @@ def test_non_finite_entry_raises_wherever_it_sits(monkeypatch, scratch_bytes,
                                                   bad):
     # apply_srht does not scan its input; the kernel checks the first row
     # of each transformed slab of D A, which sums the slab. With the
-    # default scratch every slab of n = 1000 (32 rows) and of n = 5000
-    # (256 rows) sits in one group; at 3840 bytes n = 5000 runs 2 groups,
-    # and its slabs exceed half the scratch, so they are transformed in
-    # place; at 512 bytes n = 1000 runs 4 groups and n = 5000 runs 20.
+    # default scratch every slab of n = 1000 (32 rows) sits in one group
+    # and n = 5000 (256-row slabs) runs 3 groups of 8; at 3840 bytes
+    # n = 1000 runs 2 groups and n = 5000 runs 5 in each of 3 one-column
+    # blocks, whose slabs exceed half the scratch, so they are transformed
+    # in place; at 512 bytes n = 1000 runs 4 groups and n = 5000 runs 20,
+    # each in 3 one-column blocks.
     # Rows 0, n // 2 and n - 1 sit in the first, a middle and the last
     # group, and last_slab on the first row of the slab that holds the
     # padding. approx_leverage validates A itself, whether it runs the
