@@ -25,16 +25,20 @@ x_J is the transform of the J-th slab of x. Only the ceil(n / slab) slabs
 that hold x are transformed, so the padding costs less than one slab.
 They are transformed a group of g at a time into one buffer of at most 4
 scratches (8 MiB at the default), in column panels where g whole-row
-slabs would not fit. g is chosen by cost (``_group``): a group's mix
-grows with g, and each group after the first pays a signed gather of
-every kept row, so a small g gathers too often and a large one mixes too
-much. Sylvester's H_b is H_{b/g} (x) H_g, so group q, the
+slabs would not fit; from n_pad = 2^27 on, one slab column (n_pad / 64
+values) is larger than that and is a group of its own. g is chosen by
+cost (``_group``): a group's mix grows with g, and each group after the
+first pays a signed gather of every kept row, so a small g gathers too
+often and a large one mixes too much. Sylvester's H_b is
+H_{b/g} (x) H_g, so group q, the
 slabs J = q g + j for j < g, adds H_{b/g}[I >> log g, q] sum_j H_g[I mod
 g, j] z_J[k] to row I * slab + k: one g x g product per tile of slab
 positions mixes the group, and each kept row adds its mixed row times
 that sign. The mix costs g n d multiply-adds instead of b n d. So the
 SRHT reads x once, writes and reads each slab once, and its memory is the
-group buffer and O(r d) for its r kept rows, whatever n is. The first row
+group buffer and O(r d) for its r kept rows: the buffer is at most 8 MiB
+while n_pad <= 2^26 and n_pad / 8 bytes beyond, so only there does it
+grow with n. The first row
 of each transformed slab sums the slab (row 0 of H_slab is all ones), so
 it is the input check: it is finite unless the slab holds a NaN or Inf,
 or overflows. The transpose needs no kernel of its own: H is symmetric,
@@ -273,12 +277,13 @@ def sampled_fwht(a: np.ndarray, weights: np.ndarray, rows: np.ndarray,
     scratches (a slab column larger than that is a group of its own),
     mixed by H_g, and each group's signed share of every kept row is
     added into the r x d result before the next group. So the
-    memory is that buffer, the result twice over (it is gathered in tile
-    order and put in row order once, at the end), a scratch of at most
-    ``_SCRATCH_BYTES`` and one tile's gathered rows, no larger, whatever
-    n is. ``a`` is not scanned beforehand: each transformed slab's first
-    row is checked (see ``_check_slabs``), and a NaN or infinite entry of
-    ``a`` raises ``NonFiniteEntry``.
+    memory is that buffer (at most 8 MiB while n_pad <= 2^26; one slab
+    column of n_pad / 64 values beyond), the result twice over (it is
+    gathered in tile order and put in row order once, at the end), a
+    scratch of at most ``_SCRATCH_BYTES`` and one tile's gathered rows,
+    no larger. ``a`` is not scanned beforehand: each transformed slab's
+    first row is checked (see ``_check_slabs``), and a NaN or infinite
+    entry of ``a`` raises ``NonFiniteEntry``.
     """
     n, d = a.shape
     log_b, log_slab = _split(n_pad)

@@ -47,16 +47,13 @@ def _add_io(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sketch(p: argparse.ArgumentParser, plan: bool = True) -> None:
-    """--seed, --eps and --retries, and with ``plan`` the sketch plan's
+    """--seed and --eps, and with ``plan`` --retries and the sketch plan's
     sizes."""
     p.add_argument("--seed", type=int, default=None,
                    help="defaults to $LEVSKETCH_SEED or 0")
     p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--retries", type=int, default=3)
     if plan:
-        p.add_argument("--delta", type=float, default=0.1)
-        p.add_argument("--mode", default="practical",
-                       choices=["theory", "practical"])
+        p.add_argument("--retries", type=int, default=3)
         p.add_argument("--r1", type=int, default=None)
         p.add_argument("--r2", type=int, default=None)
 
@@ -109,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probs", default="exact", choices=["exact", "sketched"])
     p.add_argument("--beta", type=float, default=None,
                    help="override the probability quality factor")
+    p.add_argument("--delta", type=float, default=0.1)
     return ap
 
 
@@ -238,15 +236,13 @@ class _RetriesExhausted(errors.LevsketchError):
 
 
 def _plan_for(args, n: int, d: int):
-    return make_plan(n, d, epsilon=args.eps, delta=args.delta, mode=args.mode,
-                     r1=args.r1, r2=args.r2)
+    return make_plan(n, d, epsilon=args.eps, r1=args.r1, r2=args.r2)
 
 
 def _plan_params(plan, extras: dict) -> dict:
     """The plan's sizes, and under ``run`` the ones the sketch used and
     the orthogonalizer's route."""
-    return {"epsilon": plan.epsilon, "delta": plan.delta, "r1": plan.r1,
-            "r2": plan.r2, "mode": plan.mode,
+    return {"epsilon": plan.epsilon, "r1": plan.r1, "r2": plan.r2,
             "run": {k: extras[k] for k in ("rank", "r1", "r2", "route")}}
 
 
@@ -315,16 +311,18 @@ def _run_cross(args, A) -> dict:
 
 
 def _run_rankk(args, A) -> dict:
+    # One attempt: a rank-k sketch loses rank only where A has too little,
+    # and no seed changes that (both estimators raise RankTooLow).
     if args.norm == "spectral":
-        fn = lambda s: spectral_rankk(A, args.k, args.eps, s, q_override=args.q)
+        report = spectral_rankk(A, args.k, args.eps, args.seed,
+                                q_override=args.q)
     else:
-        fn = lambda s: frobenius_rankk(A, args.k, args.eps, s)
-    report, used_seed = _with_retries(fn, args)
+        report = frobenius_rankk(A, args.k, args.eps, args.seed)
     return {"params": {"n": A.shape[0], "d": A.shape[1], "k": args.k,
                        "norm": args.norm, "epsilon": args.eps, "q": args.q,
                        "beta_claim": report.beta_claim,
                        "run": report.extras},
-            "seed": used_seed, "timings_ms": {},
+            "seed": args.seed, "timings_ms": {},
             "result": {"p_hat": report.p_hat, "k": report.k,
                        "norm": report.norm}}
 
@@ -339,18 +337,18 @@ def _rhs_format(args) -> str:
 
 def _run_underls(args, A) -> dict:
     b = io.load_matrix(args.rhs, _rhs_format(args)).reshape(-1)
-    if args.probs == "exact":
-        p = leverage_probs_for_columns(A, "exact")
-    else:
-        plan = _plan_for(args, A.shape[1], A.shape[0])
-        p = leverage_probs_for_columns(A, "sketched", plan=plan,
-                                       seed=args.seed)
-    if args.beta is not None:
-        p.beta = args.beta
+    plan = (_plan_for(args, A.shape[1], A.shape[0])
+            if args.probs == "sketched" else None)
     run: dict = {}
-    x, used_seed = _with_retries(
-        lambda s: underls_solve(A, b, p, args.eps, args.delta, s, extras=run),
-        args)
+
+    def attempt(seed):  # the probabilities and the draws share one seed
+        p = leverage_probs_for_columns(A, args.probs, plan=plan, seed=seed)
+        if args.beta is not None:
+            p.beta = args.beta
+        return p, underls_solve(A, b, p, args.eps, args.delta, seed,
+                                extras=run)
+
+    (p, x), used_seed = _with_retries(attempt, args)
     residual = float(np.linalg.norm(A @ x - b))
     return {"params": {"n": A.shape[0], "d": A.shape[1], "epsilon": args.eps,
                        "delta": args.delta, "beta": p.beta,
@@ -367,10 +365,10 @@ _RUNNERS = {"leverage": _run_leverage, "exact": _run_exact,
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "retries", 0) < 0:  # ``exact`` does not retry
+        if getattr(args, "retries", 0) < 0:  # exact and rankk never retry
             raise errors.InvalidParameter(
                 f"--retries must be >= 0, got {args.retries}")
-        if getattr(args, "seed", 0) is None:  # nor does it draw
+        if getattr(args, "seed", 0) is None:  # ``exact`` draws nothing
             args.seed = _parse(int, os.environ.get("LEVSKETCH_SEED", "0"),
                                "$LEVSKETCH_SEED")
         doc = _RUNNERS[args.command](args, io.load_matrix(args.input,

@@ -134,17 +134,21 @@ def spectral_rankk(a, k: int, epsilon: float, seed: int,
 
     Sketches B = (A A^T)^q A Pi (Pi Gaussian d x 2k), estimates the leverage
     scores of the tall B with the fast sketch, and normalizes by their sum.
-    beta_claim = (1 - eps) / (2 (1 + eps)) with probability >= 0.7.
+    beta_claim = (1 - eps) / (2 (1 + eps)) with probability >= 0.7. A
+    numerically zero B (a zero or underflowing A) raises ``RankTooLow``,
+    as ``frobenius_rankk`` does.
     """
     A = validate_matrix(a)
     B, q = _power_sketch(A, k, epsilon, seed, q_override)
-    plan = make_plan(A.shape[0], 2 * k, epsilon=min(epsilon, 0.5),
-                     mode="practical")
+    plan = make_plan(A.shape[0], 2 * k, epsilon=min(epsilon, 0.5))
     # B may have rank < 2k when rank(A) < 2k; truncate instead of erroring.
-    report, _ = approx_leverage(B, plan, seed, allow_rank_deficient=True)
-    total = float(report.scores.sum())
+    try:
+        report, _ = approx_leverage(B, plan, seed, allow_rank_deficient=True)
+        total = float(report.scores.sum())
+    except errors.RankDeficient:  # B is zero: A is, or its powers underflow
+        total = 0.0
     if total <= 0.0:
-        raise errors.RankDeficient("sketch B collapsed to zero")
+        raise errors.RankTooLow(f"sketch B has numerical rank 0 < k={k}")
     return NormalizedLevReport(
         p_hat=report.scores / total, k=k, norm="spectral",
         beta_claim=(1.0 - epsilon) / (2.0 * (1.0 + epsilon)), seed=int(seed),
@@ -169,7 +173,7 @@ def _frobenius_factors(A: np.ndarray, k: int, epsilon: float, seed: int):
     try:  # Q = B R^{-1} spans B's numerical column space
         orth = build_orthogonalizer(B, allow_rank_deficient=True,
                                     sketched=True)
-    except errors.RankDeficient:  # B, and so A, is numerically zero
+    except errors.RankDeficient:  # B is zero: A is, or its powers underflow
         raise errors.RankTooLow(
             f"sketch B has numerical rank 0 < k={k}") from None
     if orth.rank < k:

@@ -20,8 +20,6 @@ from ._kernels import fwht_inplace, sampled_fwht
 from .matcore import _as_matrix, validate_matrix
 from .rng import rademacher, substream
 
-DEFAULT_DELTA = 0.1
-
 
 def next_pow2(n: int) -> int:
     p = 1
@@ -62,18 +60,15 @@ class SketchPlan:
     """Resolved sketch dimensions for the two-stage leverage sketch.
 
     ``r1`` is the SRHT row budget (stage 1), ``r2`` the sparse-JLT target
-    dimension (stage 2). Theory mode evaluates the proof-grade formulas;
-    practical mode uses r1 = ceil(20 d ln n), r2 = ceil(12 ln n / eps^2).
-    A stage that cannot compress is skipped: r1 >= n factors A itself and
+    dimension (stage 2); ``make_plan`` says how they are chosen. A stage
+    that cannot compress is skipped: r1 >= n factors A itself and
     r2 >= rank leaves A R^{-1} unprojected, so ``make_plan(n, d, eps,
     r1=n, r2=d)`` is the exact plan.
     """
 
     epsilon: float
-    delta: float
     r1: int
     r2: int
-    mode: str  # "theory" | "practical"
 
 
 def _check_size(name: str, value) -> int:
@@ -85,31 +80,25 @@ def _check_size(name: str, value) -> int:
     return int(value)
 
 
-def make_plan(n: int, d: int, epsilon: float, delta: float = DEFAULT_DELTA,
-              mode: str = "practical", r1: Optional[int] = None,
+def make_plan(n: int, d: int, epsilon: float, r1: Optional[int] = None,
               r2: Optional[int] = None) -> SketchPlan:
-    """Resolve r1/r2 for an n x d input, honoring explicit overrides."""
+    """Resolve r1/r2 for an n x d input: r1 = ceil(20 d ln n) and
+    r2 = ceil(12 ln n / eps^2), or the explicit ``r1``/``r2`` given. r1
+    is clamped to [d, n].
+
+    The paper's proof-grade sizes give the exact plan on any input that
+    fits in memory, and remain one call away for a failure probability
+    delta: ``make_plan(n, d, eps, r1=fjlt_dim(n, d, eps),
+    r2=jlt_dim(max(n * n, 2), eps, delta))``, Pi2 being a JLT for the n
+    rows and their n^2 - n pairwise sums.
+    """
     if not (0.0 < epsilon <= 0.5):
         raise errors.InvalidParameter(f"epsilon must be in (0, 0.5], got {epsilon}")
-    if not (0.0 < delta < 1.0):
-        raise errors.InvalidParameter(f"delta must be in (0, 1), got {delta}")
-    if mode not in ("theory", "practical"):
-        raise errors.InvalidParameter(f"unknown mode {mode!r}")
-    if r1 is not None:
-        r1 = _check_size("r1", r1)
-    elif mode == "theory":
-        r1 = fjlt_dim(n, d, epsilon)
-    else:
-        r1 = min(n, max(d, math.ceil(20.0 * d * math.log(max(n, 2)))))
-    if r2 is not None:
-        r2 = _check_size("r2", r2)
-    elif mode == "theory":
-        # Pi2 must be a JLT for the n rows and their n^2 - n pairwise sums.
-        r2 = jlt_dim(max(n * n, 2), epsilon, delta)
-    else:
-        r2 = max(1, math.ceil(12.0 * math.log(max(n, 2)) / epsilon**2))
-    return SketchPlan(epsilon=epsilon, delta=delta, r1=max(d, min(r1, n)),
-                      r2=r2, mode=mode)
+    log_n = math.log(max(n, 2))
+    r1 = math.ceil(20.0 * d * log_n) if r1 is None else _check_size("r1", r1)
+    r2 = (max(1, math.ceil(12.0 * log_n / epsilon**2)) if r2 is None
+          else _check_size("r2", r2))
+    return SketchPlan(epsilon=epsilon, r1=max(d, min(r1, n)), r2=r2)
 
 
 @dataclass(frozen=True)
@@ -168,9 +157,10 @@ def apply_srht(op: SketchOperator, a) -> np.ndarray:
     rows are computed, from slabs of n_pad / b rows (b being the first
     Kronecker block, 32 or 64 once n_pad >= 512) transformed and mixed a
     group at a time, the group's size chosen by cost (see
-    ``sampled_fwht``). Beyond ``a`` itself, memory is a group buffer of at
-    most 8 MiB, a 2 MiB scratch, O(r d) and the n signs of D, whatever n
-    is.
+    ``sampled_fwht``). Beyond ``a`` itself, memory is a group buffer, a
+    2 MiB scratch, O(r d) and the n signs of D. The buffer is at most
+    8 MiB while n_pad <= 2^26; from n_pad = 2^27 on it is one slab column,
+    n_pad / 64 values (16 MiB at 2^27), and grows with n.
     ``a`` is read once: the kernel checks the first row of each transformed
     slab, which sums the slab, and raises ``NonFiniteEntry`` for a NaN or
     infinite entry, so ``a`` is not scanned beforehand.

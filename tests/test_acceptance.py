@@ -99,7 +99,7 @@ def test_criterion_02_relative_error_half():
     details = []
     ok = True
     for label, n, d, overrides in cases:
-        plan = make_plan(n, d, EPS, mode="practical", **overrides)
+        plan = make_plan(n, d, EPS, **overrides)
         wins_by_family = []
         worst = 0.0
         for family in ("gaussian", "spiked", "hadamard"):

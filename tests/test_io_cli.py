@@ -291,7 +291,7 @@ def test_cli_hadamard_leverage_near_uniform(tmp_path, capsys):
     A = hadamard_matrix(n)[:, :d]
     path = write_fixture(tmp_path, A)
     code, doc = run_cli(capsys, ["leverage", path, "--eps", "0.5",
-                                 "--seed", "7", "--mode", "practical"])
+                                 "--seed", "7"])
     assert code == 0
     scores = np.asarray(doc["result"]["scores"])
     assert np.all(np.abs(scores - d / n) <= 0.5 * d / n)
@@ -514,7 +514,7 @@ def test_cli_cross_peak_does_not_count_the_mapped_input(tmp_path, capsys,
     argv = ["cross", str(path), "--kappa", "5", "--seed", "0"]
     assert main(argv) == 0  # warm-up
     capsys.readouterr()
-    plan = make_plan(*A.shape, epsilon=0.5, delta=0.1, mode="practical")
+    plan = make_plan(*A.shape, epsilon=0.5)
     hp, lib_peak = traced_peak(lambda: approx_cross_leverage(A, plan, 5.0, 0))
     code, cli_peak = traced_peak(lambda: main(argv))
     assert code == 0
@@ -545,6 +545,46 @@ def test_cli_spectral_rankk_rejects_bad_eps_or_q(tmp_path, capsys, rng,
                  "--q", q, "--eps", eps]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-8])
+def test_cli_spectral_rankk_zero_sketch_is_one_hard_error(tmp_path, capsys,
+                                                          monkeypatch, scale):
+    # A zero A, or one whose power steps underflow, gives a zero B. No
+    # seed changes that: one factorization, then exit 1 with the
+    # RankTooLow that frobenius rankk raises for a zero A.
+    from levsketch import levscore
+    factored = []
+    real = levscore.build_orthogonalizer
+    monkeypatch.setattr(levscore, "build_orthogonalizer",
+                        lambda *a, **k: (factored.append(1), real(*a, **k))[1])
+    A = scale * np.random.default_rng(4).standard_normal((40, 30))
+    path = write_fixture(tmp_path, A)
+    assert main(["rankk", path, "--k", "3", "--norm", "spectral"]) \
+        == cli.EXIT_HARD
+    err = "error: sketch B has numerical rank 0 < k=3\n"
+    assert capsys.readouterr().err == err
+    assert len(factored) == 1
+    if scale == 0.0:
+        assert main(["rankk", path, "--k", "3"]) == cli.EXIT_HARD
+        assert capsys.readouterr().err == err
+
+
+def test_cli_underls_retries_its_sketched_probabilities(tmp_path, capsys):
+    # On [I_6 0] the r1 = 12 rows that the probability sketch samples from
+    # A^T lose a unit row at seeds 4 and 5 (rank 5 < 6), and seed 6 keeps
+    # all six. The probabilities and the draws take one seed per attempt,
+    # so --seed 4 reaches seed 6 and writes the --seed 6 document.
+    A = np.hstack([np.eye(6), np.zeros((6, 294))])
+    pa = write_fixture(tmp_path, A, "a.csv")
+    pb = write_fixture(tmp_path, np.ones((6, 1)), "b.csv")
+    argv = ["underls", pa, "--rhs", pb, "--probs", "sketched", "--r1", "12"]
+    docs = [run_cli(capsys, [*argv, "--seed", seed]) for seed in ("4", "6")]
+    assert docs[0] == docs[1] and docs[0][0] == 0
+    assert docs[0][1]["seed"] == 6
+    assert main([*argv, "--seed", "4", "--retries", "1"]) \
+        == cli.EXIT_RETRY_EXHAUSTED
+    assert "resample with a new seed" in capsys.readouterr().err
 
 
 def test_cli_underls_reports_draws(tmp_path, capsys, rng):
@@ -697,7 +737,11 @@ def test_cli_bad_sketch_parameter_is_a_usage_error(tmp_path, capsys, rng,
                                   ["exact", "x.csv", "--retries", "2"],
                                   ["exact", "x.csv", "--seed", "3"],
                                   ["rankk", "x.csv", "--k", "2", "--mode",
-                                   "theory"]])
+                                   "theory"],
+                                  ["leverage", "x.csv", "--mode", "theory"],
+                                  ["leverage", "x.csv", "--delta", "0.1"],
+                                  ["rankk", "x.csv", "--k", "2", "--retries",
+                                   "1"]])
 def test_cli_removed_switches_do_not_parse(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -713,21 +757,21 @@ def test_cli_option_inventory():
     # each subcommand registers only the options it reads; a new option
     # must be added here on purpose
     io_opts = {"input", "format", "output", "output_format"}
-    sketch = {"seed", "eps", "retries", "delta", "mode", "r1", "r2"}
+    sketch = {"seed", "eps", "retries", "r1", "r2"}
     expected = {
         "leverage": io_opts | sketch | {"estimator"},
         "exact": io_opts,
         "coherence": io_opts | sketch | {"method"},
         "cross": io_opts | sketch | {"kappa", "off_diagonal_only",
                                      "exact_pairs"},
-        "rankk": io_opts | {"seed", "eps", "retries", "k", "norm", "q"},
-        "underls": io_opts | sketch | {"rhs", "probs", "beta"},
+        "rankk": io_opts | {"seed", "eps", "k", "norm", "q"},
+        "underls": io_opts | sketch | {"rhs", "probs", "beta", "delta"},
     }
     found = {name: {a.dest for a in parser._actions
                     if not isinstance(a, argparse._HelpAction)}
              for name, parser in _subparsers().items()}
     assert found == expected
-    assert sum(map(len, found.values())) == 66
+    assert sum(map(len, found.values())) == 58
 
 
 def _choice_runs():

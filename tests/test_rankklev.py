@@ -238,6 +238,15 @@ def test_sketch_below_rank_k_raises_rank_too_low():
         frobenius_rankk(np.zeros((50, 30)), k=4, epsilon=0.5, seed=0)
 
 
+def test_spectral_zero_sketch_raises_rank_too_low():
+    # as frobenius_rankk does above: B is zero when A is or when its power
+    # steps underflow, and then no seed gives it rank
+    tiny = 1e-8 * np.random.default_rng(15).standard_normal((50, 30))
+    for A in (np.zeros((50, 30)), tiny):
+        with pytest.raises(errors.RankTooLow, match="numerical rank 0 < k=4"):
+            spectral_rankk(A, k=4, epsilon=0.5, seed=0)
+
+
 def test_rank_too_low_rejected():
     with pytest.raises(errors.RankTooLow):
         frobenius_rankk(np.eye(10), k=1, epsilon=0.5, seed=0)

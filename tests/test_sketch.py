@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -644,9 +645,18 @@ def test_make_plan_practical_defaults():
 
 
 def test_make_plan_theory_uses_proof_grade_formulas():
-    plan = make_plan(1024, 4, 0.5, mode="theory")
-    assert plan.r1 == fjlt_dim(1024, 4, 0.5)
-    assert plan.r2 == jlt_dim(1024**2, 0.5, 0.1)
+    # The proof-grade sizes are explicit overrides of the one sizing rule.
+    # At 1024 x 4 the FJLT bound exceeds n, so its r1 is n: the exact plan.
+    n, d, eps, delta = 1024, 4, 0.5, 0.1
+    inner = d * math.log(40 * n * d) / eps**2
+    assert 14**2 * inner * math.log(30**2 * inner) > n
+    plan = make_plan(n, d, eps, r1=fjlt_dim(n, d, eps),
+                     r2=jlt_dim(max(n * n, 2), eps, delta))
+    assert plan.r1 == fjlt_dim(n, d, eps) == n
+    assert plan.r2 == math.ceil(
+        (12 * math.log(n * n) + 6 * math.log(1 / delta)) / eps**2)
+    assert [f.name for f in dataclasses.fields(plan)] == ["epsilon", "r1",
+                                                           "r2"]
 
 
 def test_make_plan_overrides_and_validation():
