@@ -3,12 +3,17 @@
 Subcommands cover every library operation. All output documents share
 the schema {"params", "seed", "timings_ms", "result"} with 0-based
 indices; runs with the same seed are byte-identical apart from the timing
-fields, and exact runs, which draw nothing, report a null seed. Sketched
-``leverage`` and ``cross`` runs list the plan's sizes in ``params`` and,
-under ``params.run``, the rank and the r1 and r2 the sketch used and the
-orthogonalizer's route; ``rankk`` lists there the report's extras (q and
-rank for spectral; width r, rank and route for Frobenius) and ``underls``
-the number of draws r, of distinct columns drawn and the route.
+fields, and runs that draw nothing report a null seed: ``exact``,
+``coherence --method exact``, ``cross --exact-pairs``, and ``leverage``
+and ``cross`` on a plan that samples no rows and projects nothing
+(r1 >= n, r2 >= d). ``leverage`` and ``cross`` list the plan's sizes in
+``params`` and, under ``params.run``, the rank and the r1 and r2 the
+sketch used and the orthogonalizer's route; ``cross --exact-pairs`` runs
+the same search on the exact plan r1 = n, r2 = d, whatever ``--r1`` and
+``--r2`` say, and lists it the same way. ``rankk`` lists there the
+report's extras (q and rank for spectral; width r, rank and route for
+Frobenius) and ``underls`` the number of draws r, of distinct columns
+drawn and the route.
 ``--format`` names the input matrix's format; ``underls`` reads its
 ``--rhs`` file in the format that file's suffix names, or in ``--format``
 where the suffix names none.
@@ -22,12 +27,11 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import errors, io, matcore
-from .crosslev import approx_cross_leverage, heavy_pairs
+from .crosslev import approx_cross_leverage
 from .levscore import approx_leverage, mi_estimate
 from .rankklev import frobenius_rankk, spectral_rankk
 from .sketch import make_plan
@@ -88,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threshold parameter > 1, or 'nlogn'")
     p.add_argument("--off-diagonal-only", action="store_true")
     p.add_argument("--exact-pairs", action="store_true",
-                   help="run the heavy-pair search on the exact basis instead")
+                   help="search the exact plan's basis (r1 = n, r2 = d)")
 
     p = sub.add_parser("rankk", help="rank-k normalized leverage scores")
     _add_io(p)
@@ -214,14 +218,17 @@ def _write_lines(fh, rows, line: str) -> None:
         fh.write((line * len(chunk)) % tuple(values))
 
 
-def _with_retries(fn, args, exact: bool = False):
+def _with_retries(fn, args, plan=None, shape=None):
     """(fn(seed), seed) for the first seed from ``--seed`` on, one per
-    attempt, at which ``fn`` does not raise ``RankDeficient``. An
-    ``exact`` plan (r1 >= n) samples no rows, so no seed changes its
-    rank: it makes one attempt, and its ``RankDeficient`` is a hard
-    error."""
-    if exact:
-        return fn(args.seed), args.seed
+    attempt, at which ``fn`` does not raise ``RankDeficient``. A ``plan``
+    that samples no rows of the n x d input of ``shape`` (r1 >= n) makes
+    one attempt, as no seed changes the rank it finds; its
+    ``RankDeficient`` (a numerically zero A) is a hard error. Where it
+    projects nothing either (r2 >= d) it draws nothing, and its seed is
+    None."""
+    if plan is not None and plan.r1 >= shape[0]:
+        seed = args.seed if plan.r2 < shape[1] else None
+        return fn(seed), seed
     last = None
     for seed in range(args.seed, args.seed + args.retries + 1):
         try:
@@ -255,8 +262,7 @@ def _run_leverage(args, A) -> dict:
     else:
         plan = _plan_for(args, *A.shape)
         (report, basis), used_seed = _with_retries(
-            lambda s: approx_leverage(A, plan, s), args,
-            exact=plan.r1 >= A.shape[0])
+            lambda s: approx_leverage(A, plan, s), args, plan, A.shape)
         params = {"estimator": "sketched", "n": A.shape[0], "d": A.shape[1],
                   **_plan_params(plan, {**report.extras,
                                         "route": basis.route})}
@@ -286,21 +292,15 @@ def _run_coherence(args, A) -> dict:
 def _run_cross(args, A) -> dict:
     n, d = A.shape
     kappa = _resolve_kappa(args.kappa, n)
-    params = {"n": n, "d": d, "kappa": kappa, "exact": args.exact_pairs}
-    if args.exact_pairs:
-        t0 = time.perf_counter()
-        f = matcore.thin_svd(A)
-        t1 = time.perf_counter()
-        hp = heavy_pairs(f.U, kappa)
-        hp.timings_ms = {"svd_ms": (t1 - t0) * 1e3,
-                         "search_ms": (time.perf_counter() - t1) * 1e3}
-        used_seed = None  # an exact search draws nothing
-    else:
-        plan = _plan_for(args, n, d)
-        hp, used_seed = _with_retries(
-            lambda s: approx_cross_leverage(A, plan, kappa, s), args,
-            exact=plan.r1 >= n)
-        params.update(_plan_params(plan, hp.extras))
+    # the exact plan's A R^{-1} spans A's range orthonormally, and its
+    # Q Q^T is the thin SVD's U U^T: the exact pairs need no SVD
+    plan = (make_plan(n, d, args.eps, r1=n, r2=d) if args.exact_pairs
+            else _plan_for(args, n, d))
+    hp, used_seed = _with_retries(
+        lambda s: approx_cross_leverage(A, plan, kappa, s), args, plan,
+        A.shape)
+    params = {"n": n, "d": d, "kappa": kappa, "exact": args.exact_pairs,
+              **_plan_params(plan, hp.extras)}
     if args.off_diagonal_only:
         hp = hp.off_diagonal()
     return {"params": params, "seed": used_seed, "timings_ms": hp.timings_ms,

@@ -17,6 +17,11 @@ time and O(n) vectors. The search runs with kappa rescaled by
 ||X^T X||_F^2 / d, giving an effective cutoff of d / kappa, and reuses
 the X^T X of that rescaling and the leverage scores as X's row norms; A,
 which the sketch validated, is not validated again.
+
+On the exact plan (r1 = n, r2 = d) X = A R^{-1} is an orthonormal basis
+Q of A's range, of A's rank rho, and Q Q^T = U U^T for the thin SVD's U:
+the search then finds the exact heavy pairs of A, at the cutoff
+rho / kappa, with no SVD.
 """
 
 from __future__ import annotations
@@ -246,13 +251,17 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
     those norms up to the rounding of the tile products) and trusts A,
     which ``approx_leverage`` validated. Since
     ||X^T X||_F^2 <= d (1 + 30 d eps) whenever the sketch preserves
-    pairwise inner products, kappa' <= kappa (1 + 30 d eps).
+    pairwise inner products, kappa' <= kappa (1 + 30 d eps). d is the
+    rank: a sketch of lower rank raises ``RankDeficient``, and the exact
+    plan (r1 = n, r2 = d) keeps A's rank rho, so that X is an orthonormal
+    basis of A's range and the pairs are A's exact heavy pairs at the
+    cutoff rho / kappa.
     """
     _check_kappa(kappa)
     t0 = time.perf_counter()
     A = _as_matrix(a)
     report, basis = approx_leverage(A, plan, seed)
-    d = report.extras["rank"]  # equals d: a rank-deficient sketch raises
+    d = report.extras["rank"]
     gram = product_gram(A, basis.W)
     gram_fro_sq = float(np.sum(gram * gram))
     if not math.isfinite(gram_fro_sq):

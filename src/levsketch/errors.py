@@ -51,7 +51,8 @@ class InvalidKappa(LevsketchError):
 
 
 class RankTooLow(LevsketchError):
-    """Requested rank parameter k is out of range for the input."""
+    """The input's rank is below what an operation needs: the requested
+    rank k, or n for the under-constrained solve. No seed changes it."""
 
 
 class ParseError(LevsketchError):

@@ -9,7 +9,7 @@ W = R^{-1} Pi2, read tile by tile: Omega itself is never stored, and a
 caller that needs more of A W (the cross-leverage search) forms it a
 tile at a time from A and the returned W. Each stage is skipped where it
 cannot compress (r1 >= n, r2 >= rank), which makes the plan r1 = n,
-r2 = d exact.
+r2 = d exact, for A of any rank.
 
 R comes by one of three routes (``Orthogonalizer.route``). A sketch is
 needed only to within its own 1 +- eps distortion, so a caller that
@@ -204,7 +204,7 @@ def build_orthogonalizer(pa, allow_rank_deficient: bool = False,
     return Orthogonalizer(Rinv=Rinv, route=route)
 
 
-def approx_leverage(a, plan: SketchPlan, seed: int,
+def approx_leverage(a, plan: SketchPlan, seed: Optional[int],
                     allow_rank_deficient: bool = False):
     """Sketched leverage scores of a tall matrix.
 
@@ -218,11 +218,19 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     validates A itself (r1 >= n); both raise ``NonFiniteEntry``. Stage 2
     multiplies R^{-1}, which ``build_orthogonalizer`` returns finite, by
     Pi2 without scanning it again. Only the SRHT's PA is factored as a
-    sketch (``sketched=True``); the exact plan keeps CholeskyQR2. With W = R^{-1} or the d x r2 product R^{-1} Pi2,
-    the scores are the squared row norms of A W, read tile by tile without
-    forming the n-row product. Returns ``(LeverageReport, SketchedBasis)``
-    with W in the basis; ``extras["r2"]`` is the number of columns of W,
-    ``min(rank, plan.r2)``.
+    sketch (``sketched=True``); the exact plan keeps CholeskyQR2. With
+    W = R^{-1} or the d x r2 product R^{-1} Pi2, the scores are the squared
+    row norms of A W, read tile by tile without forming the n-row product.
+
+    The rank is the orthogonalizer's. A sketch of rank below d raises
+    ``RankDeficient`` unless ``allow_rank_deficient``, as another seed may
+    keep every column. The exact plan samples nothing, so no seed changes
+    the rank it finds: it keeps A's numerical rank rho, and its scores are
+    A's exact ones whatever rho is. A numerically zero A raises
+    ``RankDeficient`` on every plan. ``seed`` may be None where the plan
+    draws nothing (r1 >= n and r2 >= rank). Returns
+    ``(LeverageReport, SketchedBasis)`` with W in the basis;
+    ``extras["r2"]`` is the number of columns of W, ``min(rank, plan.r2)``.
     """
     A = _as_matrix(a)
     n, d = A.shape
@@ -234,8 +242,9 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     else:
         PA = apply_srht(SketchOperator("SRHT", seed, n, plan.r1), A)
     t1 = time.perf_counter()
-    orth = build_orthogonalizer(PA, allow_rank_deficient=allow_rank_deficient,
-                                sketched=plan.r1 < n)
+    orth = build_orthogonalizer(
+        PA, allow_rank_deficient=allow_rank_deficient or plan.r1 >= n,
+        sketched=plan.r1 < n)
     r1 = PA.shape[0]
     del PA  # free the sketched matrix before the product pass
     t2 = time.perf_counter()
@@ -247,7 +256,8 @@ def approx_leverage(a, plan: SketchPlan, seed: int,
     scores = product_sq_norms(A, W)
     t3 = time.perf_counter()
     report = LeverageReport.from_scores(
-        scores, "sketched", params=plan, seed=int(seed),
+        scores, "sketched", params=plan,
+        seed=None if seed is None else int(seed),
         extras={"rank": rank, "r1": r1, "r2": W.shape[1]})
     return report, SketchedBasis(
         W=W, route=orth.route,

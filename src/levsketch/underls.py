@@ -94,22 +94,39 @@ def leverage_probs_for_columns(a, method: str = "exact",
                                plan: Optional[SketchPlan] = None,
                                seed: Optional[int] = None
                                ) -> SamplingProbabilities:
-    """Column-sampling probabilities = normalized leverage scores of A^T."""
+    """Column-sampling probabilities = normalized leverage scores of A^T.
+
+    The solve needs A of rank n, and no sample of A's columns has more
+    rank than A. So where the probabilities' factorization is exact
+    (``exact_leverage``, or a plan with r1 >= d) and finds rank rho < n,
+    this raises ``RankTooLow`` naming rho, which no seed changes; a sampled
+    plan whose sketch loses rank raises ``RankDeficient``, as another seed
+    may keep it.
+    """
     A = validate_matrix(a)
     n, d = A.shape
     if n >= d:
         raise errors.ShapeError(f"need n < d, got shape {A.shape}")
     if method == "exact":
-        report = exact_leverage(A.T)
-        return SamplingProbabilities(p=report.normalized, beta=1.0)
-    if method == "sketched":
+        report, beta = exact_leverage(A.T), 1.0
+        rank = report.extras["rank"]
+    elif method == "sketched":
         if plan is None or seed is None:
             raise errors.InvalidParameter("sketched method needs plan and seed")
-        report, _ = approx_leverage(A.T, plan, seed)
-        eps = plan.epsilon
-        return SamplingProbabilities(p=report.normalized,
-                                     beta=(1.0 - eps) / (1.0 + eps))
-    raise errors.InvalidParameter(f"unknown method {method!r}")
+        beta = (1.0 - plan.epsilon) / (1.0 + plan.epsilon)
+        try:
+            report, _ = approx_leverage(A.T, plan, seed)
+            rank = report.extras["rank"]
+        except errors.RankDeficient:
+            if plan.r1 < d:  # a sampled sketch: another seed may keep rank n
+                raise
+            rank = 0  # the exact plan raises only for a numerically zero A
+    else:
+        raise errors.InvalidParameter(f"unknown method {method!r}")
+    if rank < n:
+        raise errors.RankTooLow(
+            f"matrix has rank {rank} < {n}; the solve needs rank {n}")
+    return SamplingProbabilities(p=report.normalized, beta=beta)
 
 
 def underls_solve(a, b, p: SamplingProbabilities, epsilon: float,

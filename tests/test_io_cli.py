@@ -2,6 +2,7 @@ import argparse
 import csv
 import io as io_module
 import json
+import math
 import os
 import struct
 import threading
@@ -11,8 +12,8 @@ import pytest
 
 from conftest import traced_peak
 from levsketch import (approx_cross_leverage, approx_leverage, cli, errors,
-                       exact_leverage, hadamard_matrix, make_plan, power_q,
-                       sample_size)
+                       exact_leverage, hadamard_matrix, heavy_pairs, make_plan,
+                       power_q, sample_size, thin_svd)
 from levsketch import io as levs_io
 from levsketch.cli import main
 from levsketch.crosslev import _finish
@@ -367,7 +368,7 @@ def test_cli_cross_schema(tmp_path, capsys, rng):
                                    "--exact-pairs"])
     assert code == 0
     assert exact["result"]["candidates"] >= len(exact["result"]["pairs"]) > 0
-    assert set(exact["timings_ms"]) == {"svd_ms", "search_ms"}
+    assert set(exact["timings_ms"]) == {"sketch_ms", "search_ms"}
 
 
 def test_cli_cross_pair_bound_exceeded_exits_hard(tmp_path, capsys,
@@ -587,6 +588,50 @@ def test_cli_underls_retries_its_sketched_probabilities(tmp_path, capsys):
     assert "resample with a new seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("probs", ["exact", "sketched"])
+@pytest.mark.parametrize("rank", [5, 0])
+def test_cli_underls_rank_deficient_matrix_is_one_hard_error(
+        tmp_path, capsys, monkeypatch, probs, rank):
+    # a 6 x 300 Gaussian whose row 5 equals row 4 has rank 5, a zero one
+    # rank 0. Both probabilities factor A^T exactly (the default r1 = 685
+    # is capped at 300), find that rank, which no seed changes, and stop:
+    # one attempt, exit 1, and the message names the rank.
+    attempts = []
+    real = cli.leverage_probs_for_columns
+    monkeypatch.setattr(cli, "leverage_probs_for_columns",
+                        lambda *a, **k: (attempts.append(1), real(*a, **k))[1])
+    A = np.random.default_rng(11).standard_normal((6, 300)) * (rank > 0)
+    A[5] = A[4]
+    pa = write_fixture(tmp_path, A, "a.csv")
+    pb = write_fixture(tmp_path, np.ones((6, 1)), "b.csv")
+    assert main(["underls", pa, "--rhs", pb, "--probs", probs]) \
+        == cli.EXIT_HARD
+    assert capsys.readouterr().err == \
+        f"error: matrix has rank {rank} < 6; the solve needs rank 6\n"
+    assert len(attempts) == 1
+
+
+def test_cli_underls_retries_a_column_sample_that_loses_rank(
+        tmp_path, capsys, monkeypatch, rng):
+    # A has full rank; its column sample is made to lose rank at seed 3,
+    # so --seed 3 retries and writes the --seed 4 document
+    real = cli.underls_solve
+
+    def solve(A, b, p, eps, delta, seed, extras=None):
+        if seed == 3:
+            raise errors.RankDeficient("sketched matrix has rank 5 < 6")
+        return real(A, b, p, eps, delta, seed, extras=extras)
+
+    monkeypatch.setattr(cli, "underls_solve", solve)
+    pa = write_fixture(tmp_path, rng.standard_normal((6, 300)), "a.csv")
+    pb = write_fixture(tmp_path, np.ones((6, 1)), "b.csv")
+    for probs in ("exact", "sketched"):
+        argv = ["underls", pa, "--rhs", pb, "--probs", probs]
+        docs = [run_cli(capsys, [*argv, "--seed", s]) for s in ("3", "4")]
+        assert docs[0] == docs[1] and docs[0][0] == 0
+        assert docs[0][1]["seed"] == 4
+
+
 def test_cli_underls_reports_draws(tmp_path, capsys, rng):
     A = rng.standard_normal((6, 200))
     pa = write_fixture(tmp_path, A, "a.csv")
@@ -667,10 +712,11 @@ def test_cli_coherence(tmp_path, capsys, rng):
 
 
 def test_cli_env_seed(tmp_path, capsys, rng, monkeypatch):
+    # r1 = 20 < n samples rows; the default plan (r1 = n) draws nothing
     A = rng.standard_normal((50, 4))
     path = write_fixture(tmp_path, A)
     monkeypatch.setenv("LEVSKETCH_SEED", "123")
-    code, doc = run_cli(capsys, ["leverage", path])
+    code, doc = run_cli(capsys, ["leverage", path, "--r1", "20"])
     assert code == 0
     assert doc["seed"] == 123
 
@@ -697,8 +743,9 @@ def test_cli_exact_plan_rank_deficiency_is_not_retried(tmp_path, capsys,
                                                        monkeypatch, argv):
     # 100 x 8 with two equal columns: the default r1 = 737 is capped at
     # n = 100, so the plan samples nothing and factors A itself. No seed
-    # changes A's rank 7: one factorization, exit 1, and the message names
-    # the matrix's rank. A sampling plan (r1 = 50) still retries each seed.
+    # changes A's rank 7, so the exact plan keeps it: one factorization,
+    # and the run reports rank 7. A sampling plan (r1 = 50) still retries
+    # each seed.
     from levsketch import levscore
     factored = []
     real = levscore.build_orthogonalizer
@@ -708,15 +755,123 @@ def test_cli_exact_plan_rank_deficiency_is_not_retried(tmp_path, capsys,
     A[:, 7] = A[:, 2]
     command, *options = argv
     path = write_fixture(tmp_path, A)
-    assert main([command, path, *options]) == cli.EXIT_HARD
-    err = capsys.readouterr().err
-    assert err == "error: matrix has rank 7 < 8\n"
+    code, doc = run_cli(capsys, [command, path, *options])
+    assert code == cli.EXIT_OK and doc["params"]["run"]["rank"] == 7
     assert len(factored) == 1
     factored.clear()
     assert main([command, path, *options, "--r1", "50"]) \
         == cli.EXIT_RETRY_EXHAUSTED
     assert "sketched matrix has rank 7 < 8" in capsys.readouterr().err
     assert len(factored) == 4  # --seed and the 3 default retries
+
+
+def test_cli_exact_plan_reports_a_null_seed(tmp_path, capsys, rng):
+    # at 300 x 6 the default plan factors A itself (r1 = n) and projects
+    # nothing (r2 = 274 >= d), so it draws nothing whatever --seed says;
+    # --exact-pairs runs that plan whatever --r1 and --r2 say. --r2 3 < d
+    # draws Pi2 and --r1 128 < n samples rows: both report their seed.
+    path = write_fixture(tmp_path, rng.standard_normal((300, 6)))
+    for argv in (["leverage"], ["coherence", "--method", "sketched"],
+                 ["cross"]):
+        code, doc = run_cli(capsys, [argv[0], path, *argv[1:], "--seed", "7"])
+        assert code == 0 and doc["seed"] is None
+        for extra in (["--r2", "3"], ["--r1", "128"]):
+            code, doc = run_cli(capsys, [argv[0], path, *argv[1:], *extra,
+                                         "--seed", "7"])
+            assert code == 0 and doc["seed"] == 7
+            code, doc = run_cli(capsys, ["cross", path, "--exact-pairs",
+                                         *extra, "--seed", "7"])
+            assert code == 0 and doc["seed"] is None
+            assert doc["params"]["run"] == {"rank": 6, "r1": 300, "r2": 6,
+                                            "route": "cholesky_qr2"}
+
+
+def _planted_cross_input(seed, n=60_000, d=32, planted=16, scale=30.0):
+    """n x d Gaussian rows with ``planted`` near-duplicate row pairs, the
+    paired rows scaled by ``scale``: the cross-pairs benchmark input."""
+    rng = np.random.default_rng([seed, 2])
+    A = rng.standard_normal((n, d))
+    rows = rng.choice(n, size=2 * planted, replace=False)
+    for a, b in zip(rows[0::2], rows[1::2]):
+        A[b] = A[a] + 1e-3 * rng.standard_normal(d)
+    A[rows] *= scale
+    return A
+
+
+def _rank_five_input():
+    """400 x 6 of rank 5 (column 5 = column 3 + column 4), 20 rows x30."""
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((400, 6))
+    A[:, 5] = A[:, 3] + A[:, 4]
+    A[rng.choice(400, 20, replace=False)] *= 30
+    return A
+
+
+def _special_rows_input():
+    """300 x 5 Gaussian with zero rows, duplicated rows and +-e_i rows."""
+    A = np.random.default_rng(6).standard_normal((300, 5))
+    A[10:15] = 0.0
+    A[20:25] = A[30:35] = 20 * A[40:45]
+    A[50:55] = 40 * np.eye(5)
+    A[60:65] = -40 * np.eye(5)
+    return A
+
+
+def assert_exact_pairs_are_the_svd_pairs(tmp_path, capsys, A, margin=True):
+    """``cross --exact-pairs --kappa nlogn`` finds the pairs of
+    ``heavy_pairs(thin_svd(A).U, n ln n)``, values within 1e-12 relative.
+    With ``margin`` every U U^T entry is checked to sit clear of the cut,
+    so that rounding decides no pair."""
+    n, d = A.shape
+    kappa = n * math.log(n)
+    U = thin_svd(A).U
+    ref = heavy_pairs(U, kappa)
+    if margin:
+        sq = np.triu(U @ U.T) ** 2
+        assert np.min(np.abs(sq - ref.threshold)) >= 1e-6 * ref.threshold
+    path = tmp_path / "a.levs"
+    save_matrix(A, path)
+    code, doc = run_cli(capsys, ["cross", str(path), "--kappa", "nlogn",
+                                 "--exact-pairs", "--seed", "7"])
+    path.unlink()
+    assert code == 0 and doc["seed"] is None
+    assert doc["params"] == {
+        "n": n, "d": d, "kappa": kappa, "exact": True, "epsilon": 0.5,
+        "r1": n, "r2": d, "run": {"rank": U.shape[1], "r1": n,
+                                  "r2": U.shape[1],
+                                  "route": doc["params"]["run"]["route"]}}
+    assert set(doc["timings_ms"]) == {"sketch_ms", "search_ms"}
+    pairs = doc["result"]["pairs"]
+    assert len(pairs) > 0
+    assert [(i, j) for i, j, _ in pairs] == [(i, j) for i, j, _ in ref.pairs]
+    np.testing.assert_allclose([c for *_, c in pairs],
+                               [c for *_, c in ref.pairs], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_cli_exact_pairs_equal_the_svd_pairs_on_planted_inputs(
+        tmp_path, capsys, seed):
+    # 60000 x 32: U U^T is too large to scan for the margin. On seeds 1-6
+    # the pair nearest the cut sat 1.06e-3 relative from it.
+    assert_exact_pairs_are_the_svd_pairs(
+        tmp_path, capsys, _planted_cross_input(seed), margin=False)
+
+
+@pytest.mark.parametrize("build", [_rank_five_input, _special_rows_input],
+                         ids=["rank-5", "special-rows"])
+def test_cli_exact_pairs_equal_the_svd_pairs_on_hard_inputs(tmp_path, capsys,
+                                                             build):
+    assert_exact_pairs_are_the_svd_pairs(tmp_path, capsys, build())
+
+
+def test_cli_exact_plan_leverage_on_a_rank_deficient_matrix(tmp_path, capsys):
+    # the default plan at 400 x 6 is exact (r1 = n) and keeps A's rank 5
+    A = _rank_five_input()
+    path = write_fixture(tmp_path, A)
+    code, doc = run_cli(capsys, ["leverage", path])
+    assert code == 0 and doc["params"]["run"]["rank"] == 5
+    np.testing.assert_allclose(doc["result"]["scores"],
+                               exact_leverage(A).scores, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("flag, value", [("--r2", "0"), ("--r2", "-3"),

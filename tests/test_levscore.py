@@ -49,6 +49,27 @@ def test_degenerate_exactness_random():
         np.testing.assert_allclose(report.scores, exact, atol=1e-9)
 
 
+def test_exact_plan_keeps_the_rank_of_the_matrix():
+    # no seed changes what the exact plan factors: it keeps A's rank 5 and
+    # gives A's exact scores, where a sampling plan raises for a new seed;
+    # a zero A raises on both
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((200, 6))
+    A[:, 5] = A[:, 3] - 2 * A[:, 1]
+    report, basis = approx_leverage(A, degenerate_plan(200, 6), seed=None)
+    assert report.extras == {"rank": 5, "r1": 200, "r2": 5}
+    assert basis.W.shape == (6, 5) and report.seed is None
+    np.testing.assert_allclose(report.scores, exact_leverage(A).scores,
+                               rtol=1e-12, atol=0)
+    with pytest.raises(errors.RankDeficient, match="rank 5 < 6; resample"):
+        approx_leverage(A, make_plan(200, 6, 0.5, r1=64), seed=0)
+    with pytest.raises(errors.RankDeficient, match="numerically zero"):
+        approx_leverage(np.zeros((200, 6)), degenerate_plan(200, 6), seed=0)
+    with pytest.raises(errors.RankDeficient, match="rank 0 < 6; resample"):
+        approx_leverage(np.zeros((200, 6)), make_plan(200, 6, 0.5, r1=64),
+                        seed=0)
+
+
 def test_hadamard_columns_within_eps():
     n, d, eps = 256, 8, 0.5
     A = hadamard_matrix(n)[:, 1 : 1 + d]

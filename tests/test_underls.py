@@ -148,6 +148,26 @@ def test_leverage_probs_exact_vs_sketched():
     assert hits >= 8
 
 
+def test_leverage_probs_name_the_rank_that_no_seed_changes():
+    # rank 3 < n = 4: the exact factorizations raise RankTooLow; a sampled
+    # plan's sketch raises RankDeficient, which a new seed may clear
+    A = np.random.default_rng(4).standard_normal((4, 200))
+    A[3] = A[0] + A[1]
+    exact_plan = make_plan(200, 4, 0.5)
+    assert exact_plan.r1 == 200
+    with pytest.raises(errors.RankTooLow, match="rank 3 < 4"):
+        leverage_probs_for_columns(A, "exact")
+    with pytest.raises(errors.RankTooLow, match="rank 3 < 4"):
+        leverage_probs_for_columns(A, "sketched", plan=exact_plan, seed=0)
+    with pytest.raises(errors.RankDeficient, match="resample"):
+        leverage_probs_for_columns(A, "sketched", seed=0,
+                                   plan=make_plan(200, 4, 0.5, r1=40))
+    for method in ("exact", "sketched"):
+        with pytest.raises(errors.RankTooLow, match="rank 0 < 4"):
+            leverage_probs_for_columns(np.zeros((4, 200)), method,
+                                       plan=exact_plan, seed=0)
+
+
 def test_leverage_probs_shape_check():
     with pytest.raises(errors.ShapeError):
         leverage_probs_for_columns(np.ones((5, 3)), "exact")
