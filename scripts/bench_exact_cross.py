@@ -7,8 +7,8 @@ Usage (from the repository root):
 
 The grid is n in {32768, 60000, 131072} and d in {16, 32, 64, 128}, each
 under two seeds, on a Gaussian input with 16 planted near-duplicate row
-pairs scaled by 30 (the construction of the ``cross-pairs`` benchmark
-workload), at kappa = n ln n. Each entry records the best of ``--reps``
+pairs scaled by 30, built by the ``cross-pairs`` benchmark workload's own
+``CrossPairs.generate`` at that n and d, at kappa = n ln n. Each entry records the best of ``--reps``
 times, the two methods alternating call by call:
 
 - ``svd``: ``thin_svd(A)`` (``svd_s``), then ``heavy_pairs(U, kappa)``
@@ -54,25 +54,20 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "benchmark"))
 
 import levsketch  # noqa: E402
 from levsketch._kernels import product_gram  # noqa: E402
+from workloads import CrossPairs  # noqa: E402
 
 GRID_N = (32768, 60000, 131072)
 GRID_D = (16, 32, 64, 128)
 SEEDS = (1, 2)
-PLANTED, SCALE = 16, 30.0
 
 
 def planted_input(n: int, d: int, seed: int) -> np.ndarray:
-    """Gaussian rows with ``PLANTED`` near-duplicate pairs, scaled."""
-    rng = np.random.default_rng([seed, 2])
-    A = rng.standard_normal((n, d))
-    rows = rng.choice(n, size=2 * PLANTED, replace=False)
-    for a, b in zip(rows[0::2], rows[1::2]):
-        A[b] = A[a] + 1e-3 * rng.standard_normal(d)
-    A[rows] *= SCALE
-    return A
+    """The ``cross-pairs`` workload's input, at n x d."""
+    return type("Grid", (CrossPairs,), {"n": n, "d": d}).generate(seed)
 
 
 def timed(fn):

@@ -9,8 +9,9 @@ and ``cross`` on a plan that samples no rows and projects nothing
 (r1 >= n, r2 >= d). ``leverage`` and ``cross`` list the plan's sizes in
 ``params`` and, under ``params.run``, the rank and the r1 and r2 the
 sketch used and the orthogonalizer's route; ``cross --exact-pairs`` runs
-the same search on the exact plan r1 = n, r2 = d, whatever ``--r1`` and
-``--r2`` say, and lists it the same way. ``rankk`` lists there the
+the same search on the exact plan r1 = n, r2 = d, whatever ``--eps``,
+``--r1`` and ``--r2`` say, on an input of any shape, and lists it the
+same way without an epsilon. ``rankk`` lists there the
 report's extras (q and rank for spectral; width r, rank and route for
 Frobenius) and ``underls`` the number of draws r, of distinct columns
 drawn and the route.
@@ -293,14 +294,17 @@ def _run_cross(args, A) -> dict:
     n, d = A.shape
     kappa = _resolve_kappa(args.kappa, n)
     # the exact plan's A R^{-1} spans A's range orthonormally, and its
-    # Q Q^T is the thin SVD's U U^T: the exact pairs need no SVD
-    plan = (make_plan(n, d, args.eps, r1=n, r2=d) if args.exact_pairs
+    # Q Q^T is the thin SVD's U U^T: the exact pairs need no SVD. Its
+    # epsilon sizes nothing, so --eps is neither read nor reported.
+    plan = (make_plan(n, d, 0.5, r1=n, r2=d) if args.exact_pairs
             else _plan_for(args, n, d))
     hp, used_seed = _with_retries(
         lambda s: approx_cross_leverage(A, plan, kappa, s), args, plan,
         A.shape)
     params = {"n": n, "d": d, "kappa": kappa, "exact": args.exact_pairs,
               **_plan_params(plan, hp.extras)}
+    if args.exact_pairs:
+        del params["epsilon"]
     if args.off_diagonal_only:
         hp = hp.off_diagonal()
     return {"params": params, "seed": used_seed, "timings_ms": hp.timings_ms,

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import errors
 from ._kernels import product_gram, row_sq_norms
-from .levscore import approx_leverage
+from .levscore import _leverage_basis, approx_leverage
 from .matcore import _as_matrix, validate_matrix
 from .sketch import SketchPlan
 
@@ -255,12 +255,16 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
     rank: a sketch of lower rank raises ``RankDeficient``, and the exact
     plan (r1 = n, r2 = d) keeps A's rank rho, so that X is an orthonormal
     basis of A's range and the pairs are A's exact heavy pairs at the
-    cutoff rho / kappa.
+    cutoff rho / kappa. A must be tall (n > d), except on a plan that
+    factors A itself (r1 >= n), which takes A of any shape.
     """
     _check_kappa(kappa)
     t0 = time.perf_counter()
     A = _as_matrix(a)
-    report, basis = approx_leverage(A, plan, seed)
+    # approx_leverage needs n > d; a plan that factors A itself does not
+    factor_any_shape = plan.r1 >= A.shape[0] <= A.shape[1]
+    report, basis = (_leverage_basis if factor_any_shape
+                     else approx_leverage)(A, plan, seed)
     d = report.extras["rank"]
     gram = product_gram(A, basis.W)
     gram_fro_sq = float(np.sum(gram * gram))

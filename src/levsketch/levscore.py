@@ -231,11 +231,20 @@ def approx_leverage(a, plan: SketchPlan, seed: Optional[int],
     draws nothing (r1 >= n and r2 >= rank). Returns
     ``(LeverageReport, SketchedBasis)`` with W in the basis;
     ``extras["r2"]`` is the number of columns of W, ``min(rank, plan.r2)``.
+    A must be tall (n > d), else ``ShapeError``.
     """
     A = _as_matrix(a)
-    n, d = A.shape
-    if n <= d:
+    if A.shape[0] <= A.shape[1]:
         raise errors.ShapeError(f"need n > d, got shape {A.shape}")
+    return _leverage_basis(A, plan, seed, allow_rank_deficient)
+
+
+def _leverage_basis(A: np.ndarray, plan: SketchPlan, seed: Optional[int],
+                    allow_rank_deficient: bool = False):
+    """``approx_leverage`` for an A of any shape. Where ``plan.r1 >= n``
+    it factors A itself, which a wide or square A allows: the exact
+    cross search runs on every input."""
+    n = A.shape[0]
     t0 = time.perf_counter()
     if plan.r1 >= n:
         PA = A

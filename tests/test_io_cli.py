@@ -765,6 +765,25 @@ def test_cli_exact_plan_rank_deficiency_is_not_retried(tmp_path, capsys,
     assert len(factored) == 4  # --seed and the 3 default retries
 
 
+@pytest.mark.parametrize("argv", [["leverage"], ["cross"],
+                                  ["coherence", "--method", "sketched"],
+                                  ["cross", "--exact-pairs"]])
+def test_cli_exact_plan_zero_matrix_is_one_hard_error(tmp_path, capsys,
+                                                      monkeypatch, argv):
+    # a zero 100 x 8 has no range to keep: the exact plan (r1 = n) raises
+    # on its one factorization, as no seed changes A
+    from levsketch import levscore
+    factored = []
+    real = levscore.build_orthogonalizer
+    monkeypatch.setattr(levscore, "build_orthogonalizer",
+                        lambda *a, **k: (factored.append(1), real(*a, **k))[1])
+    command, *options = argv
+    path = write_fixture(tmp_path, np.zeros((100, 8)))
+    assert main([command, path, *options]) == cli.EXIT_HARD
+    assert capsys.readouterr().err == "error: matrix is numerically zero\n"
+    assert len(factored) == 1
+
+
 def test_cli_exact_plan_reports_a_null_seed(tmp_path, capsys, rng):
     # at 300 x 6 the default plan factors A itself (r1 = n) and projects
     # nothing (r2 = 274 >= d), so it draws nothing whatever --seed says;
@@ -788,7 +807,9 @@ def test_cli_exact_plan_reports_a_null_seed(tmp_path, capsys, rng):
 
 def _planted_cross_input(seed, n=60_000, d=32, planted=16, scale=30.0):
     """n x d Gaussian rows with ``planted`` near-duplicate row pairs, the
-    paired rows scaled by ``scale``: the cross-pairs benchmark input."""
+    paired rows scaled by ``scale``: the cross-pairs benchmark input. It
+    must build what ``CrossPairs.generate`` in benchmark/workloads.py
+    builds, which scripts/bench_exact_cross.py imports."""
     rng = np.random.default_rng([seed, 2])
     A = rng.standard_normal((n, d))
     rows = rng.choice(n, size=2 * planted, replace=False)
@@ -817,6 +838,22 @@ def _special_rows_input():
     return A
 
 
+def _square_rank_deficient_input():
+    """40 x 40 of rank 30, 5 rows x20."""
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((40, 30)) @ rng.standard_normal((30, 40))
+    A[rng.choice(40, 5, replace=False)] *= 20
+    return A
+
+
+def _wide_input():
+    """30 x 80 of rank 20, 4 rows x20."""
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((30, 20)) @ rng.standard_normal((20, 80))
+    A[rng.choice(30, 4, replace=False)] *= 20
+    return A
+
+
 def assert_exact_pairs_are_the_svd_pairs(tmp_path, capsys, A, margin=True):
     """``cross --exact-pairs --kappa nlogn`` finds the pairs of
     ``heavy_pairs(thin_svd(A).U, n ln n)``, values within 1e-12 relative.
@@ -836,8 +873,8 @@ def assert_exact_pairs_are_the_svd_pairs(tmp_path, capsys, A, margin=True):
     path.unlink()
     assert code == 0 and doc["seed"] is None
     assert doc["params"] == {
-        "n": n, "d": d, "kappa": kappa, "exact": True, "epsilon": 0.5,
-        "r1": n, "r2": d, "run": {"rank": U.shape[1], "r1": n,
+        "n": n, "d": d, "kappa": kappa, "exact": True,
+        "r1": max(n, d), "r2": d, "run": {"rank": U.shape[1], "r1": n,
                                   "r2": U.shape[1],
                                   "route": doc["params"]["run"]["route"]}}
     assert set(doc["timings_ms"]) == {"sketch_ms", "search_ms"}
@@ -857,11 +894,28 @@ def test_cli_exact_pairs_equal_the_svd_pairs_on_planted_inputs(
         tmp_path, capsys, _planted_cross_input(seed), margin=False)
 
 
-@pytest.mark.parametrize("build", [_rank_five_input, _special_rows_input],
-                         ids=["rank-5", "special-rows"])
+@pytest.mark.parametrize("build", [_rank_five_input, _special_rows_input,
+                                   _square_rank_deficient_input, _wide_input],
+                         ids=["rank-5", "special-rows", "square-rank-30",
+                              "wide-rank-20"])
 def test_cli_exact_pairs_equal_the_svd_pairs_on_hard_inputs(tmp_path, capsys,
                                                              build):
     assert_exact_pairs_are_the_svd_pairs(tmp_path, capsys, build())
+
+
+def test_cli_exact_pairs_ignore_eps(tmp_path, capsys):
+    # epsilon sizes nothing on the exact plan: --eps 0.9, which a sketch
+    # rejects, changes nothing in the document but its timings
+    path = write_fixture(tmp_path, _rank_five_input())
+    docs = []
+    for extra in ([], ["--eps", "0.9"]):
+        code, doc = run_cli(capsys, ["cross", path, "--exact-pairs", *extra])
+        assert code == 0
+        del doc["timings_ms"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert main(["cross", path, "--eps", "0.9"]) == cli.EXIT_HARD
+    assert "epsilon must be in (0, 0.5]" in capsys.readouterr().err
 
 
 def test_cli_exact_plan_leverage_on_a_rank_deficient_matrix(tmp_path, capsys):
