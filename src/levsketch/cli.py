@@ -6,15 +6,17 @@ indices; runs with the same seed are byte-identical apart from the timing
 fields, and runs that draw nothing report a null seed: ``exact``,
 ``coherence --method exact``, ``cross --exact-pairs``, and ``leverage``
 and ``cross`` on a plan that samples no rows and projects nothing
-(r1 >= n, r2 >= d). ``leverage`` and ``cross`` list the plan's sizes in
-``params`` and, under ``params.run``, the rank and the r1 and r2 the
+(r1 >= n, r2 >= d), the gram route included. ``leverage`` and ``cross``
+list the plan's sizes and route ("gram" or "sketch", see ``make_plan``)
+in ``params`` and, under ``params.run``, the rank and the r1 and r2 the
 sketch used and the orthogonalizer's route; ``cross --exact-pairs`` runs
 the same search on the exact plan r1 = n, r2 = d, whatever ``--eps``,
 ``--r1`` and ``--r2`` say, on an input of any shape, and lists it the
 same way without an epsilon. ``rankk`` lists there the
 report's extras (q and rank for spectral; width r, rank and route for
 Frobenius) and ``underls`` the number of draws r, of distinct columns
-drawn and the route.
+drawn and the route; ``underls --probs sketched`` also lists the plan's
+route in ``params``.
 ``--format`` names the input matrix's format; ``underls`` reads its
 ``--rhs`` file in the format that file's suffix names, or in ``--format``
 where the suffix names none.
@@ -248,9 +250,10 @@ def _plan_for(args, n: int, d: int):
 
 
 def _plan_params(plan, extras: dict) -> dict:
-    """The plan's sizes, and under ``run`` the ones the sketch used and
-    the orthogonalizer's route."""
+    """The plan's sizes and route, and under ``run`` the sizes the sketch
+    used and the orthogonalizer's route."""
     return {"epsilon": plan.epsilon, "r1": plan.r1, "r2": plan.r2,
+            "route": plan.route,
             "run": {k: extras[k] for k in ("rank", "r1", "r2", "route")}}
 
 
@@ -354,9 +357,12 @@ def _run_underls(args, A) -> dict:
 
     (p, x), used_seed = _with_retries(attempt, args)
     residual = float(np.linalg.norm(A @ x - b))
-    return {"params": {"n": A.shape[0], "d": A.shape[1], "epsilon": args.eps,
-                       "delta": args.delta, "beta": p.beta,
-                       "probs": args.probs, "run": run},
+    params = {"n": A.shape[0], "d": A.shape[1], "epsilon": args.eps,
+              "delta": args.delta, "beta": p.beta, "probs": args.probs,
+              "run": run}
+    if plan is not None:
+        params["route"] = plan.route
+    return {"params": params,
             "seed": used_seed, "timings_ms": {},
             "result": {"solution": x, "residual": residual}}
 

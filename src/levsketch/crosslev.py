@@ -21,7 +21,9 @@ which the sketch validated, is not validated again.
 On the exact plan (r1 = n, r2 = d) X = A R^{-1} is an orthonormal basis
 Q of A's range, of A's rank rho, and Q Q^T = U U^T for the thin SVD's U:
 the search then finds the exact heavy pairs of A, at the cutoff
-rho / kappa, with no SVD.
+rho / kappa, with no SVD. A plan on the gram route has those sizes too;
+its R is one guarded Cholesky of A^T A where the guard trusts it, so its
+Q is orthonormal to about u kappa_2^2 <= 1e-8.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ W = R^{-1} Pi2, read tile by tile: Omega itself is never stored, and a
 caller that needs more of A W (the cross-leverage search) forms it a
 tile at a time from A and the returned W. Each stage is skipped where it
 cannot compress (r1 >= n, r2 >= rank), which makes the plan r1 = n,
-r2 = d exact, for A of any rank.
+r2 = d exact, for A of any rank. A plan on the "gram" route
+(``SketchPlan.route``, chosen by ``make_plan`` where the sketch cannot
+win) has those exact sizes and factors A^T A in one guarded pass.
 
 R comes by one of three routes (``Orthogonalizer.route``). A sketch is
 needed only to within its own 1 +- eps distortion, so a caller that
@@ -17,10 +19,11 @@ passes ``sketched=True`` takes "cholesky": one Cholesky factor of the
 Gram, where a guard accepts it (no underflowed or non-finite column
 norm, finite R^{-1}, kappa_F(R) = ||R||_F ||R^{-1}||_F <= 1e4). As
 kappa_2(R) <= kappa_F(R), the sketch times R^{-1} is then orthonormal to
-about u kappa_2^2 <= 1e-8 (Yamamoto et al. 2015). Everything else, the
-exact plan included, takes "cholesky_qr2" from that same first pass,
-checked by one SVD of its R, or, where that R is not trusted,
-"householder".
+about u kappa_2^2 <= 1e-8 (Yamamoto et al. 2015). The gram route
+(``one_pass=True``) trusts the same pass of A^T A, for the same error
+bound. Everything else, the explicit exact plan included, takes
+"cholesky_qr2" from that same first pass, checked by one SVD of its R,
+or, where that R is not trusted, "householder".
 
 Also includes the simpler single-projection inner-product estimator that
 we use as a comparison baseline.
@@ -36,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from ._kernels import product_sq_norms
+from ._kernels import product_gram, product_sq_norms
 from .matcore import (DEFAULT_RANK_TOL, LeverageReport, _as_matrix,
                       validate_matrix)
 from .sketch import (SketchOperator, SketchPlan, _sparse_jlt_matrix,
@@ -128,17 +131,19 @@ def _cholesky_qr2(PA: np.ndarray, R1: Optional[np.ndarray],
 
     (R1, R1^{-1}) is the first pass, ``_guarded_cholesky(PA^T PA)``, with
     R1^{-1} formed here where the guard did not form it; the second is
-    Q1 = PA R1^{-1}, R = chol(Q1^T Q1) R1. Two Gram products and one
-    product with R1^{-1} in all, BLAS-3 in numpy's own BLAS. Overflow or
-    underflow of the Gram matrix at extreme scales lands in one of these
-    cases silently.
+    R = chol(Q1^T Q1) R1 for Q1 = PA R1^{-1}, whose Gram is summed over
+    row tiles (``product_gram``), so Q1 is never stored. Two Gram
+    products and one product with R1^{-1} in all, BLAS-3 in numpy's own
+    BLAS. Overflow or underflow of the Gram matrix at extreme scales
+    lands in one of these cases silently.
     """
     if R1 is None:
         return None
     with np.errstate(all="ignore"):
         try:
-            Q1 = PA @ (np.linalg.inv(R1) if R1inv is None else R1inv)
-            R = np.linalg.cholesky(Q1.T @ Q1).T @ R1
+            gram = product_gram(PA, np.linalg.inv(R1) if R1inv is None
+                                else R1inv)
+            R = np.linalg.cholesky(gram).T @ R1
         except np.linalg.LinAlgError:
             return None
     if not np.all(np.isfinite(R)):
@@ -147,17 +152,21 @@ def _cholesky_qr2(PA: np.ndarray, R1: Optional[np.ndarray],
 
 
 def build_orthogonalizer(pa, allow_rank_deficient: bool = False,
-                         sketched: bool = False) -> Orthogonalizer:
+                         sketched: bool = False,
+                         one_pass: bool = False) -> Orthogonalizer:
     """Compute R^{-1} from the sketched matrix Pi1 A, deciding its rank.
 
     Every route starts from one Cholesky pass of PA^T PA. With
     ``sketched=True`` (PA is a sketch, needed only to within its own
-    distortion) that pass is the answer wherever ``_guarded_cholesky``
-    trusts it: the route is "cholesky", R^{-1} is the factor's inverse,
-    the rank is d (kappa_2(R) <= 1e4 is far inside the rank rule) and PA
-    is not scanned, as a non-finite PA has a non-finite Gram diagonal and
-    fails the guard. Otherwise PA is validated and CholeskyQR2 continues
-    from that same pass, so its R is the one ``sketched=False`` gives.
+    distortion) or ``one_pass=True`` (PA is A itself on the gram route,
+    whose one-pass error, about u kappa_2^2 <= 1e-8 under the guard, is
+    far inside any eps) that pass is the answer wherever
+    ``_guarded_cholesky`` trusts it: the route is "cholesky", R^{-1} is
+    the factor's inverse, the rank is d (kappa_2(R) <= 1e4 is far inside
+    the rank rule) and PA is not scanned, as a non-finite PA has a
+    non-finite Gram diagonal and fails the guard. Otherwise PA is
+    validated and CholeskyQR2 continues from that same pass, so its R is
+    the one ``sketched=False`` gives.
 
     One ``svd(R)`` of CholeskyQR2's R gives the 1e-6 condition guard, the
     rank and R^{-1} = V Sigma^{-1} (V's columns signed so that each one's
@@ -171,12 +180,13 @@ def build_orthogonalizer(pa, allow_rank_deficient: bool = False,
     ``NonFiniteFactor`` where R^{-1} overflows, so that a zero row of A is
     an exact zero row of A R^{-1}.
     """
-    PA = _as_matrix(pa) if sketched else validate_matrix(pa)
+    trust = sketched or one_pass
+    PA = _as_matrix(pa) if trust else validate_matrix(pa)
     with np.errstate(all="ignore"):
         R1, R1inv, trusted = _guarded_cholesky(PA.T @ PA)
-    if sketched and trusted:
+    if trust and trusted:
         return Orthogonalizer(Rinv=R1inv, route="cholesky")
-    if sketched:
+    if trust:
         validate_matrix(PA)
     d = PA.shape[1]
     R, route = _cholesky_qr2(PA, R1, R1inv), "cholesky_qr2"
@@ -200,7 +210,7 @@ def build_orthogonalizer(pa, allow_rank_deficient: bool = False,
     if not np.all(np.isfinite(Rinv)):
         raise errors.NonFiniteFactor(
             f"R^-1 overflows: smallest kept singular value {s[rho - 1]:.3g}"
-            " of the sketched matrix is below 1 / max float")
+            f" of the {what} is below 1 / max float")
     return Orthogonalizer(Rinv=Rinv, route=route)
 
 
@@ -218,17 +228,20 @@ def approx_leverage(a, plan: SketchPlan, seed: Optional[int],
     validates A itself (r1 >= n); both raise ``NonFiniteEntry``. Stage 2
     multiplies R^{-1}, which ``build_orthogonalizer`` returns finite, by
     Pi2 without scanning it again. Only the SRHT's PA is factored as a
-    sketch (``sketched=True``); the exact plan keeps CholeskyQR2. With
+    sketch (``sketched=True``); the gram route factors A by one guarded
+    Cholesky of A^T A where the guard trusts it (``one_pass=True``), and
+    the explicit exact plan keeps CholeskyQR2. With
     W = R^{-1} or the d x r2 product R^{-1} Pi2, the scores are the squared
     row norms of A W, read tile by tile without forming the n-row product.
 
     The rank is the orthogonalizer's. A sketch of rank below d raises
     ``RankDeficient`` unless ``allow_rank_deficient``, as another seed may
-    keep every column. The exact plan samples nothing, so no seed changes
-    the rank it finds: it keeps A's numerical rank rho, and its scores are
-    A's exact ones whatever rho is. A numerically zero A raises
-    ``RankDeficient`` on every plan. ``seed`` may be None where the plan
-    draws nothing (r1 >= n and r2 >= rank). Returns
+    keep every column. The exact plan and the gram route sample nothing,
+    so no seed changes the rank they find: they keep A's numerical rank
+    rho, and their scores are A's exact ones whatever rho is. A
+    numerically zero A raises ``RankDeficient`` on every plan. ``seed``
+    may be None where the plan draws nothing (r1 >= n and r2 >= rank).
+    Returns
     ``(LeverageReport, SketchedBasis)`` with W in the basis;
     ``extras["r2"]`` is the number of columns of W, ``min(rank, plan.r2)``.
     A must be tall (n > d), else ``ShapeError``.
@@ -253,7 +266,7 @@ def _leverage_basis(A: np.ndarray, plan: SketchPlan, seed: Optional[int],
     t1 = time.perf_counter()
     orth = build_orthogonalizer(
         PA, allow_rank_deficient=allow_rank_deficient or plan.r1 >= n,
-        sketched=plan.r1 < n)
+        sketched=plan.r1 < n, one_pass=plan.route == "gram")
     r1 = PA.shape[0]
     del PA  # free the sketched matrix before the product pass
     t2 = time.perf_counter()

@@ -5,6 +5,11 @@ randomized Hadamard transform (SRHT, which computes only the rows it
 keeps), the sparse {-1, 0, +1} JL transform, and Gaussian sketches,
 together with the closed-form target-dimension formulas for the JLT and
 FJLT guarantees.
+
+``make_plan`` also routes: a plan given no sizes takes the "gram" route,
+one guarded Cholesky of A^T A, wherever a cost model in multiply-adds
+says that the two-stage sketch at its default sizes does more work than
+that exact method, and the "sketch" route otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from ._kernels import fwht_inplace, sampled_fwht
+from ._kernels import _srht_cost, fwht_inplace, sampled_fwht
 from .matcore import _as_matrix, validate_matrix
 from .rng import rademacher, substream
 
@@ -63,12 +68,16 @@ class SketchPlan:
     dimension (stage 2); ``make_plan`` says how they are chosen. A stage
     that cannot compress is skipped: r1 >= n factors A itself and
     r2 >= rank leaves A R^{-1} unprojected, so ``make_plan(n, d, eps,
-    r1=n, r2=d)`` is the exact plan.
+    r1=n, r2=d)`` is the exact plan. ``route`` is "sketch", or "gram"
+    where ``make_plan`` found the sketch cannot win: that plan has the
+    exact plan's sizes, and its factorization trusts one guarded Cholesky
+    of A^T A (see ``levscore.build_orthogonalizer``).
     """
 
     epsilon: float
     r1: int
     r2: int
+    route: str = "sketch"
 
 
 def _check_size(name: str, value) -> int:
@@ -80,11 +89,56 @@ def _check_size(name: str, value) -> int:
     return int(value)
 
 
+# The router's cost model, in the multiply-adds of stage 1's mix (the unit
+# of ``_kernels``' fitted ``_GATHER_COST`` and ``_TILE_COST``). A BLAS pass
+# over an m x d array that does k multiply-adds per entry it reads costs
+# _BLAS_COST m d (k + _PASS_COST). Both are fit in BENCH_24.json
+# (scripts/bench_route.py, 2 CPUs): a mix multiply-add took 0.24 ns (the
+# median over the stage-1 runs), a BLAS multiply-add 0.024 ns and an entry
+# read 2.4 ns, which puts every gram-route time within 30% of the model;
+# one cost per multiply-add alone missed by 4x between d = 32 and 1024.
+_BLAS_COST = 0.10  # a BLAS multiply-add, in mix multiply-adds
+_PASS_COST = 100  # an entry a BLAS pass reads, in BLAS multiply-adds
+# A smaller modelled saving, about 0.25 ms a call, keeps the paper's sketch
+# as the default. That keeps small inputs on the sketch although the gram
+# route is faster there too (0.06 against 0.29 ms at 512 x 4), among them
+# the 512 x 4 default plan whose stage-1 span the benchmark's tracer test
+# expects.
+_ROUTE_MIN_GAIN = 1 << 20
+
+
+def _route_costs(n: int, d: int, r1: int, r2: int) -> tuple[float, float]:
+    """Modelled (gram, sketch) costs of the leverage scores of an n x d
+    input, the sketch at sizes (r1, r2).
+
+    The gram route forms A^T A (a pass of n d^2 / 2), factors it (d^3)
+    and reads the row norms of A R^{-1} (a pass of n d^2). The sketch
+    pays stage 1 (``_kernels._srht_cost``), factors its r1 x d sketch the
+    same way, and reads the row norms of A W for W of min(d, r2) columns;
+    where r1 >= n it factors A itself by CholeskyQR2 instead: no stage 1,
+    and a second pass over A for the Gram of A R1^{-1} (n d^2 3 / 2).
+    """
+    def blas(rows, per_entry):
+        return _BLAS_COST * rows * d * (per_entry + _PASS_COST)
+
+    gram = blas(n, d / 2) + _BLAS_COST * d**3 + blas(n, d)
+    if r1 < n:
+        factor = _srht_cost(n, d, r1) + blas(r1, d / 2)
+    else:
+        factor = blas(n, d / 2) + blas(n, 1.5 * d)
+    return gram, factor + _BLAS_COST * d**3 + blas(n, min(d, r2))
+
+
 def make_plan(n: int, d: int, epsilon: float, r1: Optional[int] = None,
               r2: Optional[int] = None) -> SketchPlan:
     """Resolve r1/r2 for an n x d input: r1 = ceil(20 d ln n) and
     r2 = ceil(12 ln n / eps^2), or the explicit ``r1``/``r2`` given. r1
     is clamped to [d, n].
+
+    Given no sizes, the plan routes: where ``_route_costs`` says the
+    sketch at those sizes costs at least ``_ROUTE_MIN_GAIN`` more than
+    the gram route, the plan is the gram route, r1 = n and r2 = d, which
+    samples nothing. An explicit size chooses the sketch route.
 
     The paper's proof-grade sizes give the exact plan on any input that
     fits in memory, and remain one call away for a failure probability
@@ -95,10 +149,17 @@ def make_plan(n: int, d: int, epsilon: float, r1: Optional[int] = None,
     if not (0.0 < epsilon <= 0.5):
         raise errors.InvalidParameter(f"epsilon must be in (0, 0.5], got {epsilon}")
     log_n = math.log(max(n, 2))
+    chosen = r1 is not None or r2 is not None
     r1 = math.ceil(20.0 * d * log_n) if r1 is None else _check_size("r1", r1)
     r2 = (max(1, math.ceil(12.0 * log_n / epsilon**2)) if r2 is None
           else _check_size("r2", r2))
-    return SketchPlan(epsilon=epsilon, r1=max(d, min(r1, n)), r2=r2)
+    plan = SketchPlan(epsilon=epsilon, r1=max(d, min(r1, n)), r2=r2)
+    if not chosen:
+        gram, sketch = _route_costs(n, d, plan.r1, plan.r2)
+        if sketch - gram >= _ROUTE_MIN_GAIN:
+            return SketchPlan(epsilon=epsilon, r1=max(d, n), r2=d,
+                              route="gram")
+    return plan
 
 
 @dataclass(frozen=True)

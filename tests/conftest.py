@@ -1,4 +1,7 @@
+import math
 import tracemalloc
+
+from levsketch import make_plan
 
 VERDICTS = []
 
@@ -18,6 +21,15 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def sketch_plan(n, d, eps=0.5, **sizes):
+    """``make_plan``'s default sizes on the sketch route: r1 = ceil(20 d
+    ln n), the default, passed explicitly, which is the caller choosing
+    the sketch. Tests that certify the sketch use it, so that the router
+    cannot make them exercise the gram route instead."""
+    sizes.setdefault("r1", math.ceil(20 * d * math.log(max(n, 2))))
+    return make_plan(n, d, eps, **sizes)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

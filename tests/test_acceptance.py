@@ -90,16 +90,18 @@ def _family(name: str, seed: int, n: int = 2048, d: int = 16) -> np.ndarray:
 
 
 def test_criterion_02_relative_error_half():
-    # At 2048 x 16 the default plan is exact (r1 = n, r2 >= rank), so two
-    # more loops keep the sketch under test: stage 1 pinned to r1 = 512,
-    # and 1024 x 384, where the default r2 = 333 < rank compresses stage 2.
+    # Every case is on the sketch route: the default sizes, passed
+    # explicitly, or r1 = 512. At 2048 x 16 the default sizes are exact
+    # (r1 = n, r2 >= rank), so two more loops keep the sketch under test:
+    # stage 1 pinned to r1 = 512, and 1024 x 384, where the default
+    # r2 = 333 < rank compresses stage 2.
     cases = [("default 2048x16", 2048, 16, {}),
              ("r1=512 2048x16", 2048, 16, {"r1": 512}),
              ("default 1024x384", 1024, 384, {})]
     details = []
     ok = True
     for label, n, d, overrides in cases:
-        plan = make_plan(n, d, EPS, **overrides)
+        plan = conftest.sketch_plan(n, d, EPS, **overrides)
         wins_by_family = []
         worst = 0.0
         for family in ("gaussian", "spiked", "hadamard"):
@@ -179,8 +181,9 @@ def test_criterion_05_planted_pair_recovery():
     kappa = n * math.log(n)
     exact = exact_leverage(A).scores
     C = exact_cross_leverage(A)
-    # the default plan has r1 = n here; r1 = 128 keeps the SRHT under test
-    plans = [("default", make_plan(n, d, EPS)),
+    # the default sizes, pinned to the sketch route, have r1 = n here;
+    # r1 = 128 keeps the SRHT under test
+    plans = [("default", conftest.sketch_plan(n, d, EPS)),
              ("r1=128", make_plan(n, d, EPS, r1=128))]
     ok = True
     details = []
@@ -327,14 +330,15 @@ def _slope(sizes, times) -> float:
 
 def test_criterion_10_scaling_sanity():
     strict = os.environ.get("LEVSKETCH_TIMING_STRICT", "") not in ("", "0")
+    # one regime at every n: stage 1 samples r1 = n / 2 rows
     d = 32
     ns = [2 ** p for p in range(10, 16)]
     warm = np.random.default_rng(0).standard_normal((1024, d))
-    approx_leverage(warm, make_plan(1024, d, EPS), seed=0)  # warm-up
+    approx_leverage(warm, make_plan(1024, d, EPS, r1=512), seed=0)  # warm-up
     sketch_times = []
     for n in ns:
         A = np.random.default_rng(n).standard_normal((n, d))
-        plan = make_plan(n, d, EPS)
+        plan = make_plan(n, d, EPS, r1=n // 2)
         sketch_times.append(_best_time(lambda: approx_leverage(A, plan, seed=0)))
     slope_n = _slope(ns, sketch_times)
 

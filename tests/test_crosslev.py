@@ -9,7 +9,7 @@ from levsketch import (SketchOperator, _kernels, approx_cross_leverage,
                        make_plan, thin_svd)
 from levsketch.crosslev import _finish, heavy_pairs_brute
 from levsketch.sketch import _sparse_jlt_matrix
-from conftest import traced_peak
+from conftest import sketch_plan, traced_peak
 
 
 def assert_same_as_brute(X, kappa):
@@ -257,7 +257,7 @@ def test_planted_duplicate_pair_recovered():
     A = planted_matrix()
     n, d = A.shape
     kappa = n * math.log(n)
-    plan = make_plan(n, d, 0.5)
+    plan = sketch_plan(n, d)
     hits = 0
     for seed in range(10):
         hp = approx_cross_leverage(A, plan, kappa, seed).off_diagonal()
@@ -282,7 +282,7 @@ def test_orthogonal_rows_return_nothing_off_diagonal():
     # below the effective cutoff d/kappa for every kappa <= n
     d, n = 5, 64
     A = np.vstack([np.eye(d), np.zeros((n - d, d))])
-    plan = make_plan(n, d, 0.5)
+    plan = sketch_plan(n, d)
     for seed in range(5):
         for kappa in (2.0, float(d), float(n)):
             hp = approx_cross_leverage(A, plan, kappa=kappa,
@@ -388,7 +388,7 @@ def test_sketched_search_stores_no_product(monkeypatch):
     monkeypatch.setattr(crosslev, "_BLOCK_ELEMS", 1 << 15)
     n, d = 100_000, 16
     A = planted_matrix(seed=6, n=n, d=d)
-    plan = make_plan(n, d, 0.5)
+    plan = sketch_plan(n, d)
     kappa = n * math.log(n)
     (_, basis), base = traced_peak(lambda: approx_leverage(A, plan, 3))
     hp, peak = traced_peak(lambda: approx_cross_leverage(A, plan, kappa, 3))
@@ -453,7 +453,7 @@ def test_kappa_just_above_one_finds_no_pairs():
     # kappa' = kappa ||X^T X||_F^2 / d may fall below 1 on a sketch, which
     # must not be reported as the caller's kappa being out of range
     A = np.random.default_rng(3).standard_normal((4096, 8))
-    plan = make_plan(4096, 8, 0.5)
+    plan = sketch_plan(4096, 8)
     assert plan.r1 < 4096
     below_one = 0
     for seed in range(6):

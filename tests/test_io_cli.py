@@ -784,6 +784,52 @@ def test_cli_exact_plan_zero_matrix_is_one_hard_error(tmp_path, capsys,
     assert len(factored) == 1
 
 
+@pytest.mark.parametrize("argv", [["leverage"], ["cross"],
+                                  ["coherence", "--method", "sketched"]])
+def test_cli_gram_route_reports_itself_and_is_not_retried(tmp_path, capsys,
+                                                          monkeypatch, argv):
+    # at 4096 x 8 the default plan takes the gram route: the exact sizes,
+    # a null seed and one factorization, which keeps A's rank 7; explicit
+    # sizes choose the sketch route, whose seed is reported
+    from levsketch import levscore
+    factored = []
+    real = levscore.build_orthogonalizer
+    monkeypatch.setattr(levscore, "build_orthogonalizer",
+                        lambda *a, **k: (factored.append(1), real(*a, **k))[1])
+    A = np.random.default_rng(27).standard_normal((4096, 8))
+    command, *options = argv
+    path = write_fixture(tmp_path, A)
+    code, doc = run_cli(capsys, [command, path, *options, "--seed", "7"])
+    assert code == 0 and doc["seed"] is None
+    params = doc["params"]
+    assert (params["route"], params["r1"], params["r2"]) == ("gram", 4096, 8)
+    assert params["run"] == {"rank": 8, "r1": 4096, "r2": 8,
+                             "route": "cholesky"}
+    code, doc = run_cli(capsys, [command, path, *options, "--seed", "7",
+                                 "--r1", "512"])
+    assert code == 0 and doc["seed"] == 7
+    assert doc["params"]["route"] == "sketch"
+    A[:, 7] = A[:, 2]
+    path = write_fixture(tmp_path, A, "deficient.csv")
+    factored.clear()
+    code, doc = run_cli(capsys, [command, path, *options])
+    assert code == 0 and doc["params"]["run"]["rank"] == 7
+    assert len(factored) == 1
+
+
+def test_cli_underls_reports_the_plan_route(tmp_path, capsys, rng):
+    # the probabilities of a 8 x 4096 A come from a plan for A^T, which
+    # takes the gram route; the draws still use the seed
+    path = write_fixture(tmp_path, rng.standard_normal((8, 4096)))
+    rhs = write_fixture(tmp_path, rng.standard_normal((8, 1)), "rhs.csv")
+    code, doc = run_cli(capsys, ["underls", path, "--rhs", rhs, "--probs",
+                                 "sketched", "--seed", "3"])
+    assert code == 0 and doc["seed"] == 3
+    assert doc["params"]["route"] == "gram"
+    code, doc = run_cli(capsys, ["underls", path, "--rhs", rhs, "--seed", "3"])
+    assert code == 0 and "route" not in doc["params"]
+
+
 def test_cli_exact_plan_reports_a_null_seed(tmp_path, capsys, rng):
     # at 300 x 6 the default plan factors A itself (r1 = n) and projects
     # nothing (r2 = 274 >= d), so it draws nothing whatever --seed says;
@@ -874,9 +920,9 @@ def assert_exact_pairs_are_the_svd_pairs(tmp_path, capsys, A, margin=True):
     assert code == 0 and doc["seed"] is None
     assert doc["params"] == {
         "n": n, "d": d, "kappa": kappa, "exact": True,
-        "r1": max(n, d), "r2": d, "run": {"rank": U.shape[1], "r1": n,
-                                  "r2": U.shape[1],
-                                  "route": doc["params"]["run"]["route"]}}
+        "r1": max(n, d), "r2": d, "route": "sketch",
+        "run": {"rank": U.shape[1], "r1": n, "r2": U.shape[1],
+                "route": doc["params"]["run"]["route"]}}
     assert set(doc["timings_ms"]) == {"sketch_ms", "search_ms"}
     pairs = doc["result"]["pairs"]
     assert len(pairs) > 0

@@ -19,7 +19,7 @@ from levsketch import (SketchOperator, apply_srht, approx_cross_leverage,
                        make_plan, mi_estimate, pseudoinverse)
 from levsketch.matcore import DEFAULT_RANK_TOL
 from levsketch.sketch import _sparse_jlt_matrix
-from conftest import traced_peak
+from conftest import sketch_plan, traced_peak
 
 
 def degenerate_plan(n, d, eps=0.5):
@@ -73,7 +73,7 @@ def test_exact_plan_keeps_the_rank_of_the_matrix():
 def test_hadamard_columns_within_eps():
     n, d, eps = 256, 8, 0.5
     A = hadamard_matrix(n)[:, 1 : 1 + d]
-    plan = make_plan(n, d, eps)
+    plan = sketch_plan(n, d, eps)
     hits = 0
     for seed in range(10):
         report, _ = approx_leverage(A, plan, seed)
@@ -86,7 +86,7 @@ def test_random_gaussian_relative_error():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((2048, 16))
     exact = exact_leverage(A).scores
-    plan = make_plan(2048, 16, 0.5)
+    plan = sketch_plan(2048, 16)
     hits = 0
     for seed in range(10):
         report, _ = approx_leverage(A, plan, seed)
@@ -149,7 +149,7 @@ def test_stage2_skipped_when_r2_reaches_rank():
     rng = np.random.default_rng(13)
     n, d = 2048, 6
     A = rng.standard_normal((n, d))
-    plan = make_plan(n, d, 0.5)
+    plan = sketch_plan(n, d)
     assert plan.r1 < n and plan.r2 >= d
     report, basis = approx_leverage(A, plan, seed=5)
     PA = apply_srht(SketchOperator("SRHT", 5, n, plan.r1), A)
@@ -235,13 +235,14 @@ def test_overflowing_orthogonalizer_is_a_typed_error():
 
 
 def test_scale_invariance_same_seed():
-    # 128x6 and 3000x20 have r1 >= n and factor A itself, 20000x32 goes
-    # through the SRHT; the Gram products behind CholeskyQR2 overflow at
-    # c >= 1e160 and underflow at 1e-300, moving R to Householder QR
+    # at the default sizes on the sketch route, 128x6 and 3000x20 have
+    # r1 >= n and factor A itself, 20000x32 goes through the SRHT; the Gram
+    # products behind CholeskyQR2 overflow at c >= 1e160 and underflow at
+    # 1e-300, moving R to Householder QR
     rng = np.random.default_rng(4)
     for n, d in ((128, 6), (3000, 20), (20000, 32)):
         A = rng.standard_normal((n, d))
-        plan = make_plan(n, d, 0.5)
+        plan = sketch_plan(n, d)
         base, _ = approx_leverage(A, plan, seed=9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -266,11 +267,88 @@ def test_scores_invariant_under_column_scaling(seed, log_scales):
         np.testing.assert_allclose(scaled.scores, base.scores, rtol=1e-9)
 
 
+def gram_input(seed=1, n=8192, d=32):
+    """A Gaussian 8192 x 32 with 50 rows scaled by 30: the default plan
+    takes the gram route there."""
+    A = np.random.default_rng(seed).standard_normal((n, d))
+    A[:50] *= 30.0
+    return A
+
+
+def test_gram_route_matches_exact_leverage():
+    A = gram_input()
+    plan = make_plan(*A.shape, 0.5)
+    assert (plan.route, plan.r1, plan.r2) == ("gram", 8192, 32)
+    report, basis = approx_leverage(A, plan, seed=None)
+    exact = exact_leverage(A).scores
+    np.testing.assert_allclose(report.scores, exact, rtol=1e-10, atol=0)
+    assert basis.route == "cholesky"  # the one guarded pass was trusted
+    assert report.seed is None
+    assert report.extras == {"rank": 32, "r1": 8192, "r2": 32}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gram_route_rejects_non_finite_entries(bad):
+    A = gram_input()
+    A[100, 7] = bad
+    with pytest.raises(errors.NonFiniteEntry):
+        approx_leverage(A, make_plan(*A.shape, 0.5), seed=None)
+
+
+def test_gram_route_keeps_the_rank_and_names_a_zero_matrix():
+    # A's numerical rank, as on the exact plan; no message asks for a seed
+    A = gram_input()
+    A[:, 5] = A[:, 3] + A[:, 4]
+    plan = make_plan(*A.shape, 0.5)
+    report, basis = approx_leverage(A, plan, seed=None)
+    assert report.extras["rank"] == basis.W.shape[1] == 31
+    exact = exact_leverage(A).scores
+    np.testing.assert_allclose(report.scores, exact, rtol=1e-10, atol=0)
+    with pytest.raises(errors.RankDeficient) as info:
+        approx_leverage(np.zeros(A.shape), plan, seed=None)
+    assert str(info.value) == "matrix is numerically zero"
+
+
+@pytest.mark.parametrize("scale, trusted", [
+    (2.0**500, True), (2.0**-500, False), (1e150, True), (1e-150, False),
+    (2.0**520, False)])
+def test_gram_route_falls_back_where_the_gram_under_or_overflows(scale,
+                                                                  trusted):
+    # squares of 2^-500 or 1e-150 leave A^T A's diagonal below 2^-970, and
+    # those of 2^520 overflow it: the guard rejects the one pass and
+    # CholeskyQR2 or Householder QR decides. At 2^500 and 1e150 the Gram
+    # of 8192 rows stays finite and the pass is trusted.
+    A = gram_input()
+    report, basis = approx_leverage(scale * A, make_plan(*A.shape, 0.5),
+                                    seed=None)
+    assert (basis.route == "cholesky") == trusted
+    exact = exact_leverage(A).scores
+    np.testing.assert_allclose(report.scores, exact, rtol=1e-10, atol=0)
+
+
+def test_exact_plan_allocates_no_input_sized_temporary():
+    # CholeskyQR2 sums its second Gram over row tiles of A R1^-1, and the
+    # scores are read tile by tile: beyond A the peak is the d x d factors,
+    # two 2 MiB scratches, the 256 KiB finiteness mask and the n scores,
+    # not the n x d Q1 = A R1^-1 (14.6 MiB here)
+    n, d = 60000, 32
+    A = np.random.default_rng(26).standard_normal((n, d))
+    (report, basis), peak = traced_peak(
+        lambda: approx_leverage(A, degenerate_plan(n, d), seed=None))
+    assert basis.route == "cholesky_qr2"
+    assert peak < A.nbytes / 2, f"peak {peak / 2**20:.1f} MiB"
+    hp, peak = traced_peak(
+        lambda: approx_cross_leverage(A, degenerate_plan(n, d),
+                                      n * math.log(n), None))
+    assert hp.extras["route"] == "cholesky_qr2"
+    assert peak < A.nbytes / 2, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_memory_is_linear_without_omega():
     # the n x r2 Omega alone would be 60000 x 529 doubles, 16.5 A.nbytes
     n, d = 60000, 32
     A = np.random.default_rng(14).standard_normal((n, d))
-    plan = make_plan(n, d, 0.5)
+    plan = sketch_plan(n, d)
     _, peak = traced_peak(lambda: approx_leverage(A, plan, seed=0))
     assert peak < 4 * A.nbytes, f"peak {peak / 2**20:.1f} MB"
 

@@ -15,6 +15,7 @@ from levsketch import (SketchOperator, _kernels, apply_sparse_jlt, apply_srht,
                        approx_leverage, errors, fjlt_dim, fwht,
                        hadamard_matrix, jlt_dim, make_plan, mi_estimate)
 from levsketch._kernels import fwht_inplace, sampled_fwht
+from levsketch import sketch as sketch_mod
 from levsketch.rng import rademacher, substream
 from levsketch.sketch import (_srht_selection, _srht_transpose,
                               gaussian_matrix, next_pow2)
@@ -639,9 +640,17 @@ def test_gaussian_moments_and_determinism():
 # ---------------------------------------------------------------- plans
 
 def test_make_plan_practical_defaults():
-    plan = make_plan(2048, 16, 0.5)
-    assert plan.r1 == min(2048, math.ceil(20 * 16 * math.log(2048)))
-    assert plan.r2 == math.ceil(12 * math.log(2048) / 0.25)
+    # at 10^7 x 2048 (no array is allocated) the router keeps the sketch,
+    # at its default sizes; one explicit size leaves the other's default
+    n, d = 10**7, 2048
+    plan = make_plan(n, d, 0.5)
+    assert plan.route == "sketch"
+    assert plan.r1 == math.ceil(20 * d * math.log(n)) < n
+    assert plan.r2 == math.ceil(12 * math.log(n) / 0.25) < d
+    assert make_plan(2048, 16, 0.5, r2=5).r1 == min(
+        2048, math.ceil(20 * 16 * math.log(2048)))
+    assert make_plan(2048, 16, 0.5, r1=512).r2 == math.ceil(
+        12 * math.log(2048) / 0.25)
 
 
 def test_make_plan_theory_uses_proof_grade_formulas():
@@ -656,7 +665,8 @@ def test_make_plan_theory_uses_proof_grade_formulas():
     assert plan.r2 == math.ceil(
         (12 * math.log(n * n) + 6 * math.log(1 / delta)) / eps**2)
     assert [f.name for f in dataclasses.fields(plan)] == ["epsilon", "r1",
-                                                           "r2"]
+                                                           "r2", "route"]
+    assert plan.route == "sketch"
 
 
 def test_make_plan_overrides_and_validation():
@@ -669,6 +679,34 @@ def test_make_plan_overrides_and_validation():
         for key in ("r1", "r2"):
             with pytest.raises(errors.InvalidParameter):
                 make_plan(100, 5, 0.25, **{key: bad})
+
+
+@pytest.mark.parametrize("n, d", [(100_000, 64), (60_000, 32), (8192, 32)])
+def test_make_plan_routes_to_gram_where_the_sketch_cannot_win(n, d):
+    # the benchmark's tall and cross inputs and the wide solve's A^T: stage
+    # 1 and the same n d^2 product pass cost more than A^T A, so the plan
+    # has the exact sizes and samples nothing
+    plan = make_plan(n, d, 0.5)
+    assert (plan.route, plan.r1, plan.r2) == ("gram", n, d)
+    gram, sketch = sketch_mod._route_costs(
+        n, d, math.ceil(20 * d * math.log(n)), math.ceil(48 * math.log(n)))
+    assert sketch - gram >= sketch_mod._ROUTE_MIN_GAIN
+
+
+def test_make_plan_keeps_the_sketch_where_it_wins_or_is_chosen():
+    # paper regime: r1 = 660198 < n and r2 = 774 < d, so stage 2 cuts the
+    # n d^2 product pass to n d r2
+    assert make_plan(10**7, 2048, 0.5).route == "sketch"
+    # an explicit size is the caller choosing the sketch
+    for sizes in ({"r1": 8192}, {"r2": 553}, {"r1": 100_000, "r2": 64}):
+        plan = make_plan(100_000, 64, 0.5, **sizes)
+        assert plan.route == "sketch"
+        assert plan.r1 == sizes.get("r1", 14737)
+    # a saving below the floor keeps the sketch: 512 x 4 would save
+    # about 0.2e6 multiply-adds, some 50 us
+    gram, sketch = sketch_mod._route_costs(512, 4, 500, 300)
+    assert 0 < sketch - gram < sketch_mod._ROUTE_MIN_GAIN
+    assert make_plan(512, 4, 0.5).route == "sketch"
 
 
 def test_next_pow2():

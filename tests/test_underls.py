@@ -7,7 +7,7 @@ from levsketch import (SamplingProbabilities, draw_sampling_matrix, errors,
                        hadamard_matrix, leverage_probs_for_columns, make_plan,
                        pseudoinverse, sample_size, thin_svd, underls_solve)
 from levsketch.rng import substream
-from conftest import traced_peak
+from conftest import sketch_plan, traced_peak
 
 
 def test_sample_size_frozen_value():
@@ -137,7 +137,7 @@ def test_leverage_probs_exact_vs_sketched():
     A = rng.standard_normal((8, 400))
     exact = leverage_probs_for_columns(A, "exact")
     eps = 0.5
-    plan = make_plan(400, 8, eps)
+    plan = sketch_plan(400, 8, eps)
     hits = 0
     for seed in range(10):
         sk = leverage_probs_for_columns(A, "sketched", plan=plan, seed=seed)
