@@ -1,5 +1,5 @@
 """Route grid: the gram route against the default-size sketch and the exact
-baselines, and the fit of the router's cost model, in one process.
+baselines, in one process.
 
 Usage (from the repository root):
 
@@ -8,8 +8,7 @@ Usage (from the repository root):
 The grid is n in {2^15, 2^17}, d in {32, 64, ..., 1024} with n d 8 bytes
 <= ``--max-bytes`` (1 GiB), eps 0.5, on a Gaussian input with 50 rows
 scaled by 30, under two seeds. Each entry records the route
-``make_plan`` chose and its modelled costs, and, each the best of
-``--reps`` calls:
+``make_plan`` chose and, each the best of ``--reps`` calls:
 
 - the gram route (r1 = n, r2 = d, one guarded Cholesky of A^T A);
 - the sketch route at the default sizes r1 = ceil(20 d ln n), clamped to
@@ -21,15 +20,10 @@ scaled by 30, under two seeds. Each entry records the route
   and CholeskyQR2's scores are the reference.
 
 Each route's entry holds its time, per-phase times, orthogonalizer route,
-max relative error over rows and tracemalloc peak. The closing ``fit``
-gives the router's constants: the gram-route times, fit to their BLAS
-multiply-adds and the entries their two passes read, give the ns of each
-(their ratio is ``_PASS_COST``), and the median of each stage-1 time over
-``_kernels._srht_cost`` gives the ns of a mix multiply-add (a BLAS
-multiply-add's share of it is ``_BLAS_COST``). ``disagreements`` lists
-the entries where the router's choice is not the faster measured
-route. BLAS threads are capped
-at nproc and glibc keeps freed memory, as in ``benchmark/run.py``.
+max relative error over rows and tracemalloc peak. ``disagreements``
+lists the entries where ``make_plan``'s choice is not the faster
+measured route. BLAS threads are capped at nproc and glibc keeps freed
+memory, as in ``benchmark/run.py``.
 """
 
 from __future__ import annotations
@@ -53,7 +47,6 @@ if __name__ == "__main__" and any(os.environ.get(k) != v
 import argparse  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
-import statistics  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -64,8 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import levsketch  # noqa: E402
-from levsketch import _kernels, sketch  # noqa: E402
-from levsketch.sketch import SketchPlan, make_plan  # noqa: E402
+from levsketch.sketch import SketchPlan, default_r1, make_plan  # noqa: E402
 
 GRID_N = (1 << 15, 1 << 17)
 GRID_D = (32, 64, 128, 256, 512, 1024)
@@ -127,11 +119,7 @@ def run_route(A, plan, seed, exact, reps: int) -> dict:
 def run_point(n: int, d: int, seed: int, reps: int,
               svd_max_bytes: int) -> dict:
     A = make_input(n, d, seed)
-    log_n = math.log(n)
-    r1 = max(d, min(n, math.ceil(20 * d * log_n)))
-    r2 = math.ceil(12 * log_n / EPS**2)
     chosen = make_plan(n, d, EPS)
-    gram_cost, sketch_cost = sketch._route_costs(n, d, r1, r2)
     exact_plan = make_plan(n, d, EPS, r1=n, r2=d)
     if n * d * 8 <= svd_max_bytes:
         reference = "thin_svd"
@@ -141,42 +129,16 @@ def run_point(n: int, d: int, seed: int, reps: int,
         ref, _ = levsketch.approx_leverage(A, exact_plan, None)
     exact = ref.scores
     entry = {"n": n, "d": d, "seed": seed, "route": chosen.route,
-             "model": {"gram": gram_cost, "sketch": sketch_cost,
-                       "gram_madds": n * d * d * 1.5 + d**3,
-                       "stage1": (_kernels._srht_cost(n, d, r1) if r1 < n
-                                  else 0)},
              "svd_s": svd_s, "reference": reference}
     entry["gram"] = run_route(A, SketchPlan(EPS, n, d, route="gram"), None,
                               exact, reps)
-    entry["sketch"] = run_route(A, make_plan(n, d, EPS, r1=r1, r2=r2), seed,
-                                exact, reps)
+    entry["sketch"] = run_route(A, make_plan(n, d, EPS, r1=default_r1(n, d)),
+                                seed, exact, reps)
     entry["cholqr2"] = run_route(A, exact_plan, None, exact, reps)
     faster = "gram" if entry["gram"]["total_s"] <= entry["sketch"]["total_s"] \
         else "sketch"
     entry["measured_winner"] = faster
     return entry
-
-
-def fit(entries: list) -> dict:
-    """The cost model's constants: the ns of a BLAS multiply-add and of an
-    entry a BLAS pass reads, fit by least squares relative to each time to
-    the gram-route times (two passes over n d entries, 3 n d^2 / 2 + d^3
-    multiply-adds); and the ns of a mix multiply-add, the median of each
-    stage-1 time over ``_kernels._srht_cost``."""
-    X = np.array([[e["model"]["gram_madds"], 2 * e["n"] * e["d"]]
-                  for e in entries])
-    t = np.array([e["gram"]["total_s"] for e in entries])
-    coef = np.linalg.lstsq(X / t[:, None], np.ones(t.size), rcond=None)[0]
-    mix = [e["sketch"]["sketch_apply_s"] / e["model"]["stage1"]
-           for e in entries if e["model"]["stage1"]]
-    mix_ns = statistics.median(mix) * 1e9
-    madd, entry = (float(c) for c in coef)
-    return {"blas_ns_per_madd": madd * 1e9, "pass_ns_per_entry": entry * 1e9,
-            "pass_cost": entry / madd,
-            "gram_rel_resid": [round(float(x), 3) for x in X @ coef / t - 1],
-            "mix_ns_per_madd": mix_ns,
-            "mix_ns_range": [min(mix) * 1e9, max(mix) * 1e9],
-            "blas_cost": madd * 1e9 / mix_ns}
 
 
 def environment() -> dict:
@@ -212,9 +174,7 @@ def main(argv=None) -> int:
                    f"50 rows x30, eps {EPS}: best of {args.reps} times, the "
                    "thin SVD timed once, and tracemalloc peaks",
            "environment": environment(), "reps": args.reps,
-           "seeds": list(SEEDS), "blas_cost_in_use": sketch._BLAS_COST,
-           "pass_cost_in_use": sketch._PASS_COST,
-           "fit": fit(entries),
+           "seeds": list(SEEDS),
            "disagreements": [{k: e[k] for k in ("n", "d", "seed", "route",
                                                  "measured_winner")}
                              for e in entries

@@ -218,16 +218,20 @@ def _tiles(rows: np.ndarray, log_slab: int, log_b: int, log_g: int,
     return tiles
 
 
-def _group_costs(n: int, d: int, r: int, n_pad: int) -> list:
-    """The modelled cost of ``sampled_fwht``'s mix, gathers and tiles for r
-    kept rows of an n x d input padded to n_pad rows, at each group size
-    g = 2^k, k = 0..log2 b, in multiply-adds of the mix.
+def _group(n: int, d: int, r: int, n_pad: int) -> tuple[int, int]:
+    """(log2 g, columns) of ``sampled_fwht``'s groups for r kept rows of
+    an n x d input padded to n_pad rows.
 
     A group of g slabs costs g slab d multiply-adds to mix; each group
     after the first costs a signed gather of the r kept rows, r d element
     operations at ``_GATHER_COST`` multiply-adds each; and each group
     visits about n_pad d / scratch tiles, at ``_TILE_COST`` each for its
-    numpy calls.
+    numpy calls. g is the power of two <= b whose total is least, or the
+    smallest one within ``_COST_TIE`` of it: memory breaks the tie. A
+    group keeps whole rows while 4 scratches hold at least g / 2
+    whole-row slabs, and then g is cut to what they hold; otherwise it
+    takes as many columns as fit g slabs. A slab column larger than the
+    4 scratches takes a group of its own: g = 1, one column.
     """
     log_b, log_slab = _split(n_pad)
     slabs = -(-n >> log_slab)
@@ -237,34 +241,6 @@ def _group_costs(n: int, d: int, r: int, n_pad: int) -> list:
         groups = -(-slabs >> k)
         cost.append(((slabs << log_slab + k) + (groups - 1) * _GATHER_COST * r)
                     * d + groups * tiles * _TILE_COST)
-    return cost
-
-
-def _srht_cost(n: int, d: int, r: int) -> int:
-    """The modelled cost of ``sampled_fwht`` for r kept rows of an n x d
-    input, in multiply-adds of its mix: the transform of every slab that
-    holds a row of the input (a multiply-add per entry per row of each
-    Kronecker block) and the cheapest group's ``_group_costs``."""
-    n_pad = 1 << (n - 1).bit_length()
-    _, log_slab = _split(n_pad)
-    rows = -(-n >> log_slab) << log_slab
-    blocks = sum(1 << k for k in _block_logs(log_slab, _MAX_LOG_BLOCK))
-    return rows * d * blocks + min(_group_costs(n, d, r, n_pad))
-
-
-def _group(n: int, d: int, r: int, n_pad: int) -> tuple[int, int]:
-    """(log2 g, columns) of ``sampled_fwht``'s groups for r kept rows of
-    an n x d input padded to n_pad rows.
-
-    g is the power of two <= b whose ``_group_costs`` total is least, or
-    the smallest one within ``_COST_TIE`` of it: memory breaks the tie. A
-    group keeps whole rows while 4 scratches hold at least g / 2
-    whole-row slabs, and then g is cut to what they hold; otherwise it
-    takes as many columns as fit g slabs. A slab column larger than the
-    4 scratches takes a group of its own: g = 1, one column.
-    """
-    log_slab = _split(n_pad)[1]
-    cost = _group_costs(n, d, r, n_pad)
     least = min(cost)
     log_g = next(k for k, c in enumerate(cost) if c <= (1 + _COST_TIE) * least)
     columns = _SCRATCH_BYTES // 2 >> log_slab  # slab columns a group holds

@@ -10,17 +10,17 @@ caller that needs more of A W (the cross-leverage search) forms it a
 tile at a time from A and the returned W. Each stage is skipped where it
 cannot compress (r1 >= n, r2 >= rank), which makes the plan r1 = n,
 r2 = d exact, for A of any rank. A plan on the "gram" route
-(``SketchPlan.route``, chosen by ``make_plan`` where the sketch cannot
-win) has those exact sizes and factors A^T A in one guarded pass.
+(``SketchPlan.route``, ``make_plan``'s default for a plan given no
+sizes) has those exact sizes and factors A^T A in one guarded pass.
 
 R comes by one of three routes (``Orthogonalizer.route``). A sketch is
 needed only to within its own 1 +- eps distortion, so a caller that
-passes ``sketched=True`` takes "cholesky": one Cholesky factor of the
+passes ``kind="sketch"`` takes "cholesky": one Cholesky factor of the
 Gram, where a guard accepts it (no underflowed or non-finite column
 norm, finite R^{-1}, kappa_F(R) = ||R||_F ||R^{-1}||_F <= 1e4). As
 kappa_2(R) <= kappa_F(R), the sketch times R^{-1} is then orthonormal to
 about u kappa_2^2 <= 1e-8 (Yamamoto et al. 2015). The gram route
-(``one_pass=True``) trusts the same pass of A^T A, for the same error
+(``kind="gram"``) trusts the same pass of A^T A, for the same error
 bound. Everything else, the explicit exact plan included, takes
 "cholesky_qr2" from that same first pass, checked by one SVD of its R,
 or, where that R is not trusted, "householder".
@@ -152,21 +152,21 @@ def _cholesky_qr2(PA: np.ndarray, R1: Optional[np.ndarray],
 
 
 def build_orthogonalizer(pa, allow_rank_deficient: bool = False,
-                         sketched: bool = False,
-                         one_pass: bool = False) -> Orthogonalizer:
+                         kind: str = "exact") -> Orthogonalizer:
     """Compute R^{-1} from the sketched matrix Pi1 A, deciding its rank.
 
-    Every route starts from one Cholesky pass of PA^T PA. With
-    ``sketched=True`` (PA is a sketch, needed only to within its own
-    distortion) or ``one_pass=True`` (PA is A itself on the gram route,
-    whose one-pass error, about u kappa_2^2 <= 1e-8 under the guard, is
-    far inside any eps) that pass is the answer wherever
+    Every route starts from one Cholesky pass of PA^T PA. ``kind`` says
+    what PA is: "sketch" (a sketch, needed only to within its own
+    distortion), "gram" (A itself on the gram route, whose one-pass
+    error, about u kappa_2^2 <= 1e-8 under the guard, is far inside any
+    eps) or "exact" (A itself, factored to working precision). For
+    "sketch" and "gram" that pass is the answer wherever
     ``_guarded_cholesky`` trusts it: the route is "cholesky", R^{-1} is
     the factor's inverse, the rank is d (kappa_2(R) <= 1e4 is far inside
     the rank rule) and PA is not scanned, as a non-finite PA has a
     non-finite Gram diagonal and fails the guard. Otherwise PA is
     validated and CholeskyQR2 continues from that same pass, so its R is
-    the one ``sketched=False`` gives.
+    the one ``kind="exact"`` gives.
 
     One ``svd(R)`` of CholeskyQR2's R gives the 1e-6 condition guard, the
     rank and R^{-1} = V Sigma^{-1} (V's columns signed so that each one's
@@ -180,7 +180,11 @@ def build_orthogonalizer(pa, allow_rank_deficient: bool = False,
     ``NonFiniteFactor`` where R^{-1} overflows, so that a zero row of A is
     an exact zero row of A R^{-1}.
     """
-    trust = sketched or one_pass
+    if kind not in ("sketch", "gram", "exact"):
+        raise errors.InvalidParameter(
+            f"kind must be 'sketch', 'gram' or 'exact', got {kind!r}")
+    sketched = kind == "sketch"
+    trust = sketched or kind == "gram"
     PA = _as_matrix(pa) if trust else validate_matrix(pa)
     with np.errstate(all="ignore"):
         R1, R1inv, trusted = _guarded_cholesky(PA.T @ PA)
@@ -228,8 +232,8 @@ def approx_leverage(a, plan: SketchPlan, seed: Optional[int],
     validates A itself (r1 >= n); both raise ``NonFiniteEntry``. Stage 2
     multiplies R^{-1}, which ``build_orthogonalizer`` returns finite, by
     Pi2 without scanning it again. Only the SRHT's PA is factored as a
-    sketch (``sketched=True``); the gram route factors A by one guarded
-    Cholesky of A^T A where the guard trusts it (``one_pass=True``), and
+    sketch (``kind="sketch"``); the gram route factors A by one guarded
+    Cholesky of A^T A where the guard trusts it (``kind="gram"``), and
     the explicit exact plan keeps CholeskyQR2. With
     W = R^{-1} or the d x r2 product R^{-1} Pi2, the scores are the squared
     row norms of A W, read tile by tile without forming the n-row product.
@@ -266,7 +270,8 @@ def _leverage_basis(A: np.ndarray, plan: SketchPlan, seed: Optional[int],
     t1 = time.perf_counter()
     orth = build_orthogonalizer(
         PA, allow_rank_deficient=allow_rank_deficient or plan.r1 >= n,
-        sketched=plan.r1 < n, one_pass=plan.route == "gram")
+        kind=("sketch" if plan.r1 < n else
+              "gram" if plan.route == "gram" else "exact"))
     r1 = PA.shape[0]
     del PA  # free the sketched matrix before the product pass
     t2 = time.perf_counter()
@@ -309,7 +314,7 @@ def mi_estimate(a, seed: int) -> LeverageReport:
     op = SketchOperator("SRHT", seed, n, r)
     PA = apply_srht(op, A)
     W = build_orthogonalizer(PA, allow_rank_deficient=True,
-                             sketched=True).Rinv
+                             kind="sketch").Rinv
     w_raw = np.einsum("ts,ts->t", A, _srht_transpose(op, (PA @ W) @ W.T))
     floor = d * ln_n**2 / (4.0 * n)
     return LeverageReport.from_scores(

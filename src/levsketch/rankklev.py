@@ -28,7 +28,7 @@ from ._kernels import row_sq_norms
 from .levscore import (_guarded_cholesky, approx_leverage,
                        build_orthogonalizer)
 from .matcore import validate_matrix
-from .sketch import SketchOperator, gaussian_matrix, make_plan
+from .sketch import SketchOperator, default_r1, gaussian_matrix, make_plan
 
 
 @dataclass
@@ -140,7 +140,10 @@ def spectral_rankk(a, k: int, epsilon: float, seed: int,
     """
     A = validate_matrix(a)
     B, q = _power_sketch(A, k, epsilon, seed, q_override)
-    plan = make_plan(A.shape[0], 2 * k, epsilon=min(epsilon, 0.5))
+    # the paper's fast sketch of B at the default sizes, not the gram
+    # route that a plan given no sizes takes
+    plan = make_plan(A.shape[0], 2 * k, epsilon=min(epsilon, 0.5),
+                     r1=default_r1(A.shape[0], 2 * k))
     # B may have rank < 2k when rank(A) < 2k; truncate instead of erroring.
     try:
         report, _ = approx_leverage(B, plan, seed, allow_rank_deficient=True)
@@ -172,7 +175,7 @@ def _frobenius_factors(A: np.ndarray, k: int, epsilon: float, seed: int):
     B = A @ gaussian_matrix(SketchOperator("Gaussian", seed, d, r))
     try:  # Q = B R^{-1} spans B's numerical column space
         orth = build_orthogonalizer(B, allow_rank_deficient=True,
-                                    sketched=True)
+                                    kind="sketch")
     except errors.RankDeficient:  # B is zero: A is, or its powers underflow
         raise errors.RankTooLow(
             f"sketch B has numerical rank 0 < k={k}") from None

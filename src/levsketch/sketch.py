@@ -7,9 +7,9 @@ together with the closed-form target-dimension formulas for the JLT and
 FJLT guarantees.
 
 ``make_plan`` also routes: a plan given no sizes takes the "gram" route,
-one guarded Cholesky of A^T A, wherever a cost model in multiply-adds
-says that the two-stage sketch at its default sizes does more work than
-that exact method, and the "sketch" route otherwise.
+one guarded Cholesky of A^T A, which beat the two-stage sketch at its
+default sizes on every input measured; explicit sizes, and inputs of
+fewer than 2^12 entries, take the "sketch" route.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from ._kernels import _srht_cost, fwht_inplace, sampled_fwht
+from ._kernels import fwht_inplace, sampled_fwht
 from .matcore import _as_matrix, validate_matrix
 from .rng import rademacher, substream
 
@@ -68,9 +68,9 @@ class SketchPlan:
     dimension (stage 2); ``make_plan`` says how they are chosen. A stage
     that cannot compress is skipped: r1 >= n factors A itself and
     r2 >= rank leaves A R^{-1} unprojected, so ``make_plan(n, d, eps,
-    r1=n, r2=d)`` is the exact plan. ``route`` is "sketch", or "gram"
-    where ``make_plan`` found the sketch cannot win: that plan has the
-    exact plan's sizes, and its factorization trusts one guarded Cholesky
+    r1=n, r2=d)`` is the exact plan. ``route`` is "sketch", or "gram",
+    the default of a plan given no sizes (see ``make_plan``): that plan
+    has the exact plan's sizes, and its factorization trusts one guarded Cholesky
     of A^T A (see ``levscore.build_orthogonalizer``).
     """
 
@@ -89,56 +89,33 @@ def _check_size(name: str, value) -> int:
     return int(value)
 
 
-# The router's cost model, in the multiply-adds of stage 1's mix (the unit
-# of ``_kernels``' fitted ``_GATHER_COST`` and ``_TILE_COST``). A BLAS pass
-# over an m x d array that does k multiply-adds per entry it reads costs
-# _BLAS_COST m d (k + _PASS_COST). Both are fit in BENCH_24.json
-# (scripts/bench_route.py, 2 CPUs): a mix multiply-add took 0.24 ns (the
-# median over the stage-1 runs), a BLAS multiply-add 0.024 ns and an entry
-# read 2.4 ns, which puts every gram-route time within 30% of the model;
-# one cost per multiply-add alone missed by 4x between d = 32 and 1024.
-_BLAS_COST = 0.10  # a BLAS multiply-add, in mix multiply-adds
-_PASS_COST = 100  # an entry a BLAS pass reads, in BLAS multiply-adds
-# A smaller modelled saving, about 0.25 ms a call, keeps the paper's sketch
-# as the default. That keeps small inputs on the sketch although the gram
-# route is faster there too (0.06 against 0.29 ms at 512 x 4), among them
-# the 512 x 4 default plan whose stage-1 span the benchmark's tracer test
-# expects.
-_ROUTE_MIN_GAIN = 1 << 20
+# Inputs of fewer entries keep the paper's sketch as their default,
+# although the gram route is faster there too (0.06 against 0.29 ms at
+# 512 x 4): the benchmark's tracer test expects a stage-1 span from the
+# default plan of a 512 x 4 input. The cut goes once that test pins its
+# plan with an explicit r1.
+_GRAM_MIN_ENTRIES = 1 << 12
 
 
-def _route_costs(n: int, d: int, r1: int, r2: int) -> tuple[float, float]:
-    """Modelled (gram, sketch) costs of the leverage scores of an n x d
-    input, the sketch at sizes (r1, r2).
-
-    The gram route forms A^T A (a pass of n d^2 / 2), factors it (d^3)
-    and reads the row norms of A R^{-1} (a pass of n d^2). The sketch
-    pays stage 1 (``_kernels._srht_cost``), factors its r1 x d sketch the
-    same way, and reads the row norms of A W for W of min(d, r2) columns;
-    where r1 >= n it factors A itself by CholeskyQR2 instead: no stage 1,
-    and a second pass over A for the Gram of A R1^{-1} (n d^2 3 / 2).
-    """
-    def blas(rows, per_entry):
-        return _BLAS_COST * rows * d * (per_entry + _PASS_COST)
-
-    gram = blas(n, d / 2) + _BLAS_COST * d**3 + blas(n, d)
-    if r1 < n:
-        factor = _srht_cost(n, d, r1) + blas(r1, d / 2)
-    else:
-        factor = blas(n, d / 2) + blas(n, 1.5 * d)
-    return gram, factor + _BLAS_COST * d**3 + blas(n, min(d, r2))
+def default_r1(n: int, d: int) -> int:
+    """Stage 1's default row budget, ceil(20 d ln n), before ``make_plan``
+    clamps it to [d, n]."""
+    return math.ceil(20.0 * d * math.log(max(n, 2)))
 
 
 def make_plan(n: int, d: int, epsilon: float, r1: Optional[int] = None,
               r2: Optional[int] = None) -> SketchPlan:
-    """Resolve r1/r2 for an n x d input: r1 = ceil(20 d ln n) and
-    r2 = ceil(12 ln n / eps^2), or the explicit ``r1``/``r2`` given. r1
-    is clamped to [d, n].
+    """Resolve r1/r2 for an n x d input.
 
-    Given no sizes, the plan routes: where ``_route_costs`` says the
-    sketch at those sizes costs at least ``_ROUTE_MIN_GAIN`` more than
-    the gram route, the plan is the gram route, r1 = n and r2 = d, which
-    samples nothing. An explicit size chooses the sketch route.
+    Given no sizes, the plan takes the gram route, r1 = n and r2 = d,
+    which samples nothing: at every size measured (``BENCH_24.json``, the
+    benchmark's workloads) one guarded Cholesky of A^T A beat the sketch
+    at its default sizes. An input of fewer than ``_GRAM_MIN_ENTRIES``
+    entries keeps those default sizes instead, on the sketch route.
+
+    An explicit ``r1`` or ``r2`` chooses the sketch route; a size not
+    given takes its default, r1 = ``default_r1(n, d)`` or
+    r2 = ceil(12 ln n / eps^2). r1 is clamped to [d, n].
 
     The paper's proof-grade sizes give the exact plan on any input that
     fits in memory, and remain one call away for a failure probability
@@ -148,18 +125,12 @@ def make_plan(n: int, d: int, epsilon: float, r1: Optional[int] = None,
     """
     if not (0.0 < epsilon <= 0.5):
         raise errors.InvalidParameter(f"epsilon must be in (0, 0.5], got {epsilon}")
-    log_n = math.log(max(n, 2))
-    chosen = r1 is not None or r2 is not None
-    r1 = math.ceil(20.0 * d * log_n) if r1 is None else _check_size("r1", r1)
-    r2 = (max(1, math.ceil(12.0 * log_n / epsilon**2)) if r2 is None
-          else _check_size("r2", r2))
-    plan = SketchPlan(epsilon=epsilon, r1=max(d, min(r1, n)), r2=r2)
-    if not chosen:
-        gram, sketch = _route_costs(n, d, plan.r1, plan.r2)
-        if sketch - gram >= _ROUTE_MIN_GAIN:
-            return SketchPlan(epsilon=epsilon, r1=max(d, n), r2=d,
-                              route="gram")
-    return plan
+    if r1 is None and r2 is None and n * d >= _GRAM_MIN_ENTRIES:
+        return SketchPlan(epsilon=epsilon, r1=max(d, n), r2=d, route="gram")
+    r1 = default_r1(n, d) if r1 is None else _check_size("r1", r1)
+    r2 = (max(1, math.ceil(12.0 * math.log(max(n, 2)) / epsilon**2))
+          if r2 is None else _check_size("r2", r2))
+    return SketchPlan(epsilon=epsilon, r1=max(d, min(r1, n)), r2=r2)
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,7 @@ def underls_solve(a, b, p: SamplingProbabilities, epsilon: float,
     A^T (AS)^{+T} (AS)^+ b = A^T (AS AS^T)^{-1} b. AS AS^T = C C^T for the
     n x c matrix C of the c distinct drawn columns, column j scaled by
     sqrt(draws_j / (r p_j)), and (C C^T)^{-1} = W W^T for the n x n
-    W = R^{-1} that ``build_orthogonalizer(C^T, sketched=True)`` returns
+    W = R^{-1} that ``build_orthogonalizer(C^T, kind="sketch")`` returns
     (C being a sample of A's columns); it raises ``RankDeficient`` when C
     has rank below n. A and b are checked finite (``NonFiniteEntry``). If
     ``extras`` is a dict it receives ``r``, ``distinct`` (c) and the
@@ -157,7 +157,7 @@ def underls_solve(a, b, p: SamplingProbabilities, epsilon: float,
     r = sample_size(n, p.beta, epsilon, delta)
     S = draw_sampling_matrix(p, r, seed)
     C = A[:, S.selected] * np.sqrt(S.counts / (r * p.p[S.selected]))
-    orth = build_orthogonalizer(C.T, sketched=True)
+    orth = build_orthogonalizer(C.T, kind="sketch")
     W = orth.Rinv
     if extras is not None:
         extras.update(r=r, distinct=int(S.selected.size), route=orth.route)

@@ -1,7 +1,7 @@
-import math
 import tracemalloc
 
 from levsketch import make_plan
+from levsketch.sketch import default_r1
 
 VERDICTS = []
 
@@ -28,7 +28,7 @@ def sketch_plan(n, d, eps=0.5, **sizes):
     ln n), the default, passed explicitly, which is the caller choosing
     the sketch. Tests that certify the sketch use it, so that the router
     cannot make them exercise the gram route instead."""
-    sizes.setdefault("r1", math.ceil(20 * d * math.log(max(n, 2))))
+    sizes.setdefault("r1", default_r1(n, d))
     return make_plan(n, d, eps, **sizes)
 
 

@@ -153,7 +153,7 @@ def test_stage2_skipped_when_r2_reaches_rank():
     assert plan.r1 < n and plan.r2 >= d
     report, basis = approx_leverage(A, plan, seed=5)
     PA = apply_srht(SketchOperator("SRHT", 5, n, plan.r1), A)
-    X = A @ build_orthogonalizer(PA, sketched=True).Rinv
+    X = A @ build_orthogonalizer(PA, kind="sketch").Rinv
     np.testing.assert_array_equal(A @ basis.W, X)
     # the tiled scores are the row norms of the one product, bit for bit
     np.testing.assert_array_equal(report.scores, np.einsum("ij,ij->i", X, X))
@@ -273,6 +273,15 @@ def gram_input(seed=1, n=8192, d=32):
     A = np.random.default_rng(seed).standard_normal((n, d))
     A[:50] *= 30.0
     return A
+
+
+def test_orthogonalizer_kind_names_what_is_factored():
+    A = gram_input()
+    assert build_orthogonalizer(A, kind="gram").route == "cholesky"
+    assert build_orthogonalizer(A).route == "cholesky_qr2"
+    for bad in ("Sketch", "one_pass", True):
+        with pytest.raises(errors.InvalidParameter):
+            build_orthogonalizer(A, kind=bad)
 
 
 def test_gram_route_matches_exact_leverage():
@@ -492,7 +501,7 @@ def test_sketched_orthogonalizer_is_orthonormal_up_to_the_guards_edge(d):
     accepted = []
     for log_cond in np.arange(2.0, 6.01, 0.125):
         PA = with_spectrum(rng, 2 * d, np.logspace(0, -log_cond, d))
-        orth = build_orthogonalizer(PA, sketched=True)
+        orth = build_orthogonalizer(PA, kind="sketch")
         if orth.route != "cholesky":
             break
         assert orth.rank == d
@@ -516,7 +525,7 @@ def test_sketched_orthogonalizer_bounds_kappa_2_with_a_dominant_column(d):
         R = np.diag(np.full(d, delta))
         R[0] = 1.0
         PA = np.linalg.qr(rng.standard_normal((2 * d, d)))[0] @ R
-        orth = build_orthogonalizer(PA, sketched=True)
+        orth = build_orthogonalizer(PA, kind="sketch")
         Q = PA @ orth.Rinv
         assert np.linalg.norm(Q.T @ Q - np.eye(d), 2) <= 1e-6
         if orth.route == "cholesky":
@@ -528,12 +537,12 @@ def test_sketched_orthogonalizer_bounds_kappa_2_with_a_dominant_column(d):
 def test_rejected_sketch_continues_cholesky_qr2_from_the_guards_pass():
     # kappa = 1e5: the guard's Gram and Cholesky are CholeskyQR2's first
     # pass, so a rejected sketch takes two Cholesky factorizations in all,
-    # and its R^-1 is the one sketched=False gives, bit for bit
+    # and its R^-1 is the one kind="exact" gives, bit for bit
     rng = np.random.default_rng(27)
     PA = with_spectrum(rng, 400, np.logspace(0, -5, 40))
     with mock.patch.object(np.linalg, "cholesky",
                            wraps=np.linalg.cholesky) as chol:
-        orth = build_orthogonalizer(PA, sketched=True)
+        orth = build_orthogonalizer(PA, kind="sketch")
     assert orth.route == "cholesky_qr2"
     assert chol.call_count == 2
     np.testing.assert_array_equal(orth.Rinv, build_orthogonalizer(PA).Rinv)
@@ -543,7 +552,7 @@ def test_sketched_orthogonalizer_rejects_ill_conditioned_sketch():
     # kappa = 1e7: the guard rejects, and route, rank and R^-1 are today's
     rng = np.random.default_rng(17)
     PA = with_spectrum(rng, 200, np.logspace(0, -7, 6))
-    orth = build_orthogonalizer(PA, allow_rank_deficient=True, sketched=True)
+    orth = build_orthogonalizer(PA, allow_rank_deficient=True, kind="sketch")
     plain = build_orthogonalizer(PA, allow_rank_deficient=True)
     assert (orth.route, orth.rank) == (plain.route, plain.rank) == (
         "householder", 6)
@@ -559,7 +568,7 @@ def test_sketched_orthogonalizer_rejects_underflowed_or_overflowed_gram(scale):
     PA = scale * rng.standard_normal((200, 6))
     with np.errstate(all="ignore"):
         assert not levscore._guarded_cholesky(PA.T @ PA)[2]
-    orth = build_orthogonalizer(PA, sketched=True)
+    orth = build_orthogonalizer(PA, kind="sketch")
     plain = build_orthogonalizer(PA)
     assert orth.route == plain.route != "cholesky"
     np.testing.assert_array_equal(orth.Rinv, plain.Rinv)
@@ -568,24 +577,24 @@ def test_sketched_orthogonalizer_rejects_underflowed_or_overflowed_gram(scale):
 def test_sketched_orthogonalizer_rank_deficient_as_before():
     PA = np.ones((10, 3))  # rank 1
     with pytest.raises(errors.RankDeficient):
-        build_orthogonalizer(PA, sketched=True)
-    orth = build_orthogonalizer(PA, allow_rank_deficient=True, sketched=True)
+        build_orthogonalizer(PA, kind="sketch")
+    orth = build_orthogonalizer(PA, allow_rank_deficient=True, kind="sketch")
     assert orth.rank == 1
     assert orth.route == build_orthogonalizer(
         PA, allow_rank_deficient=True).route
     PA = np.random.default_rng(23).standard_normal((40, 4))
     PA[:, 2] = 0.0  # a zero column: a zero Gram diagonal entry
     with pytest.raises(errors.RankDeficient):
-        build_orthogonalizer(PA, sketched=True)
+        build_orthogonalizer(PA, kind="sketch")
     assert build_orthogonalizer(PA, allow_rank_deficient=True,
-                                sketched=True).rank == 3
+                                kind="sketch").rank == 3
 
 
 def test_sketched_orthogonalizer_validates_what_it_rejects():
     PA = np.random.default_rng(24).standard_normal((40, 4))
     PA[7, 1] = np.nan
     with pytest.raises(errors.NonFiniteEntry):
-        build_orthogonalizer(PA, sketched=True)
+        build_orthogonalizer(PA, kind="sketch")
 
 
 def test_library_loads_no_second_blas():

@@ -8,7 +8,7 @@ import pytest
 from levsketch import (errors, exact_leverage, frobenius_rankk,
                        frobenius_sketch_matrix, power_q, rankklev,
                        spectral_rankk, spectral_sketch_matrix, thin_svd)
-from levsketch.sketch import SketchOperator, gaussian_matrix
+from levsketch.sketch import SketchOperator, gaussian_matrix, make_plan
 
 
 def low_rank_plus_noise(rng, n, d, k, gap=20.0, noise=1.0):
@@ -203,7 +203,7 @@ def test_frobenius_cholesky_route_needs_no_second_pass(scale):
     assert abs(report.p_hat.sum() - 1.0) <= 1e-12
     r = report.extras["r"]
     B = A @ gaussian_matrix(SketchOperator("Gaussian", seed, d, r))
-    Q = B @ rankklev.build_orthogonalizer(B, sketched=True).Rinv
+    Q = B @ rankklev.build_orthogonalizer(B, kind="sketch").Rinv
     assert np.linalg.norm(Q.T @ Q - np.eye(r), 2) <= 1e-8
     left, _ = frobenius_sketch_matrix(A, k, eps, seed)
     assert np.linalg.norm(left.T @ left - np.eye(k), 2) <= 1e-8
@@ -262,6 +262,22 @@ def test_spectral_phat_sums_to_one():
     report = spectral_rankk(A, k=2, epsilon=0.5, seed=0)
     assert abs(report.p_hat.sum() - 1.0) <= 1e-12
     assert report.beta_claim == pytest.approx((1 - 0.5) / (2 * 1.5))
+
+
+def test_spectral_sketches_b_on_the_sketch_route():
+    # B is 4096 x 8, where a plan given no sizes takes the gram route; the
+    # spectral estimate keeps the SRHT at the default sizes, r1 < n
+    rng = np.random.default_rng(30)
+    A = low_rank_plus_noise(rng, 4096, 64, 4)
+    with mock.patch.object(rankklev, "approx_leverage",
+                           wraps=rankklev.approx_leverage) as inner:
+        report = spectral_rankk(A, k=4, epsilon=0.5, seed=2)
+    (B, plan, seed), options = inner.call_args
+    assert make_plan(4096, 8, 0.5).route == "gram"
+    assert (plan.route, plan.r1, plan.r2) == (
+        "sketch", math.ceil(160 * math.log(4096)), math.ceil(48 * math.log(4096)))
+    scores = rankklev.approx_leverage(B, plan, seed, **options)[0].scores
+    np.testing.assert_array_equal(report.p_hat, scores / scores.sum())
 
 
 def test_spectral_permutation_invariance():

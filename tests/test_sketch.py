@@ -15,9 +15,8 @@ from levsketch import (SketchOperator, _kernels, apply_sparse_jlt, apply_srht,
                        approx_leverage, errors, fjlt_dim, fwht,
                        hadamard_matrix, jlt_dim, make_plan, mi_estimate)
 from levsketch._kernels import fwht_inplace, sampled_fwht
-from levsketch import sketch as sketch_mod
 from levsketch.rng import rademacher, substream
-from levsketch.sketch import (_srht_selection, _srht_transpose,
+from levsketch.sketch import (_srht_selection, _srht_transpose, default_r1,
                               gaussian_matrix, next_pow2)
 from conftest import traced_peak
 
@@ -640,17 +639,20 @@ def test_gaussian_moments_and_determinism():
 # ---------------------------------------------------------------- plans
 
 def test_make_plan_practical_defaults():
-    # at 10^7 x 2048 (no array is allocated) the router keeps the sketch,
-    # at its default sizes; one explicit size leaves the other's default
+    # one explicit size leaves the other's default (no array is allocated);
+    # a plan for fewer than 2^12 entries takes both defaults
     n, d = 10**7, 2048
-    plan = make_plan(n, d, 0.5)
-    assert plan.route == "sketch"
-    assert plan.r1 == math.ceil(20 * d * math.log(n)) < n
-    assert plan.r2 == math.ceil(12 * math.log(n) / 0.25) < d
+    assert make_plan(n, d, 0.5, r2=774).r1 == default_r1(n, d) == math.ceil(
+        20 * d * math.log(n)) < n
+    assert make_plan(n, d, 0.5, r1=660198).r2 == math.ceil(
+        12 * math.log(n) / 0.25)
     assert make_plan(2048, 16, 0.5, r2=5).r1 == min(
         2048, math.ceil(20 * 16 * math.log(2048)))
     assert make_plan(2048, 16, 0.5, r1=512).r2 == math.ceil(
         12 * math.log(2048) / 0.25)
+    plan = make_plan(512, 4, 0.5)
+    assert (plan.route, plan.r1, plan.r2) == (
+        "sketch", math.ceil(80 * math.log(512)), math.ceil(48 * math.log(512)))
 
 
 def test_make_plan_theory_uses_proof_grade_formulas():
@@ -681,31 +683,24 @@ def test_make_plan_overrides_and_validation():
                 make_plan(100, 5, 0.25, **{key: bad})
 
 
-@pytest.mark.parametrize("n, d", [(100_000, 64), (60_000, 32), (8192, 32)])
-def test_make_plan_routes_to_gram_where_the_sketch_cannot_win(n, d):
-    # the benchmark's tall and cross inputs and the wide solve's A^T: stage
-    # 1 and the same n d^2 product pass cost more than A^T A, so the plan
-    # has the exact sizes and samples nothing
+@pytest.mark.parametrize("n, d", [(100_000, 64), (60_000, 32), (8192, 32),
+                                  (4096, 1), (10**7, 2048)])
+def test_make_plan_given_no_sizes_takes_the_gram_route(n, d):
+    # the benchmark's tall and cross inputs, the wide solve's A^T, the
+    # smallest input at the cut and the paper's regime: the exact sizes,
+    # which sample nothing
     plan = make_plan(n, d, 0.5)
     assert (plan.route, plan.r1, plan.r2) == ("gram", n, d)
-    gram, sketch = sketch_mod._route_costs(
-        n, d, math.ceil(20 * d * math.log(n)), math.ceil(48 * math.log(n)))
-    assert sketch - gram >= sketch_mod._ROUTE_MIN_GAIN
 
 
-def test_make_plan_keeps_the_sketch_where_it_wins_or_is_chosen():
-    # paper regime: r1 = 660198 < n and r2 = 774 < d, so stage 2 cuts the
-    # n d^2 product pass to n d r2
-    assert make_plan(10**7, 2048, 0.5).route == "sketch"
+def test_make_plan_keeps_the_sketch_where_it_is_chosen():
     # an explicit size is the caller choosing the sketch
     for sizes in ({"r1": 8192}, {"r2": 553}, {"r1": 100_000, "r2": 64}):
         plan = make_plan(100_000, 64, 0.5, **sizes)
         assert plan.route == "sketch"
         assert plan.r1 == sizes.get("r1", 14737)
-    # a saving below the floor keeps the sketch: 512 x 4 would save
-    # about 0.2e6 multiply-adds, some 50 us
-    gram, sketch = sketch_mod._route_costs(512, 4, 500, 300)
-    assert 0 < sketch - gram < sketch_mod._ROUTE_MIN_GAIN
+    # so does an input of fewer than 2^12 entries
+    assert make_plan(4095, 1, 0.5).route == "sketch"
     assert make_plan(512, 4, 0.5).route == "sketch"
 
 
