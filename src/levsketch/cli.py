@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands cover every library operation. All output documents share
-the schema {"params", "seed", "timings_ms", "result"} with 0-based
-indices; runs with the same seed are byte-identical apart from the timing
-fields, and runs that draw nothing report a null seed: ``exact``,
+the schema {"params", "seed", "retried", "timings_ms", "result"} with
+0-based indices; runs with the same seed are byte-identical apart from
+the timing fields, and runs that draw nothing report a null seed: ``exact``,
 ``coherence --method exact``, ``cross --exact-pairs``, and ``leverage``
 and ``cross`` on a plan that samples no rows and projects nothing
 (r1 >= n, r2 >= d), the gram route included. ``leverage`` and ``cross``
@@ -17,6 +17,10 @@ report's extras (q and rank for spectral; width r, rank and route for
 Frobenius) and ``underls`` the number of draws r, of distinct columns
 drawn and the route; ``underls --probs sketched`` also lists the plan's
 route in ``params``.
+``retried`` lists, in order, each seed a run gave up on because its
+sketch lost rank, as {"seed": s, "error": message}; it is empty where the
+first seed served, and always for ``exact``, ``rankk`` and ``leverage
+--estimator mi``, which make one attempt.
 ``--format`` names the input matrix's format; ``underls`` reads its
 ``--rhs`` file in the format that file's suffix names, or in ``--format``
 where the suffix names none.
@@ -150,45 +154,82 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-_ARRAY_MARK = "\0levsketch-array\0"  # stands for a float array in the skeleton
-_CHUNK = 4096  # array values formatted at a time
+_MARK = "\0levsketch-streamed\0"  # stands for a streamed value in the skeleton
+_CHUNK = 4096  # array values or pairs formatted at a time
+
+
+class _Pairs:
+    """``result.pairs`` in the skeleton: (i, j, value) rows to stream."""
+
+    def __init__(self, rows):
+        self.rows = rows
 
 
 def _write_json(doc: dict, fh) -> None:
     """Write ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline to
     ``fh``, byte for byte, without the whole text: each non-empty 1-d
-    float64 array is left out of the dumped skeleton and written in
-    chunks of ``_CHUNK`` values in its place."""
-    arrays = []
+    float64 array, and a non-empty ``result.pairs``, is left out of the
+    dumped skeleton and written in chunks of ``_CHUNK`` values or pairs
+    in its place."""
+    streamed = []
 
     def default(obj):
-        if (isinstance(obj, np.ndarray) and obj.dtype == np.float64
+        if isinstance(obj, _Pairs) or (
+                isinstance(obj, np.ndarray) and obj.dtype == np.float64
                 and obj.ndim == 1 and obj.size):
-            arrays.append(obj)
-            return _ARRAY_MARK
+            streamed.append(obj)
+            return _MARK
         return _json_default(obj)
 
+    result = doc.get("result")
+    if isinstance(result, dict) and result.get("pairs"):
+        doc = {**doc, "result": {**result, "pairs": _Pairs(result["pairs"])}}
     skeleton = json.dumps(doc, sort_keys=True, indent=2, default=default)
-    parts = skeleton.split(json.dumps(_ARRAY_MARK))
-    for text, values in zip(parts, arrays):
+    parts = skeleton.split(json.dumps(_MARK))
+    for text, value in zip(parts, streamed):
         fh.write(text)
         line = text[text.rfind("\n") + 1:]
-        _write_floats(fh, values, len(line) - len(line.lstrip(" ")))
+        indent = len(line) - len(line.lstrip(" "))
+        if isinstance(value, _Pairs):
+            _write_pairs(fh, value.rows, indent)
+        else:
+            _write_floats(fh, value, indent)
     fh.write(parts[-1] + "\n")
+
+
+def _float_texts(values: np.ndarray):
+    """``json``'s text of each float in ``values``: ``float.__repr__``,
+    and ``NaN``, ``Infinity`` and ``-Infinity`` where not finite."""
+    return map(float.__repr__ if np.isfinite(values).all() else json.dumps,
+               values.tolist())
 
 
 def _write_floats(fh, values: np.ndarray, indent: int) -> None:
     """A non-empty float array as ``json`` indents it on a line indented
-    by ``indent``: each value on its own line, in ``float.__repr__``
-    (``NaN``, ``Infinity`` and ``-Infinity`` where not finite)."""
+    by ``indent``: each value on its own line."""
     sep = ",\n" + " " * (indent + 2)
     fh.write("[")
     for i in range(0, values.size, _CHUNK):
-        chunk = values[i:i + _CHUNK]
-        texts = map(float.__repr__ if np.isfinite(chunk).all()
-                    else json.dumps, chunk.tolist())
         fh.write(sep[1:] if i == 0 else sep)
-        fh.write(sep.join(texts))
+        fh.write(sep.join(_float_texts(values[i:i + _CHUNK])))
+    fh.write("\n" + " " * indent + "]")
+
+
+def _write_pairs(fh, rows, indent: int) -> None:
+    """A non-empty list of (i, j, value) pairs as ``json`` indents it on a
+    line indented by ``indent``: each pair a list of two ints and a float,
+    one item per line."""
+    sep = ",\n" + " " * (indent + 2)
+    item = sep + "  "
+    pair = ("[" + item[1:] + "%d" + item + "%d" + item + "%s\n"
+            + " " * (indent + 2) + "]")
+    fh.write("[")
+    for k in range(0, len(rows), _CHUNK):
+        chunk = rows[k:k + _CHUNK]
+        texts = _float_texts(np.array([c for _, _, c in chunk], np.float64))
+        fh.write(sep[1:] if k == 0 else sep)
+        fh.write(sep.join([pair % (i, j, t)
+                           for (i, j, _), t in zip(chunk, texts)]))
     fh.write("\n" + " " * indent + "]")
 
 
@@ -222,23 +263,24 @@ def _write_lines(fh, rows, line: str) -> None:
 
 
 def _with_retries(fn, args, plan=None, shape=None):
-    """(fn(seed), seed) for the first seed from ``--seed`` on, one per
-    attempt, at which ``fn`` does not raise ``RankDeficient``. A ``plan``
-    that samples no rows of the n x d input of ``shape`` (r1 >= n) makes
-    one attempt, as no seed changes the rank it finds; its
-    ``RankDeficient`` (a numerically zero A) is a hard error. Where it
-    projects nothing either (r2 >= d) it draws nothing, and its seed is
-    None."""
+    """(fn(seed), seed, retried) for the first seed from ``--seed`` on, one
+    per attempt, at which ``fn`` does not raise ``RankDeficient``;
+    ``retried`` lists each seed given up on before it, as {"seed": s,
+    "error": message}. A ``plan`` that samples no rows of the n x d input
+    of ``shape`` (r1 >= n) makes one attempt, as no seed changes the rank
+    it finds; its ``RankDeficient`` (a numerically zero A) is a hard
+    error. Where it projects nothing either (r2 >= d) it draws nothing,
+    and its seed is None."""
     if plan is not None and plan.r1 >= shape[0]:
         seed = args.seed if plan.r2 < shape[1] else None
-        return fn(seed), seed
-    last = None
+        return fn(seed), seed, []
+    retried = []
     for seed in range(args.seed, args.seed + args.retries + 1):
         try:
-            return fn(seed), seed
+            return fn(seed), seed, retried
         except errors.RankDeficient as exc:
-            last = exc
-    raise _RetriesExhausted(str(last))
+            retried.append({"seed": seed, "error": str(exc)})
+    raise _RetriesExhausted(retried[-1]["error"])
 
 
 class _RetriesExhausted(errors.LevsketchError):
@@ -262,16 +304,17 @@ def _run_leverage(args, A) -> dict:
         report = mi_estimate(A, args.seed)
         params = {"estimator": "mi", "r": report.extras["r"],
                   "n": A.shape[0], "d": A.shape[1]}
-        used_seed, timings = args.seed, {}
+        used_seed, retried, timings = args.seed, [], {}
     else:
         plan = _plan_for(args, *A.shape)
-        (report, basis), used_seed = _with_retries(
+        (report, basis), used_seed, retried = _with_retries(
             lambda s: approx_leverage(A, plan, s), args, plan, A.shape)
         params = {"estimator": "sketched", "n": A.shape[0], "d": A.shape[1],
                   **_plan_params(plan, {**report.extras,
                                         "route": basis.route})}
         timings = basis.timings_ms
-    return {"params": params, "seed": used_seed, "timings_ms": timings,
+    return {"params": params, "seed": used_seed, "retried": retried,
+            "timings_ms": timings,
             "result": {"scores": report.scores, "coherence": report.coherence,
                        "normalized": report.normalized,
                        "method": report.method}}
@@ -281,7 +324,7 @@ def _run_exact(args, A) -> dict:
     report = matcore.exact_leverage(A)
     return {"params": {"n": A.shape[0], "d": A.shape[1],
                        "rank": report.extras["rank"]},
-            "seed": None, "timings_ms": {},
+            "seed": None, "retried": [], "timings_ms": {},
             "result": {"scores": report.scores, "coherence": report.coherence,
                        "normalized": report.normalized, "method": "exact"}}
 
@@ -301,7 +344,7 @@ def _run_cross(args, A) -> dict:
     # epsilon sizes nothing, so --eps is neither read nor reported.
     plan = (make_plan(n, d, 0.5, r1=n, r2=d) if args.exact_pairs
             else _plan_for(args, n, d))
-    hp, used_seed = _with_retries(
+    hp, used_seed, retried = _with_retries(
         lambda s: approx_cross_leverage(A, plan, kappa, s), args, plan,
         A.shape)
     params = {"n": n, "d": d, "kappa": kappa, "exact": args.exact_pairs,
@@ -310,8 +353,9 @@ def _run_cross(args, A) -> dict:
         del params["epsilon"]
     if args.off_diagonal_only:
         hp = hp.off_diagonal()
-    return {"params": params, "seed": used_seed, "timings_ms": hp.timings_ms,
-            "result": {"pairs": [[i, j, c] for i, j, c in hp.pairs],
+    return {"params": params, "seed": used_seed, "retried": retried,
+            "timings_ms": hp.timings_ms,
+            "result": {"pairs": hp.pairs,
                        "threshold": hp.threshold,
                        "gram_fro_sq": hp.gram_fro_sq,
                        "candidates": hp.candidates}}
@@ -329,7 +373,7 @@ def _run_rankk(args, A) -> dict:
                        "norm": args.norm, "epsilon": args.eps, "q": args.q,
                        "beta_claim": report.beta_claim,
                        "run": report.extras},
-            "seed": args.seed, "timings_ms": {},
+            "seed": args.seed, "retried": [], "timings_ms": {},
             "result": {"p_hat": report.p_hat, "k": report.k,
                        "norm": report.norm}}
 
@@ -355,15 +399,15 @@ def _run_underls(args, A) -> dict:
         return p, underls_solve(A, b, p, args.eps, args.delta, seed,
                                 extras=run)
 
-    (p, x), used_seed = _with_retries(attempt, args)
+    (p, x), used_seed, retried = _with_retries(attempt, args)
     residual = float(np.linalg.norm(A @ x - b))
     params = {"n": A.shape[0], "d": A.shape[1], "epsilon": args.eps,
               "delta": args.delta, "beta": p.beta, "probs": args.probs,
               "run": run}
     if plan is not None:
         params["route"] = plan.route
-    return {"params": params,
-            "seed": used_seed, "timings_ms": {},
+    return {"params": params, "seed": used_seed, "retried": retried,
+            "timings_ms": {},
             "result": {"solution": x, "residual": residual}}
 
 

@@ -12,8 +12,14 @@ searches X = A W for the map W that ``approx_leverage`` returns: A R^{-1},
 or, when stage 2 compresses, Omega = A R^{-1} Pi2. X is never stored:
 its Gram is summed over row tiles of A W (``product_gram``), and the
 search gathers each row block and column window from A and multiplies
-the gathered tile by W, so the cross path holds A, one tile of A W at a
-time and O(n) vectors. The search runs with kappa rescaled by
+the gathered tile by W. Only the ranks whose own norm test passes have a
+partner, and first partners are found for those alone, so beyond A the
+cross path holds two n-vectors, the scores and the rank order (the
+sorted norms are a third only until the first partners are found), and
+the search's tiles: a column window of A W and a tile that the gathered
+rows of A and the block of inner products share, at most 1 MiB each,
+and a row block of at most 362 rows of A W. The search runs with kappa
+rescaled by
 ||X^T X||_F^2 / d, giving an effective cutoff of d / kappa, and reuses
 the X^T X of that rescaling and the leverage scores as X's row norms; A,
 which the sketch validated, is not validated again.
@@ -105,7 +111,11 @@ def _heavy_pairs(A: np.ndarray, W, gram: np.ndarray, norms: np.ndarray,
     X^T X and its squared row norms ``norms``.
 
     X is never formed: each row block and column window of X is gathered
-    from A with ``take`` and multiplied by W in a tile of its own.
+    from A with ``take`` and multiplied by W into a tile of its own. The
+    ranks with a partner are a suffix z0..n-1, and their first partners
+    (``_partner_suffix``) are all the search keeps besides the rank
+    order: no n-long array is formed but that order and, until the
+    suffix is found, the sorted norms.
     """
     n, d = A.shape
     r = d if W is None else W.shape[1]
@@ -119,34 +129,31 @@ def _heavy_pairs(A: np.ndarray, W, gram: np.ndarray, norms: np.ndarray,
     # stable sort; it may rank equal norms either way, which moves a pair
     # between tiles but changes neither first[] nor the pairs found
     order = np.argsort(norms)
-    first = _first_partners(norms[order], threshold)
-    # first[] does not increase with z, so the rows with a partner
-    # (first[z] <= z) are the top ranks z0..n-1; their partners reach down
-    # to first[n-1] and include rows that have no partner of their own.
-    with_partner = np.flatnonzero(first <= np.arange(n))
-    candidates = int(np.sum(with_partner - first[with_partner] + 1))
-    z0 = int(with_partner[0]) if with_partner.size else n
-
+    z0, first, candidates = _partner_suffix(norms[order], threshold)
+    # first[z - z0] is the first partner of rank z >= z0; it does not
+    # increase with z, so the ranks a block [a, b) is tested against
+    # reach down to first[b - 1 - z0], and the last window, of
+    # n - first[-1] ranks, is the widest. Ranks below z0 have no partner
+    # of their own but appear in the windows of those above.
+    widest = n - int(first[-1]) if first.size else 0
     rows_per = max(1, min(n - z0, math.isqrt(_BLOCK_ELEMS),
                           _BLOCK_ELEMS // wide))
-    # A block of ranks [a, b) is tested against ranks [first[b-1], b), a
-    # window that widens with b: the last one, of n - first[n-1] ranks, is
-    # the widest. Each tile holds at most _BLOCK_ELEMS, and no more than
-    # its largest block or window needs.
-    widest = n - int(first[n - 1])
+    # Each tile holds at most _BLOCK_ELEMS, and no more than its largest
+    # block or window needs. A block of inner products and the rows of A
+    # that a tile of X is gathered from share one tile: a row block's or
+    # a column window's rows are used up before the block is formed.
+    need = rows_per * widest
+    if W is not None:
+        need = max(need, max(rows_per, widest) * d)
     row_tile = np.empty(rows_per * r)
     col_tile = np.empty(min(_BLOCK_ELEMS, widest * r))
-    sq_tile = np.empty(min(_BLOCK_ELEMS, rows_per * widest))
-    # the rows of A a tile of X is made from; a row block's are used up
-    # before a column window's are gathered
-    gather = None if W is None else np.empty(
-        min(_BLOCK_ELEMS, max(rows_per, widest) * d))
+    shared = np.empty(min(_BLOCK_ELEMS, need))
 
     def rows_of_x(ranks: slice, tile: np.ndarray) -> np.ndarray:
         """The rows of X at ``ranks``, written into ``tile``."""
         m = ranks.stop - ranks.start
         rows = A.take(order[ranks], axis=0, mode="clip",  # clip: unbuffered
-                      out=(tile if W is None else gather)[:m * d].reshape(m, d))
+                      out=(tile if W is None else shared)[:m * d].reshape(m, d))
         if W is None:
             return rows
         return np.matmul(rows, W, out=tile[:m * r].reshape(m, r))
@@ -157,17 +164,17 @@ def _heavy_pairs(A: np.ndarray, W, gram: np.ndarray, norms: np.ndarray,
         b = min(a + rows_per, n)
         xa = rows_of_x(slice(a, b), row_tile)
         cols_per = max(1, _BLOCK_ELEMS // max(b - a, wide))
-        for c0 in range(int(first[b - 1]), b, cols_per):
+        for c0 in range(int(first[b - 1 - z0]), b, cols_per):
             c1 = min(c0 + cols_per, b)
             xc = rows_of_x(slice(c0, c1), col_tile)
             sq = np.matmul(xa, xc.T,
-                           out=sq_tile[:(b - a) * (c1 - c0)].reshape(b - a, -1))
+                           out=shared[:(b - a) * (c1 - c0)].reshape(b - a, -1))
             sq *= sq
-            # the rank window c0 + ji in [first[a + zi], a + zi] is tested
-            # only on the few entries that clear the threshold
+            # the rank window c0 + ji in [first[a + zi - z0], a + zi] is
+            # tested only on the few entries that clear the threshold
             hits = np.flatnonzero(sq >= threshold)
             zi, ji = np.divmod(hits, c1 - c0)
-            keep = (c0 + ji <= a + zi) & (c0 + ji >= first[a + zi])
+            keep = (c0 + ji <= a + zi) & (c0 + ji >= first[a - z0 + zi])
             found_i.append(order[a + zi[keep]])
             found_j.append(order[c0 + ji[keep]])
             found_c.append(sq.ravel()[hits[keep]])
@@ -176,27 +183,54 @@ def _heavy_pairs(A: np.ndarray, W, gram: np.ndarray, norms: np.ndarray,
                    threshold, kappa, gram_fro_sq, r, candidates)
 
 
-def _first_partners(ns: np.ndarray, threshold: float) -> np.ndarray:
-    """first[z] = min{j : ns[z] * ns[j] >= threshold}, or n; ns ascending.
+def _partner_suffix(ns: np.ndarray, threshold: float):
+    """``(z0, first, candidates)`` for squared norms ``ns``, ascending.
+
+    Rank z has a partner j <= z exactly when fl(ns[z] ns[z]) >= threshold,
+    as rounded products are monotone in each factor; so the ranks with a
+    partner are the suffix z0..n-1, found by ``searchsorted`` on
+    sqrt(threshold) and moved across whole runs of equal norms until the
+    product test itself agrees. ``first`` holds ``_first_partners`` for
+    those ranks only, and ``candidates`` counts the pairs j <= z they
+    test, sum(z - first[z] + 1). It allocates nothing n long.
+    """
+    n = ns.size
+    z0 = int(np.searchsorted(ns, math.sqrt(threshold), side="left"))
+    with np.errstate(over="ignore"):  # an overflowed square still passes
+        while z0 > 0 and ns[z0 - 1] * ns[z0 - 1] >= threshold:
+            z0 = int(np.searchsorted(ns, ns[z0 - 1], side="left"))
+        while z0 < n and ns[z0] * ns[z0] < threshold:
+            z0 = int(np.searchsorted(ns, ns[z0], side="right"))
+    first = _first_partners(ns, threshold, start=z0)
+    m = n - z0  # sum(z + 1 for z in z0..n-1) - sum(first)
+    return z0, first, m * (z0 + 1 + n) // 2 - int(first.sum())
+
+
+def _first_partners(ns: np.ndarray, threshold: float,
+                    start: int = 0) -> np.ndarray:
+    """first[z - start] = min{j : ns[z] * ns[j] >= threshold}, or n, for
+    the ranks z >= ``start``; ns ascending.
 
     Rounded products are monotone in each factor, so each row's partners
     are a suffix of ``ns``. ``searchsorted`` on threshold / ns finds its
     start up to the rounding of the quotient; the loops then move each
     start across whole runs of equal norms until the product test itself
-    agrees, so the candidates are exactly those the test admits.
+    agrees, so the candidates are exactly those the test admits. Every
+    temporary is as long as the ranks asked for.
     """
     n = ns.size
+    q = ns[start:]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        first = np.searchsorted(ns, threshold / ns, side="left")
+        first = np.searchsorted(ns, threshold / q, side="left")
     while True:
         prev = np.maximum(first - 1, 0)
-        down = (first > 0) & (ns * ns[prev] >= threshold)
+        down = (first > 0) & (q * ns[prev] >= threshold)
         if not down.any():
             break
         first[down] = np.searchsorted(ns, ns[prev[down]], side="left")
     while True:
         at = np.minimum(first, n - 1)
-        up = (first < n) & (ns * ns[at] < threshold)
+        up = (first < n) & (q * ns[at] < threshold)
         if not up.any():
             break
         first[up] = np.searchsorted(ns, ns[at[up]], side="right")
@@ -251,7 +285,10 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
     cutoff on sketched inner products is d / kappa; it reuses that
     X^T X, takes the leverage scores as X's squared row norms (they are
     those norms up to the rounding of the tile products) and trusts A,
-    which ``approx_leverage`` validated. Since
+    which ``approx_leverage`` validated. Of the leverage report it keeps
+    the scores and the sizes; the normalized scores are freed before
+    the Gram and the search, whose peak then holds two n-vectors (the
+    scores and the rank order) and two 1 MiB tiles. Since
     ||X^T X||_F^2 <= d (1 + 30 d eps) whenever the sketch preserves
     pairwise inner products, kappa' <= kappa (1 + 30 d eps). d is the
     rank: a sketch of lower rank raises ``RankDeficient``, and the exact
@@ -267,7 +304,11 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
     factor_any_shape = plan.r1 >= A.shape[0] <= A.shape[1]
     report, basis = (_leverage_basis if factor_any_shape
                      else approx_leverage)(A, plan, seed)
-    d = report.extras["rank"]
+    # the search reads the scores and the sizes only: the report's
+    # normalized copy of the scores goes before the search's tiles come
+    scores, extras = report.scores, report.extras
+    del report
+    d = extras["rank"]
     gram = product_gram(A, basis.W)
     gram_fro_sq = float(np.sum(gram * gram))
     if not math.isfinite(gram_fro_sq):
@@ -279,10 +320,10 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
             f"kappa {kappa} is too large: the rescaled kappa * "
             f"||X^T X||_F^2 / d overflowed")
     t1 = time.perf_counter()
-    result = _heavy_pairs(A, basis.W, gram, report.scores, kappa_prime)
+    result = _heavy_pairs(A, basis.W, gram, scores, kappa_prime)
     t2 = time.perf_counter()
     result.kappa = kappa
-    result.extras = {**report.extras, "route": basis.route}
+    result.extras = {**extras, "route": basis.route}
     result.timings_ms = {"sketch_ms": (t1 - t0) * 1e3,
                          "search_ms": (t2 - t1) * 1e3}
     return result

@@ -146,6 +146,58 @@ def test_first_partners_follow_the_product_test_at_exact_ties():
             crosslev._first_partners(ns, threshold), expect)
 
 
+def full_array_suffix(ns, threshold):
+    """(z0, first[z0:], candidates) from the full-array first partners."""
+    first = crosslev._first_partners(ns, threshold)
+    with_partner = np.flatnonzero(first <= np.arange(ns.size))
+    z0 = int(with_partner[0]) if with_partner.size else ns.size
+    np.testing.assert_array_equal(with_partner, np.arange(z0, ns.size))
+    return z0, first[z0:], int(np.sum(with_partner - first[with_partner] + 1))
+
+
+def partner_suffix_cases():
+    """(ns, threshold) pairs at the edges of the suffix of ranks with a
+    partner: an exact tie ns[z]^2 == threshold at z0, every rank heavy,
+    none heavy, zero norms and runs of tied norms, and norms whose
+    subnormal squares tie although the norms do not, so that some lie
+    below sqrt(threshold) and still pass the product test."""
+    rng = np.random.default_rng(13)
+    ns = np.sort(rng.random(400) * 10.0)
+    ns[:30] = 0.0
+    ns[100:140] = ns[100]
+    ns[300:380] = ns[300]
+    cases = [(ns, ns[z] * ns[z]) for z in (30, 100, 139, 140, 300, 350, 399)]
+    cases += [(ns, float(np.nextafter(ns[z] * ns[z], np.inf)))
+              for z in (100, 300, 399)]
+    exact = np.repeat([0.0, 1.0, 2.0, 3.0, 3.0, 4.0], 7)
+    cases += [(exact, 9.0), (exact, 1.0), (exact, 16.0),
+              (np.full(50, 2.0), 4.0), (np.full(50, 2.0), 4.5),
+              (ns, 1e-300), (ns, 1e300), (np.zeros(9), 1e-300)]
+    tiny = 1e-160 * (1.0 + 1e-5 * np.arange(200))
+    cases += [(tiny, tiny[z] * tiny[z]) for z in (0, 50, 150, 199)]
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(partner_suffix_cases())))
+def test_partner_suffix_equals_the_full_array_result(case):
+    ns, threshold = partner_suffix_cases()[case]
+    z0, first, candidates = crosslev._partner_suffix(ns, threshold)
+    expect = full_array_suffix(ns, threshold)
+    assert (z0, candidates) == (expect[0], expect[2])
+    np.testing.assert_array_equal(first, expect[1])
+
+
+def test_partner_suffix_cases_reach_every_edge():
+    # the cases above hold every rank heavy, none and some, and an exact
+    # tie ns[z0]^2 == threshold at the edge
+    edges, ties = set(), 0
+    for ns, threshold in partner_suffix_cases():
+        z0 = crosslev._partner_suffix(ns, threshold)[0]
+        edges.add("all" if z0 == 0 else "none" if z0 == ns.size else "some")
+        ties += bool(z0 < ns.size and ns[z0] * ns[z0] == threshold)
+    assert edges == {"all", "none", "some"} and ties >= 5
+
+
 def test_blocked_search_across_many_blocks(monkeypatch):
     # a 16-element tile holds 4 rows of a 4-column X: the rows with a
     # partner span several row blocks and their partners several tiles
@@ -425,6 +477,53 @@ def test_search_peak_does_not_grow_with_its_widest_window(monkeypatch,
         assert hp.candidates == unshrunk + 1
         peaks.append(peak)
     assert peaks[1] - peaks[0] < 16 << 10, f"peaks {peaks}"
+
+
+def test_search_through_w_shares_one_tile_across_many_windows(monkeypatch):
+    # 1024-element tiles: a row block holds 1024 // 40 = 25 ranks, fewer
+    # than d = 40, and its gathered rows of A, then each column window's,
+    # then their inner products take turns in one shared tile. Stage 2
+    # (r2 = 20 < d) makes W 40 x 20, and the 51 ranks with a partner span
+    # three row blocks, whose windows reach down to 300 ranks, 25 at a time
+    monkeypatch.setattr(crosslev, "_BLOCK_ELEMS", 1 << 10)
+    n, d = 600, 40
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((n, d))
+    A[:60] *= np.linspace(2.0, 8.0, 60)[:, None]
+    W = approx_leverage(A, make_plan(n, d, 0.5, r2=20), 1)[1].W
+    assert W.shape == (d, 20)
+    X = A @ W
+    gram, norms = X.T @ X, np.einsum("ij,ij->i", X, X)
+    kappa = n * math.log(n)
+    hp = crosslev._heavy_pairs(A, W, gram, norms, kappa)
+    brute = heavy_pairs_brute(X, kappa)
+    z0, first, _ = crosslev._partner_suffix(np.sort(norms), hp.threshold)
+    assert n - z0 > 2 * 25 and n - first[-1] > 10 * 25
+    assert hp.threshold == brute.threshold and len(hp) > 100
+    assert hp.indices() == brute.indices()
+    assert hp.candidates == int(np.triu(
+        np.outer(norms, norms) >= hp.threshold).sum())
+    np.testing.assert_allclose([c for _, _, c in hp.pairs],
+                               [c for _, _, c in brute.pairs], rtol=1e-13)
+
+
+def test_cross_path_peak_holds_three_n_vectors(monkeypatch):
+    # on the gram plan at 2e5 x 8, with 64 KiB search tiles and a 128 KiB
+    # product scratch, the cross path holds the scores and the rank order,
+    # and while it finds the first partners the sorted norms: 3 n-vectors.
+    # Keeping the report's normalized scores and an n-long first[] with
+    # its temporaries took 8.4.
+    monkeypatch.setattr(crosslev, "_BLOCK_ELEMS", 1 << 13)
+    monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", 1 << 17)
+    n, d = 200_000, 8
+    A = planted_matrix(seed=6, n=n, d=d, scale=40.0)
+    plan = make_plan(n, d, 0.5)
+    assert plan.route == "gram"
+    hp, peak = traced_peak(
+        lambda: approx_cross_leverage(A, plan, n * math.log(n), None))
+    assert (3, 7) in hp.indices()
+    assert peak <= 3.25 * 8 * n + (1 << 20), (
+        f"peak {peak / (8 * n):.2f} n-vectors")
 
 
 def test_sketched_search_reuses_the_scores_as_row_norms(monkeypatch):

@@ -278,7 +278,8 @@ def test_cli_exact_leverage(tmp_path, capsys, rng):
     assert code == 0
     np.testing.assert_allclose(doc["result"]["scores"],
                                exact_leverage(A).scores, atol=1e-12)
-    assert set(doc) == {"params", "seed", "timings_ms", "result"}
+    assert set(doc) == {"params", "seed", "retried", "timings_ms",
+                        "result"}
     assert doc["seed"] is None  # an exact run draws nothing
     code, doc = run_cli(capsys, ["coherence", path, "--method", "exact"])
     assert code == 0 and doc["seed"] is None
@@ -575,17 +576,43 @@ def test_cli_underls_retries_its_sketched_probabilities(tmp_path, capsys):
     # On [I_6 0] the r1 = 12 rows that the probability sketch samples from
     # A^T lose a unit row at seeds 4 and 5 (rank 5 < 6), and seed 6 keeps
     # all six. The probabilities and the draws take one seed per attempt,
-    # so --seed 4 reaches seed 6 and writes the --seed 6 document.
+    # so --seed 4 reaches seed 6 and writes the --seed 6 document, which
+    # lists the two seeds it gave up on.
     A = np.hstack([np.eye(6), np.zeros((6, 294))])
     pa = write_fixture(tmp_path, A, "a.csv")
     pb = write_fixture(tmp_path, np.ones((6, 1)), "b.csv")
     argv = ["underls", pa, "--rhs", pb, "--probs", "sketched", "--r1", "12"]
     docs = [run_cli(capsys, [*argv, "--seed", seed]) for seed in ("4", "6")]
+    lost = "sketched matrix has rank 5 < 6; resample with a new seed"
+    assert docs[0][1].pop("retried") == [{"seed": 4, "error": lost},
+                                         {"seed": 5, "error": lost}]
+    assert docs[1][1].pop("retried") == []
     assert docs[0] == docs[1] and docs[0][0] == 0
     assert docs[0][1]["seed"] == 6
     assert main([*argv, "--seed", "4", "--retries", "1"]) \
         == cli.EXIT_RETRY_EXHAUSTED
     assert "resample with a new seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["leverage"], ["cross", "--kappa", "20"],
+                                  ["coherence", "--method", "sketched"]])
+def test_cli_reports_the_seed_it_retried(tmp_path, capsys, argv):
+    # the r1 = 12 rows sampled from [I_6; 0] lose a unit row at seed 5
+    # (rank 5 < 6) and keep all six at seed 6: --seed 5 writes the --seed 6
+    # document and names seed 5 and its error under "retried"
+    A = np.vstack([np.eye(6), np.zeros((294, 6))])
+    command, *options = argv
+    argv = [command, write_fixture(tmp_path, A), *options, "--r1", "12"]
+    (code, retried), (_, kept) = [run_cli(capsys, [*argv, "--seed", seed])
+                                  for seed in ("5", "6")]
+    assert code == 0 and retried["seed"] == kept["seed"] == 6
+    assert retried.pop("retried") == [{
+        "seed": 5,
+        "error": "sketched matrix has rank 5 < 6; resample with a new seed"}]
+    assert kept.pop("retried") == []
+    for doc in (retried, kept):
+        doc.pop("timings_ms")
+    assert retried == kept
 
 
 @pytest.mark.parametrize("probs", ["exact", "sketched"])
@@ -628,6 +655,9 @@ def test_cli_underls_retries_a_column_sample_that_loses_rank(
     for probs in ("exact", "sketched"):
         argv = ["underls", pa, "--rhs", pb, "--probs", probs]
         docs = [run_cli(capsys, [*argv, "--seed", s]) for s in ("3", "4")]
+        assert docs[0][1].pop("retried") == [
+            {"seed": 3, "error": "sketched matrix has rank 5 < 6"}]
+        assert docs[1][1].pop("retried") == []
         assert docs[0] == docs[1] and docs[0][0] == 0
         assert docs[0][1]["seed"] == 4
 
@@ -1070,7 +1100,8 @@ def test_cli_every_choice_runs(tmp_path, capsys, command, option, value):
     else:
         code, doc = run_cli(capsys, argv)
         assert code == 0
-        assert set(doc) == {"params", "seed", "timings_ms", "result"}
+        assert set(doc) == {"params", "seed", "retried", "timings_ms",
+                            "result"}
 
 
 # ---------------------------------------------------------------- json writer
@@ -1084,6 +1115,7 @@ _EVERY_DOCUMENT = [
     ["leverage", "--seed", "2"], ["leverage", "--estimator", "mi"],
     ["exact"], ["coherence"], ["coherence", "--method", "sketched"],
     ["cross"], ["cross", "--exact-pairs"], ["cross", "--kappa", "1.5"],
+    ["cross", "--off-diagonal-only"],
     ["rankk", "--k", "2"], ["rankk", "--k", "2", "--norm", "spectral"],
     ["underls"], ["underls", "--probs", "sketched"],
 ]
@@ -1133,6 +1165,28 @@ def test_json_writer_matches_json_dumps_on_any_array():
                    "c": np.float64(0.5), "k": np.int64(4)}},
             {"s": np.random.default_rng(0).random(2 * cli._CHUNK + 1) - 0.5},
             {"s": np.linspace(0.0, 1.0, cli._CHUNK)}]
+    for doc in docs:
+        buf = io_module.StringIO()
+        cli._write_json(doc, buf)
+        assert buf.getvalue() == _dumps(doc)
+
+
+def test_json_writer_matches_json_dumps_on_any_pairs():
+    # result.pairs is streamed in chunks: empty, non-finite, subnormal,
+    # tuple and numpy-valued pairs, and more pairs than a chunk holds,
+    # come out as json.dumps writes them
+    rng = np.random.default_rng(4)
+    many = [(int(i), int(j), float(c)) for i, j, c in
+            zip(rng.integers(0, 10**6, 5000), rng.integers(0, 10**6, 5000),
+                rng.random(5000) * 10.0 ** rng.integers(-300, 300, 5000))]
+    assert len(many) > cli._CHUNK
+    odd = [[0, 0, math.nan], [1, 2, math.inf], [3, 4, -math.inf],
+           (5, 6, 5e-324), (7, 8, np.float64(2.0)), [9, 9, -0.0]]
+    docs = [{"result": {"pairs": []}}, {"result": {"pairs": odd}},
+            {"params": {"n": 3}, "seed": None, "retried": [],
+             "result": {"pairs": many, "threshold": 0.5, "candidates": 9}},
+            {"result": {"pairs": odd[:1], "scores": np.arange(3.0)}},
+            {"pairs": odd, "result": {}}]
     for doc in docs:
         buf = io_module.StringIO()
         cli._write_json(doc, buf)
