@@ -5,7 +5,7 @@ source trees side by side.
 
 Usage (from the repository root):
 
-    python3 scripts/bench_cross_memory.py --out BENCH_25.json \\
+    python3 scripts/bench_cross_memory.py --out BENCH_26.json \\
         --tree parent=PATH/TO/PARENT/src --tree change=src
 
 The grid is n in {2^15, 60000, 2^17, 10^6} and d in {8, 32}, on the
@@ -14,11 +14,12 @@ n and d, seed 1) at kappa = n ln n, sketch seed 3. Each tree is imported
 in a worker process of its own, one per grid point, and the trees take
 turns going first. A worker times ``--reps`` calls per plan, the plans
 alternating call by call, then traces one more call per plan. Each entry
-records, per tree and plan, the best time, the peak, the number of pairs
-and a digest of the ``HeavyPairSet`` (pairs, threshold, gram_fro_sq and
-candidates), and whether the digests agree across the trees. BLAS
-threads are capped at nproc and glibc keeps freed memory, as in
-``benchmark/run.py``.
+records, per tree and plan, the best time, the peak, the number of pairs,
+the orthogonalizer's route (``extras["route"]``), a digest of the
+``HeavyPairSet`` (pairs, threshold, gram_fro_sq and candidates) and one
+of its pairs and candidates alone, and whether each digest agrees across
+the trees. BLAS threads are capped at nproc and glibc keeps freed
+memory, as in ``benchmark/run.py``.
 """
 
 from __future__ import annotations
@@ -82,14 +83,18 @@ def worker(src: str, n: int, d: int, reps: int) -> dict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        digest = hashlib.sha256(repr(
-            (hp.pairs, hp.threshold, hp.gram_fro_sq, hp.candidates))
-            .encode()).hexdigest()[:16]
         out[name] = {"best_s": best[name], "peak_mib": peak / 2**20,
                      "peak_n_vectors": peak / (8 * n), "pairs": len(hp),
-                     "candidates": hp.candidates, "digest": digest,
-                     "route": plan.route}
+                     "candidates": hp.candidates,
+                     "digest": digest(hp.pairs, hp.threshold,
+                                      hp.gram_fro_sq, hp.candidates),
+                     "pairs_digest": digest(hp.pairs, hp.candidates),
+                     "route": hp.extras["route"]}
     return out
+
+
+def digest(*fields) -> str:
+    return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
 
 
 def environment() -> dict:
@@ -136,9 +141,11 @@ def main(argv=None) -> int:
                     check=True, capture_output=True, text=True)
                 runs[label] = json.loads(run.stdout.splitlines()[-1])
             entry = {"n": n, "d": d, **{t: runs[t] for t in trees}}
-            entry["same_output"] = {
-                plan: len({entry[t][plan]["digest"] for t in trees}) == 1
-                for plan in ("gram", "exact")}
+            for key, field in (("same_output", "digest"),
+                               ("same_pairs", "pairs_digest")):
+                entry[key] = {
+                    plan: len({entry[t][plan][field] for t in trees}) == 1
+                    for plan in ("gram", "exact")}
             entries.append(entry)
             print(json.dumps(entry), file=sys.stderr, flush=True)
     doc = {"what": "approx_cross_leverage on planted-pair inputs at kappa = "

@@ -7,29 +7,32 @@ Rows are ranked by numpy's default (SIMD) sort; the order it gives
 equal norms changes nothing in the result, as the candidates depend only
 on the sorted norms and the pairs are returned ordered by (i, j).
 ``heavy_pairs`` validates X; the search itself, ``_heavy_pairs``, trusts
-X and takes its X^T X and squared row norms. The sketched variant
-searches X = A W for the map W that ``approx_leverage`` returns: A R^{-1},
-or, when stage 2 compresses, Omega = A R^{-1} Pi2. X is never stored:
-its Gram is summed over row tiles of A W (``product_gram``), and the
-search gathers each row block and column window from A and multiplies
-the gathered tile by W. Only the ranks whose own norm test passes have a
+X and takes ||X^T X||_F^2 and X's squared row norms. The sketched
+variant searches X = A W for the map W that ``approx_leverage`` returns:
+A R^{-1}, or, when stage 2 compresses, Omega = A R^{-1} Pi2. X is never
+stored: where a stage drew (r1 < n, or r2 < rank), its Gram is summed
+over row tiles of A W (``product_gram``), and the search gathers each
+row block and column window from A and multiplies the gathered tile by
+W. Only the ranks whose own norm test passes have a
 partner, and first partners are found for those alone, so beyond A the
 cross path holds two n-vectors, the scores and the rank order (the
 sorted norms are a third only until the first partners are found), and
 the search's tiles: a column window of A W and a tile that the gathered
 rows of A and the block of inner products share, at most 1 MiB each,
-and a row block of at most 362 rows of A W. The search runs with kappa
-rescaled by
-||X^T X||_F^2 / d, giving an effective cutoff of d / kappa, and reuses
-the X^T X of that rescaling and the leverage scores as X's row norms; A,
-which the sketch validated, is not validated again.
+and a row block of at most 362 rows of A W. Where a stage drew, the
+search runs with kappa rescaled by ||X^T X||_F^2 / d, giving an
+effective cutoff of d / kappa, and reuses the ||X^T X||_F^2 of that
+rescaling; it takes the leverage scores as X's row norms, and A, which
+the sketch validated, is not validated again.
 
 On the exact plan (r1 = n, r2 = d) X = A R^{-1} is an orthonormal basis
 Q of A's range, of A's rank rho, and Q Q^T = U U^T for the thin SVD's U:
 the search then finds the exact heavy pairs of A, at the cutoff
 rho / kappa, with no SVD. A plan on the gram route has those sizes too;
 its R is one guarded Cholesky of A^T A where the guard trusts it, so its
-Q is orthonormal to about u kappa_2^2 <= 1e-8.
+Q is orthonormal to about u kappa_2^2 <= 1e-8. Either way X^T X = I_rho
+by construction: ||X^T X||_F^2 is taken as rho, kappa is not rescaled,
+and no Gram pass reads A.
 """
 
 from __future__ import annotations
@@ -95,7 +98,9 @@ def heavy_pairs(x, kappa: float) -> HeavyPairSet:
     """
     X = validate_matrix(x)
     _check_kappa(kappa)
-    return _heavy_pairs(X, None, X.T @ X, row_sq_norms(X), kappa)
+    gram = X.T @ X
+    return _heavy_pairs(X, None, float(np.sum(gram * gram)), row_sq_norms(X),
+                        kappa)
 
 
 def _check_kappa(kappa: float) -> None:
@@ -104,11 +109,11 @@ def _check_kappa(kappa: float) -> None:
             f"kappa must exceed 1 and be finite, got {kappa}")
 
 
-def _heavy_pairs(A: np.ndarray, W, gram: np.ndarray, norms: np.ndarray,
+def _heavy_pairs(A: np.ndarray, W, gram_fro_sq: float, norms: np.ndarray,
                  kappa: float) -> HeavyPairSet:
     """``heavy_pairs`` on X = A W, or X = A where ``W`` is None, for a
-    trusted A (finite, C-contiguous float64), given X's Gram ``gram`` =
-    X^T X and its squared row norms ``norms``.
+    trusted A (finite, C-contiguous float64), given ``gram_fro_sq`` =
+    ||X^T X||_F^2 and X's squared row norms ``norms``.
 
     X is never formed: each row block and column window of X is gathered
     from A with ``take`` and multiplied by W into a tile of its own. The
@@ -120,7 +125,6 @@ def _heavy_pairs(A: np.ndarray, W, gram: np.ndarray, norms: np.ndarray,
     n, d = A.shape
     r = d if W is None else W.shape[1]
     wide = max(d, r)  # row width of a tile: gathered rows of A, or of X
-    gram_fro_sq = float(np.sum(gram * gram))
     if gram_fro_sq <= 0.0:
         raise errors.ZeroMatrix("||X^T X||_F is zero; threshold degenerate")
     threshold = gram_fro_sq / kappa
@@ -240,7 +244,7 @@ def _first_partners(ns: np.ndarray, threshold: float,
 def _finish(i, j, c_sq, threshold, kappa, gram_fro_sq, r,
             candidates=0) -> HeavyPairSet:
     """Check the count bound and order the pairs (i, j, c_sq) by (i, j)."""
-    bound = math.ceil(kappa * r)
+    bound = math.ceil(min(kappa * r, 2.0**63))  # kappa r may overflow
     if len(i) > bound:
         raise errors.HeavyPairBoundExceeded(
             f"heavy-pair count {len(i)} exceeds the kappa*r bound {bound}")
@@ -278,24 +282,27 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
     Runs ``approx_leverage`` and searches X = A W for heavy pairs, for
     the map W it returns, without storing X. X is A R^{-1} when
     ``plan.r2 >= rank``, and otherwise the sketch Omega = A R^{-1} Pi2
-    for the seeded stage-2 map Pi2. X^T X is summed over row tiles of
-    A W (timed with the sketch), and the search forms each tile of X it
-    needs from gathered rows of A. The search runs at the rescaled
-    threshold kappa' = kappa ||X^T X||_F^2 / d, so that the effective
-    cutoff on sketched inner products is d / kappa; it reuses that
-    X^T X, takes the leverage scores as X's squared row norms (they are
-    those norms up to the rounding of the tile products) and trusts A,
-    which ``approx_leverage`` validated. Of the leverage report it keeps
-    the scores and the sizes; the normalized scores are freed before
-    the Gram and the search, whose peak then holds two n-vectors (the
-    scores and the rank order) and two 1 MiB tiles. Since
-    ||X^T X||_F^2 <= d (1 + 30 d eps) whenever the sketch preserves
-    pairwise inner products, kappa' <= kappa (1 + 30 d eps). d is the
-    rank: a sketch of lower rank raises ``RankDeficient``, and the exact
-    plan (r1 = n, r2 = d) keeps A's rank rho, so that X is an orthonormal
-    basis of A's range and the pairs are A's exact heavy pairs at the
-    cutoff rho / kappa. A must be tall (n > d), except on a plan that
-    factors A itself (r1 >= n), which takes A of any shape.
+    for the seeded stage-2 map Pi2. Where a stage drew (r1 < n, or
+    r2 < rank), X^T X is summed over row tiles of A W (timed with the
+    sketch), and the search runs at the rescaled threshold
+    kappa' = kappa ||X^T X||_F^2 / d, so that the effective cutoff on
+    sketched inner products is d / kappa. Since ||X^T X||_F^2 <=
+    d (1 + 30 d eps) whenever the sketch preserves pairwise inner
+    products, kappa' <= kappa (1 + 30 d eps). A plan that factors A
+    itself and draws no stage (the gram route and the exact plan) keeps
+    A's rank rho and makes X an orthonormal basis of A's range: X^T X =
+    I_rho, so ``gram_fro_sq`` is rho, kappa' = kappa and no Gram pass
+    reads A; the pairs are A's exact heavy pairs at the cutoff
+    rho / kappa. The search forms each tile of X it needs from gathered
+    rows of A, takes the leverage scores as X's squared row norms (they
+    are those norms up to the rounding of the tile products) and trusts
+    A, which ``approx_leverage`` validated. Of the leverage report it
+    keeps the scores and the sizes; the normalized scores are freed
+    before the Gram and the search, whose peak then holds two n-vectors
+    (the scores and the rank order) and two 1 MiB tiles. d is the rank:
+    a sketch of lower rank raises ``RankDeficient``. A must be tall
+    (n > d), except on a plan that factors A itself (r1 >= n), which
+    takes A of any shape.
     """
     _check_kappa(kappa)
     t0 = time.perf_counter()
@@ -309,18 +316,22 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
     scores, extras = report.scores, report.extras
     del report
     d = extras["rank"]
-    gram = product_gram(A, basis.W)
-    gram_fro_sq = float(np.sum(gram * gram))
-    if not math.isfinite(gram_fro_sq):
-        raise errors.NonFiniteFactor(
-            "||X^T X||_F^2 of the sketched factor X overflowed")
-    kappa_prime = kappa * gram_fro_sq / d
-    if not math.isfinite(kappa_prime):
-        raise errors.InvalidKappa(
-            f"kappa {kappa} is too large: the rescaled kappa * "
-            f"||X^T X||_F^2 / d overflowed")
+    if extras["r1"] == A.shape[0] and extras["r2"] == d:
+        # no stage drew: X = A R^{-1} is orthonormal, X^T X = I_rho
+        gram_fro_sq, kappa_prime = float(d), kappa
+    else:
+        gram = product_gram(A, basis.W)
+        gram_fro_sq = float(np.sum(gram * gram))
+        if not math.isfinite(gram_fro_sq):
+            raise errors.NonFiniteFactor(
+                "||X^T X||_F^2 of the sketched factor X overflowed")
+        kappa_prime = kappa * gram_fro_sq / d
+        if not math.isfinite(kappa_prime):
+            raise errors.InvalidKappa(
+                f"kappa {kappa} is too large: the rescaled kappa * "
+                f"||X^T X||_F^2 / d overflowed")
     t1 = time.perf_counter()
-    result = _heavy_pairs(A, basis.W, gram, scores, kappa_prime)
+    result = _heavy_pairs(A, basis.W, gram_fro_sq, scores, kappa_prime)
     t2 = time.perf_counter()
     result.kappa = kappa
     result.extras = {**extras, "route": basis.route}

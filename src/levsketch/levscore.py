@@ -91,6 +91,33 @@ _CHOL_MAX_COND = 1e4
 # A Gram diagonal entry below tiny / eps = 2^-970 may have lost bits to
 # underflowed squares.
 _GRAM_MIN_DIAG = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+# Columns of the largest triangular block inverted by np.linalg.inv.
+_TRI_BLOCK = 32
+
+
+def _triangular_inverse(R: np.ndarray) -> np.ndarray:
+    """R^{-1} for an upper triangular R, by halves: for R = [[A, B], [0, C]],
+    R^{-1} = [[A^{-1}, -A^{-1} B C^{-1}], [0, C^{-1}]].
+
+    Only diagonal blocks of at most ``_TRI_BLOCK`` columns go to
+    ``np.linalg.inv``; the rest is matrix products in numpy's own BLAS,
+    about d^3 / 3 multiply-adds against the general inverse's 4 d^3 / 3
+    (LAPACK's ``dtrtri`` takes d^3 / 6, but scipy's would load a second
+    BLAS). Raises ``np.linalg.LinAlgError`` where R is singular or
+    R^{-1} is not finite.
+    """
+    d = R.shape[0]
+    if d <= _TRI_BLOCK:
+        Rinv = np.linalg.inv(R)
+    else:
+        h = d // 2
+        Rinv = np.zeros_like(R)
+        Rinv[:h, :h] = A = _triangular_inverse(R[:h, :h])
+        Rinv[h:, h:] = C = _triangular_inverse(R[h:, h:])
+        Rinv[:h, h:] = -(A @ R[:h, h:]) @ C
+    if not np.all(np.isfinite(Rinv)):
+        raise np.linalg.LinAlgError("triangular inverse is not finite")
+    return Rinv
 
 
 def _guarded_cholesky(G: np.ndarray):
@@ -115,12 +142,11 @@ def _guarded_cholesky(G: np.ndarray):
                 and r.max() <= _CHOL_MAX_COND * r.min()):
             return R, None, False
         try:
-            Rinv = np.linalg.inv(R)
+            Rinv = _triangular_inverse(R)
         except np.linalg.LinAlgError:
             return R, None, False
         trusted = bool(
-            np.all(np.isfinite(Rinv))
-            and np.linalg.norm(R) * np.linalg.norm(Rinv) <= _CHOL_MAX_COND)
+            np.linalg.norm(R) * np.linalg.norm(Rinv) <= _CHOL_MAX_COND)
     return R, Rinv, trusted
 
 
@@ -141,7 +167,7 @@ def _cholesky_qr2(PA: np.ndarray, R1: Optional[np.ndarray],
         return None
     with np.errstate(all="ignore"):
         try:
-            gram = product_gram(PA, np.linalg.inv(R1) if R1inv is None
+            gram = product_gram(PA, _triangular_inverse(R1) if R1inv is None
                                 else R1inv)
             R = np.linalg.cholesky(gram).T @ R1
         except np.linalg.LinAlgError:

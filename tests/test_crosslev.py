@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levsketch import (SketchOperator, _kernels, approx_cross_leverage,
-                       approx_leverage, crosslev, errors,
+                       approx_leverage, crosslev, errors, levscore,
                        exact_cross_leverage, exact_leverage, heavy_pairs,
                        make_plan, thin_svd)
 from levsketch.crosslev import _finish, heavy_pairs_brute
@@ -87,10 +87,21 @@ def test_non_finite_kappa_is_invalid(kappa):
                                         (1e308, "too large")])
 def test_sketched_kappa_out_of_range_names_kappa(kappa, msg):
     # an infinite kappa, or one whose rescaling kappa ||X^T X||_F^2 / d
-    # overflows, is the caller's kappa at fault, not the factor X
+    # overflows, is the caller's kappa at fault, not the factor X. Only a
+    # plan that draws a stage rescales kappa, so this one sketches.
     A = np.random.default_rng(4).standard_normal((256, 4))
     with pytest.raises(errors.InvalidKappa, match=msg):
-        approx_cross_leverage(A, make_plan(256, 4, 0.5), kappa, 0)
+        approx_cross_leverage(A, make_plan(256, 4, 0.5, r1=64), kappa, 0)
+
+
+def test_kappa_near_max_float_has_no_pair_bound():
+    # kappa r overflows to an infinite count bound, which no pair count
+    # exceeds: every pair whose squared product is >= rho / kappa is found
+    A = np.random.default_rng(4).standard_normal((256, 4))
+    every = 256 * 257 // 2
+    assert len(heavy_pairs(A, 1e308)) == every
+    hp = approx_cross_leverage(A, make_plan(256, 4, 0.5), 1e308, 0)
+    assert hp.threshold == 4 / 1e308 and len(hp) == every
 
 
 def test_heavy_rows_with_many_light_partners():
@@ -390,9 +401,12 @@ def test_narrow_factor_matches_search_on_full_sketch(stage2, d, r2):
 @pytest.mark.parametrize("n, d, r2", [(512, 8, None), (4096, 8, None),
                                       (4096, 16, 8)])
 def test_sketched_search_equals_heavy_pairs_on_its_own_factor(n, d, r2):
-    # the search reuses the Gram of the kappa rescaling and skips the
-    # validation of X; both leave every field bit for bit as heavy_pairs
-    # on the same X gives it (exact plan; SRHT; SRHT and stage 2)
+    # the search skips the validation of X, and where a stage drew it
+    # reuses the Gram of the kappa rescaling: every field is bit for bit
+    # what heavy_pairs on the same X gives (SRHT and stage 2). A plan that
+    # factors A (the gram route) takes X^T X = I_rho instead, so its
+    # threshold is rho / kappa exactly; its pairs and candidates stay
+    # those of heavy_pairs on the same X
     A = planted_matrix(seed=6, n=n, d=d)
     plan = make_plan(n, d, 0.5, r2=r2)
     kappa = n * math.log(n)
@@ -403,9 +417,13 @@ def test_sketched_search_equals_heavy_pairs_on_its_own_factor(n, d, r2):
         ref = heavy_pairs(X, kappa * float(np.sum(gram * gram)) / d)
         assert (3, 7) in hp.indices()
         assert hp.pairs == ref.pairs
-        assert hp.threshold == ref.threshold
-        assert hp.gram_fro_sq == ref.gram_fro_sq
         assert hp.candidates == ref.candidates
+        rho = hp.extras["rank"]
+        if hp.extras["r1"] == n and hp.extras["r2"] == rho:
+            assert hp.gram_fro_sq == rho and hp.threshold == rho / kappa
+        else:
+            assert hp.threshold == ref.threshold
+            assert hp.gram_fro_sq == ref.gram_fro_sq
 
 
 @pytest.mark.parametrize("n, d, r2", [(3000, 40, 20), (20_000, 50, None)])
@@ -470,9 +488,10 @@ def test_search_peak_does_not_grow_with_its_widest_window(monkeypatch,
         X[-1] = 0.0
         X[-1, 0] = 100.0
         gram, norms = X.T @ X, np.einsum("ij,ij->i", X, X)
+        gram_fro_sq = float(np.sum(gram * gram))
         W = np.eye(d) if through_w else None
         hp, peak = traced_peak(
-            lambda: crosslev._heavy_pairs(X, W, gram, norms, 1e6))
+            lambda: crosslev._heavy_pairs(X, W, gram_fro_sq, norms, 1e6))
         assert hp.indices() == {(n - 1, n - 1)}
         assert hp.candidates == unshrunk + 1
         peaks.append(peak)
@@ -495,7 +514,8 @@ def test_search_through_w_shares_one_tile_across_many_windows(monkeypatch):
     X = A @ W
     gram, norms = X.T @ X, np.einsum("ij,ij->i", X, X)
     kappa = n * math.log(n)
-    hp = crosslev._heavy_pairs(A, W, gram, norms, kappa)
+    hp = crosslev._heavy_pairs(A, W, float(np.sum(gram * gram)), norms,
+                               kappa)
     brute = heavy_pairs_brute(X, kappa)
     z0, first, _ = crosslev._partner_suffix(np.sort(norms), hp.threshold)
     assert n - z0 > 2 * 25 and n - first[-1] > 10 * 25
@@ -545,6 +565,51 @@ def test_sketched_search_reuses_the_scores_as_row_norms(monkeypatch):
     assert calls == []
     heavy_pairs(A, 4096 * math.log(4096))
     assert calls == [(4096, 8)]
+
+
+@pytest.mark.parametrize("n, d, rho, exact", [
+    (4096, 16, 16, False), (2048, 16, 16, True), (2048, 16, 10, True),
+    (40, 64, 40, True)], ids=["gram", "exact", "exact-deficient", "wide"])
+def test_factor_of_a_has_identity_gram(n, d, rho, exact):
+    # a plan that factors A and draws no stage takes ||X^T X||_F^2 = rho
+    # for X = A W without summing X^T X. That holds to about u kappa_2^2
+    # on the gram route (one guarded Cholesky) and to working precision
+    # on the exact plan, of any rank and shape; column scales span three
+    # decades
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((n, rho)) @ rng.standard_normal((rho, d))
+    A *= np.logspace(0, 3, d)
+    plan = make_plan(n, d, 0.5, r1=n, r2=d) if exact else make_plan(n, d, 0.5)
+    assert plan.route == ("sketch" if exact else "gram")
+    report, basis = levscore._leverage_basis(A, plan, None)
+    assert report.extras["rank"] == rho == basis.W.shape[1]
+    X = A @ basis.W
+    gram = X.T @ X
+    tol = 1e-12 if exact else 1e-8
+    assert abs(float(np.sum(gram * gram)) - rho) <= tol * rho
+
+
+def test_gram_pass_runs_only_where_a_stage_drew(monkeypatch):
+    # the gram and exact plans know X^T X = I_rho and sum no Gram; a
+    # stage-1 sketch (r1 < n) or a stage-2 map (r2 < rank) sums one
+    calls = []
+    real = crosslev.product_gram
+
+    def counting(A, W):
+        calls.append(W.shape)
+        return real(A, W)
+
+    monkeypatch.setattr(crosslev, "product_gram", counting)
+    n, d = 4096, 8
+    A = planted_matrix(seed=6, n=n, d=d)
+    for plan, want in ((make_plan(n, d, 0.5), 0),
+                       (make_plan(n, d, 0.5, r1=n, r2=d), 0),
+                       (make_plan(n, d, 0.5, r1=1024), 1),
+                       (make_plan(n, d, 0.5, r1=n, r2=4), 1)):
+        calls.clear()
+        hp = approx_cross_leverage(A, plan, n * math.log(n), 1)
+        assert (3, 7) in hp.indices()
+        assert len(calls) == want, plan
 
 
 def test_kappa_just_above_one_finds_no_pairs():

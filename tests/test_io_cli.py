@@ -391,8 +391,9 @@ def test_cli_cross_pair_bound_exceeded_exits_hard(tmp_path, capsys,
     (["--kappa", "inf"], "kappa must exceed 1 and be finite, got inf"),
     (["--kappa", "inf", "--exact-pairs"],
      "kappa must exceed 1 and be finite, got inf"),
-    (["--kappa", "1e308"], "kappa 1e+308 is too large: the rescaled "
-     "kappa * ||X^T X||_F^2 / d overflowed")],
+    # only a plan that draws a stage rescales kappa: this one sketches
+    (["--kappa", "1e308", "--r1", "50"], "kappa 1e+308 is too large: the "
+     "rescaled kappa * ||X^T X||_F^2 / d overflowed")],
     ids=["inf", "inf-exact", "overflow"])
 def test_cli_cross_kappa_out_of_range_exits_hard(tmp_path, capsys, rng,
                                                  extra, msg):
