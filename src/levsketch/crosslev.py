@@ -316,8 +316,7 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
     scores, extras = report.scores, report.extras
     del report
     d = extras["rank"]
-    if extras["r1"] == A.shape[0] and extras["r2"] == d:
-        # no stage drew: X = A R^{-1} is orthonormal, X^T X = I_rho
+    if basis.orthonormal:  # X^T X = I_rho
         gram_fro_sq, kappa_prime = float(d), kappa
     else:
         gram = product_gram(A, basis.W)

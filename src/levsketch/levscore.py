@@ -70,13 +70,16 @@ class SketchedBasis:
     W = R^{-1} when r2 >= rank, and R^{-1} Pi2 otherwise, so that A W is
     A R^{-1} or the sketch Omega; no caller stores the n-row A W, which
     is formed a row tile or a gathered tile at a time. ``route`` is the
-    orthogonalizer's; ``timings_ms`` holds ``sketch_apply_ms``,
-    ``factorization_ms`` and ``product_ms`` (the pass that reads the row
-    norms of A W).
+    orthogonalizer's. ``orthonormal`` is True where no stage drew
+    (r1 >= n and r2 >= rank): A W = A R^{-1} is then an orthonormal
+    basis of A's range, so (A W)^T (A W) = I_rank. ``timings_ms`` holds
+    ``sketch_apply_ms``, ``factorization_ms`` and ``product_ms`` (the
+    pass that reads the row norms of A W).
     """
 
     W: np.ndarray
     route: str
+    orthonormal: bool = False
     timings_ms: dict = field(default_factory=dict, compare=False)
 
 
@@ -91,33 +94,6 @@ _CHOL_MAX_COND = 1e4
 # A Gram diagonal entry below tiny / eps = 2^-970 may have lost bits to
 # underflowed squares.
 _GRAM_MIN_DIAG = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
-# Columns of the largest triangular block inverted by np.linalg.inv.
-_TRI_BLOCK = 32
-
-
-def _triangular_inverse(R: np.ndarray) -> np.ndarray:
-    """R^{-1} for an upper triangular R, by halves: for R = [[A, B], [0, C]],
-    R^{-1} = [[A^{-1}, -A^{-1} B C^{-1}], [0, C^{-1}]].
-
-    Only diagonal blocks of at most ``_TRI_BLOCK`` columns go to
-    ``np.linalg.inv``; the rest is matrix products in numpy's own BLAS,
-    about d^3 / 3 multiply-adds against the general inverse's 4 d^3 / 3
-    (LAPACK's ``dtrtri`` takes d^3 / 6, but scipy's would load a second
-    BLAS). Raises ``np.linalg.LinAlgError`` where R is singular or
-    R^{-1} is not finite.
-    """
-    d = R.shape[0]
-    if d <= _TRI_BLOCK:
-        Rinv = np.linalg.inv(R)
-    else:
-        h = d // 2
-        Rinv = np.zeros_like(R)
-        Rinv[:h, :h] = A = _triangular_inverse(R[:h, :h])
-        Rinv[h:, h:] = C = _triangular_inverse(R[h:, h:])
-        Rinv[:h, h:] = -(A @ R[:h, h:]) @ C
-    if not np.all(np.isfinite(Rinv)):
-        raise np.linalg.LinAlgError("triangular inverse is not finite")
-    return Rinv
 
 
 def _guarded_cholesky(G: np.ndarray):
@@ -142,11 +118,12 @@ def _guarded_cholesky(G: np.ndarray):
                 and r.max() <= _CHOL_MAX_COND * r.min()):
             return R, None, False
         try:
-            Rinv = _triangular_inverse(R)
+            Rinv = np.linalg.inv(R)
         except np.linalg.LinAlgError:
             return R, None, False
         trusted = bool(
-            np.linalg.norm(R) * np.linalg.norm(Rinv) <= _CHOL_MAX_COND)
+            np.all(np.isfinite(Rinv))
+            and np.linalg.norm(R) * np.linalg.norm(Rinv) <= _CHOL_MAX_COND)
     return R, Rinv, trusted
 
 
@@ -167,7 +144,7 @@ def _cholesky_qr2(PA: np.ndarray, R1: Optional[np.ndarray],
         return None
     with np.errstate(all="ignore"):
         try:
-            gram = product_gram(PA, _triangular_inverse(R1) if R1inv is None
+            gram = product_gram(PA, np.linalg.inv(R1) if R1inv is None
                                 else R1inv)
             R = np.linalg.cholesky(gram).T @ R1
         except np.linalg.LinAlgError:
@@ -303,6 +280,7 @@ def _leverage_basis(A: np.ndarray, plan: SketchPlan, seed: Optional[int],
     t2 = time.perf_counter()
     rank = orth.rank
     W = orth.Rinv
+    orthonormal = plan.r1 >= n and plan.r2 >= rank
     if plan.r2 < rank:  # R^{-1} is finite: apply_sparse_jlt would rescan it
         W = W @ _sparse_jlt_matrix(
             SketchOperator("SparseJLT", seed, rank, plan.r2))
@@ -313,7 +291,7 @@ def _leverage_basis(A: np.ndarray, plan: SketchPlan, seed: Optional[int],
         seed=None if seed is None else int(seed),
         extras={"rank": rank, "r1": r1, "r2": W.shape[1]})
     return report, SketchedBasis(
-        W=W, route=orth.route,
+        W=W, route=orth.route, orthonormal=orthonormal,
         timings_ms={"sketch_apply_ms": (t1 - t0) * 1e3,
                     "factorization_ms": (t2 - t1) * 1e3,
                     "product_ms": (t3 - t2) * 1e3})

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import errors
 from ._kernels import row_sq_norms
-from .levscore import (_guarded_cholesky, _triangular_inverse,
-                       approx_leverage, build_orthogonalizer)
+from .levscore import (_guarded_cholesky, approx_leverage,
+                       build_orthogonalizer)
 from .matcore import validate_matrix
 from .sketch import SketchOperator, default_r1, gaussian_matrix, make_plan
 
@@ -189,7 +189,7 @@ def _frobenius_factors(A: np.ndarray, k: int, epsilon: float, seed: int):
         # B R^{-1} is orthonormal only to about u cond(B); one Cholesky
         # pass on Q^T Q restores it. On the "cholesky" route the guard's
         # kappa_2(R) <= 1e4 already bounds it by about u kappa_2^2 <= 1e-8.
-        Q = Q @ _triangular_inverse(np.linalg.cholesky(Q.T @ Q).T)
+        Q = Q @ np.linalg.inv(np.linalg.cholesky(Q.T @ Q)).T
     return (*_top_k_factors(Q, A, k), extras)
 
 

@@ -412,14 +412,15 @@ def test_sketched_search_equals_heavy_pairs_on_its_own_factor(n, d, r2):
     kappa = n * math.log(n)
     for seed in range(2):
         hp = approx_cross_leverage(A, plan, kappa, seed)
-        X = A @ approx_leverage(A, plan, seed)[1].W
+        basis = approx_leverage(A, plan, seed)[1]
+        X = A @ basis.W
         gram = X.T @ X
         ref = heavy_pairs(X, kappa * float(np.sum(gram * gram)) / d)
         assert (3, 7) in hp.indices()
         assert hp.pairs == ref.pairs
         assert hp.candidates == ref.candidates
         rho = hp.extras["rank"]
-        if hp.extras["r1"] == n and hp.extras["r2"] == rho:
+        if basis.orthonormal:
             assert hp.gram_fro_sq == rho and hp.threshold == rho / kappa
         else:
             assert hp.threshold == ref.threshold
@@ -583,6 +584,7 @@ def test_factor_of_a_has_identity_gram(n, d, rho, exact):
     assert plan.route == ("sketch" if exact else "gram")
     report, basis = levscore._leverage_basis(A, plan, None)
     assert report.extras["rank"] == rho == basis.W.shape[1]
+    assert basis.orthonormal
     X = A @ basis.W
     gram = X.T @ X
     tol = 1e-12 if exact else 1e-8
@@ -610,6 +612,7 @@ def test_gram_pass_runs_only_where_a_stage_drew(monkeypatch):
         hp = approx_cross_leverage(A, plan, n * math.log(n), 1)
         assert (3, 7) in hp.indices()
         assert len(calls) == want, plan
+        assert approx_leverage(A, plan, 1)[1].orthonormal == (want == 0)
 
 
 def test_kappa_just_above_one_finds_no_pairs():

@@ -597,30 +597,6 @@ def test_sketched_orthogonalizer_validates_what_it_rejects():
         build_orthogonalizer(PA, kind="sketch")
 
 
-@pytest.mark.parametrize("d", [1, 7, 32, 33, 100, 257])
-def test_triangular_inverse_matches_the_general_inverse(d):
-    # by halves down to 32-column blocks, against np.linalg.inv's LU solve
-    rng = np.random.default_rng(d)
-    M = rng.standard_normal((2 * d + 3, d)) * np.logspace(0, 2, d)
-    R = np.linalg.cholesky(M.T @ M).T
-    Rinv, ref = levscore._triangular_inverse(R), np.linalg.inv(R)
-    assert np.linalg.norm(Rinv - ref) <= 1e-14 * np.linalg.norm(ref)
-    assert not np.tril(Rinv, -1).any()
-
-
-@pytest.mark.parametrize("pivot", [0.0, 1e-310])
-def test_triangular_inverse_rejects_a_singular_r(pivot):
-    # a zero pivot in a later diagonal block, or one whose inverse
-    # overflows, raises LinAlgError: CholeskyQR2 then gives no R
-    rng = np.random.default_rng(2)
-    R = np.triu(rng.standard_normal((100, 100))) + 10.0 * np.eye(100)
-    R[70, 70] = pivot
-    with pytest.raises(np.linalg.LinAlgError):
-        levscore._triangular_inverse(R)
-    assert levscore._cholesky_qr2(rng.standard_normal((300, 100)), R,
-                                  None) is None
-
-
 def test_library_loads_no_second_blas():
     # scipy.linalg brings its own OpenBLAS beside numpy's; the sketch-side
     # factorizations stay in numpy so that only one BLAS is loaded
