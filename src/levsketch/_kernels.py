@@ -46,7 +46,15 @@ so it is one ``fwht_inplace`` of the r rows placed at their indices.
 
 ``product_sq_norms`` and ``product_gram`` read the squared row norms and
 the Gram of a product a w tile by tile, each row tile formed in one reused
-scratch, so the n-row product is never stored.
+buffer, so the n-row product is never stored. Their tiles follow a rule of
+their own, not the transform's scratch: a tile is at least
+``_PRODUCT_ROWS`` rows and at least ``_PRODUCT_ELEMS`` values of the
+k-wide product, so its size depends on k alone (the rows of a are views,
+so d costs nothing).
+Fewer rows leave each BLAS call a sliver of work at wide k (each call
+packs w again, and a tile's k x k Gram is a rank-m update for m rows);
+fewer values pay numpy's per-call cost too often at narrow k. A tile is
+512 KiB at k = 64 and 16 MiB at k = 2048.
 """
 
 from __future__ import annotations
@@ -69,6 +77,9 @@ _SCRATCH_BYTES = 2 << 20  # at least 512: one column of b <= 64 mixed rows
 _GATHER_COST = 29  # one element of a signed gather of the kept rows
 _TILE_COST = 100_000  # one tile's numpy calls, about 9 us
 _COST_TIE = 0.1  # costs this close are a tie, within the fit's error
+# product tiles of a w, floors chosen from scripts/bench_tiles.py's grid
+_PRODUCT_ROWS = 1024  # at least: each BLAS call does enough work at wide k
+_PRODUCT_ELEMS = 1 << 16  # at least: few enough numpy calls at narrow k
 
 
 def _scratch(size: int) -> np.ndarray:
@@ -338,10 +349,11 @@ def row_sq_norms(a: np.ndarray) -> np.ndarray:
 
 def _product_tiles(a: np.ndarray, w: np.ndarray):
     """(i, a[i:i + m] @ w) for each row tile of a @ w, every tile formed in
-    one reused scratch of at most ``_SCRATCH_BYTES``: a tile is valid only
-    until the next one is formed."""
+    one reused buffer of m = max(``_PRODUCT_ROWS``, ``_PRODUCT_ELEMS`` //
+    k) rows (fewer where a has fewer): a tile is valid only until the next
+    one is formed."""
     n, k = a.shape[0], w.shape[1]
-    step = max(1, _SCRATCH_BYTES // (8 * max(a.shape[1], k)))
+    step = max(_PRODUCT_ROWS, _PRODUCT_ELEMS // max(k, 1))
     tile = np.empty((min(step, n), k))
     for i in range(0, n, step):
         yield i, np.matmul(a[i:i + step], w, out=tile[:min(step, n - i)])

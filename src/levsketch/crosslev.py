@@ -296,9 +296,8 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
     rho / kappa. The search forms each tile of X it needs from gathered
     rows of A, takes the leverage scores as X's squared row norms (they
     are those norms up to the rounding of the tile products) and trusts
-    A, which ``approx_leverage`` validated. Of the leverage report it
-    keeps the scores and the sizes; the normalized scores are freed
-    before the Gram and the search, whose peak then holds two n-vectors
+    A, which ``approx_leverage`` validated. The leverage report holds
+    no n-vector but the scores, so the search's peak holds two n-vectors
     (the scores and the rank order) and two 1 MiB tiles. d is the rank:
     a sketch of lower rank raises ``RankDeficient``. A must be tall
     (n > d), except on a plan that factors A itself (r1 >= n), which
@@ -311,11 +310,7 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
     factor_any_shape = plan.r1 >= A.shape[0] <= A.shape[1]
     report, basis = (_leverage_basis if factor_any_shape
                      else approx_leverage)(A, plan, seed)
-    # the search reads the scores and the sizes only: the report's
-    # normalized copy of the scores goes before the search's tiles come
-    scores, extras = report.scores, report.extras
-    del report
-    d = extras["rank"]
+    d = report.extras["rank"]
     if basis.orthonormal:  # X^T X = I_rho
         gram_fro_sq, kappa_prime = float(d), kappa
     else:
@@ -330,10 +325,11 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
                 f"kappa {kappa} is too large: the rescaled kappa * "
                 f"||X^T X||_F^2 / d overflowed")
     t1 = time.perf_counter()
-    result = _heavy_pairs(A, basis.W, gram_fro_sq, scores, kappa_prime)
+    result = _heavy_pairs(A, basis.W, gram_fro_sq, report.scores,
+                          kappa_prime)
     t2 = time.perf_counter()
     result.kappa = kappa
-    result.extras = {**extras, "route": basis.route}
+    result.extras = {**report.extras, "route": basis.route}
     result.timings_ms = {"sketch_ms": (t1 - t0) * 1e3,
                          "search_ms": (t2 - t1) * 1e3}
     return result

@@ -64,11 +64,11 @@ class ThinSVD:
 
 @dataclass
 class LeverageReport:
-    """Per-row leverage scores plus coherence and normalized weights."""
+    """Per-row leverage scores; their coherence and normalized weights are
+    derived from the scores on access, so a caller that reads only the
+    scores allocates no second n-vector."""
 
     scores: np.ndarray
-    coherence: float
-    normalized: np.ndarray
     method: str  # "exact" | "sketched" | "mi_estimator"
     params: Optional[object] = None
     seed: Optional[int] = None
@@ -81,13 +81,21 @@ class LeverageReport:
     @classmethod
     def from_scores(cls, scores: np.ndarray, method: str,
                     **fields) -> "LeverageReport":
-        """The report of ``scores``: their maximum as the coherence and
-        their normalization (all zeros where every score is 0)."""
-        total = float(scores.sum())
-        return cls(scores=scores, coherence=float(scores.max()),
-                   normalized=(scores / total if total > 0
-                               else np.zeros_like(scores)),
-                   method=method, **fields)
+        """The report of ``scores``, which it keeps without a copy."""
+        return cls(scores=scores, method=method, **fields)
+
+    @property
+    def coherence(self) -> float:
+        """The largest score."""
+        return float(self.scores.max())
+
+    @property
+    def normalized(self) -> np.ndarray:
+        """The scores over their sum, a new array on each access (all zeros
+        where every score is 0)."""
+        total = float(self.scores.sum())
+        return (self.scores / total if total > 0
+                else np.zeros_like(self.scores))
 
 
 def thin_svd(a) -> ThinSVD:

@@ -450,11 +450,11 @@ def test_sketched_search_matches_heavy_pairs_across_tiles(n, d, r2):
 
 
 def test_sketched_search_stores_no_product(monkeypatch):
-    # the cross path holds at most one tile of A W at a time, so its peak
-    # exceeds approx_leverage's own by less than half of the n x k A W.
-    # The smaller scratch and search tiles keep the SRHT's group buffer
-    # (4 scratches, 1 MiB) and the search's tiles (256 KiB each) well
-    # below that 12.8 MB product.
+    # the cross path holds at most one tile of A W at a time (25 tiles of
+    # 4096 rows, 512 KiB), so its peak exceeds approx_leverage's own by
+    # less than half of the n x k A W. The smaller scratch and search
+    # tiles keep the SRHT's group buffer (4 scratches, 1 MiB) and the
+    # search's tiles (256 KiB each) well below that 12.8 MB product.
     monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", 1 << 18)
     monkeypatch.setattr(crosslev, "_BLOCK_ELEMS", 1 << 15)
     n, d = 100_000, 16
@@ -529,13 +529,13 @@ def test_search_through_w_shares_one_tile_across_many_windows(monkeypatch):
 
 
 def test_cross_path_peak_holds_three_n_vectors(monkeypatch):
-    # on the gram plan at 2e5 x 8, with 64 KiB search tiles and a 128 KiB
-    # product scratch, the cross path holds the scores and the rank order,
-    # and while it finds the first partners the sorted norms: 3 n-vectors.
-    # Keeping the report's normalized scores and an n-long first[] with
-    # its temporaries took 8.4.
+    # on the gram plan at 2e5 x 8, with 64 KiB search tiles and 128 KiB
+    # product tiles (2048 rows, 98 of them), the cross path holds the
+    # scores and the rank order, and while it finds the first partners the
+    # sorted norms: 3 n-vectors. Keeping the report's normalized scores
+    # and an n-long first[] with its temporaries took 8.4.
     monkeypatch.setattr(crosslev, "_BLOCK_ELEMS", 1 << 13)
-    monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", 1 << 17)
+    monkeypatch.setattr(_kernels, "_PRODUCT_ELEMS", 1 << 14)
     n, d = 200_000, 8
     A = planted_matrix(seed=6, n=n, d=d, scale=40.0)
     plan = make_plan(n, d, 0.5)

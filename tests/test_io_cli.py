@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io as io_module
 import json
 import math
@@ -725,6 +726,36 @@ def test_cli_mi_estimator(tmp_path, capsys, rng):
                                  "--seed", "5"])
     assert code == 0
     assert doc["result"]["method"] == "mi_estimator"
+
+
+# sha256 of each document, timings_ms removed, as the release before the
+# product passes took their own tile rule and the report derived its
+# normalized scores wrote them: the gram route's 5 tiles of 8192 rows (2
+# of 32768 before) give the same bits, and so does the derived weighting
+PINNED_DOCUMENTS = {
+    ("leverage", "--seed", "9"):
+        "e16cc44272b7e5f664900bd98659e8ba2d531beca4b87b0dc0ba91257874d307",
+    ("exact",):
+        "177de757a03e7a5374ee6469e121222c2204af607299aa52b65425364a078146",
+    ("coherence", "--method", "sketched", "--seed", "9"):
+        "12ed5aafe44f39b03abd7af8b27a54a428d1a8a3f84a941a050693c2b149d3d9",
+    ("coherence", "--method", "exact"):
+        "e386631f5e4235325cfa8475a838d0bffc1e02ba600706b8d2997c5be5485e9e",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_DOCUMENTS))
+def test_score_documents_are_pinned(tmp_path, capsys, argv):
+    rng = np.random.default_rng(28)
+    A = rng.standard_normal((40000, 8))
+    A[rng.choice(40000, 50, replace=False)] *= 30.0
+    path = tmp_path / "tall.levs"
+    save_matrix(A, path)
+    code, doc = run_cli(capsys, [argv[0], str(path), *argv[1:]])
+    assert code == 0
+    doc.pop("timings_ms")
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == PINNED_DOCUMENTS[argv]
 
 
 def test_cli_coherence(tmp_path, capsys, rng):

@@ -335,11 +335,27 @@ def test_gram_route_falls_back_where_the_gram_under_or_overflows(scale,
     np.testing.assert_allclose(report.scores, exact, rtol=1e-10, atol=0)
 
 
+def test_gram_route_peak_is_scores_plus_one_tile():
+    # the gram route holds the n scores and one tile of A W, 1024 rows of
+    # 64 (512 KiB), with the d x d factors inside the 64 KiB; the report
+    # derives its normalized scores on access, so there is no second
+    # n-vector. Tiles sized by the transform's 2 MiB scratch peaked at 2.8 MB
+    n, d = 100_000, 64
+    A = np.random.default_rng(28).standard_normal((n, d))
+    plan = make_plan(n, d, 0.5)
+    assert plan.route == "gram"
+    (_, basis), peak = traced_peak(
+        lambda: approx_leverage(A, plan, seed=None))
+    assert basis.route == "cholesky"
+    assert peak <= 8 * n + 1024 * d * 8 + (64 << 10), (
+        f"peak {peak / 2**20:.2f} MiB")
+
+
 def test_exact_plan_allocates_no_input_sized_temporary():
     # CholeskyQR2 sums its second Gram over row tiles of A R1^-1, and the
     # scores are read tile by tile: beyond A the peak is the d x d factors,
-    # two 2 MiB scratches, the 256 KiB finiteness mask and the n scores,
-    # not the n x d Q1 = A R1^-1 (14.6 MiB here)
+    # a product tile (2048 rows, 512 KiB here), the 256 KiB finiteness
+    # mask and the n scores, not the n x d Q1 = A R1^-1 (14.6 MiB here)
     n, d = 60000, 32
     A = np.random.default_rng(26).standard_normal((n, d))
     (report, basis), peak = traced_peak(

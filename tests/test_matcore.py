@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from levsketch import (errors, exact_cross_leverage, exact_leverage,
-                       hadamard_matrix, pseudoinverse, thin_svd)
+from levsketch import (LeverageReport, errors, exact_cross_leverage,
+                       exact_leverage, hadamard_matrix, pseudoinverse,
+                       thin_svd)
 from levsketch.matcore import validate_matrix
 
 
@@ -80,6 +81,19 @@ def test_exact_leverage_hadamard_columns_uniform():
     report = exact_leverage(H[:, 2 : 2 + d])
     np.testing.assert_allclose(report.scores, d / n, atol=1e-12)
     assert report.coherence == pytest.approx(d / n)
+
+
+def test_normalized_and_coherence_are_read_from_the_scores():
+    # both are derived on access: the scores over their sum (all zeros
+    # where every score is 0) and the largest score
+    scores = np.array([0.5, 1.5, 0.0, 2.0, 0.25])
+    report = LeverageReport.from_scores(scores, "exact")
+    np.testing.assert_array_equal(report.normalized, scores / 4.25)
+    assert report.normalized.sum() == pytest.approx(1.0, abs=1e-15)
+    assert report.coherence == 2.0
+    zero = LeverageReport.from_scores(np.zeros(4), "exact")
+    np.testing.assert_array_equal(zero.normalized, np.zeros(4))
+    assert zero.coherence == 0.0
 
 
 def test_exact_leverage_matches_projector_diagonal():

@@ -418,9 +418,9 @@ def test_kernel_surface_inventory():
 
 
 def test_product_sq_norms_tiles_match_one_product(monkeypatch):
-    # 3840 bytes hold 480 values: tiles of 96 rows of 5 columns, so 1000
-    # rows take 11 tiles, the last one short
-    monkeypatch.setattr(_kernels, "_SCRATCH_BYTES", 3840)
+    # tiles of 96 rows, so 1000 rows take 11 tiles, the last one short
+    monkeypatch.setattr(_kernels, "_PRODUCT_ROWS", 96)
+    monkeypatch.setattr(_kernels, "_PRODUCT_ELEMS", 1)
     rng = np.random.default_rng(5)
     a, w = rng.standard_normal((1000, 5)), rng.standard_normal((5, 3))
     sq = _kernels.product_sq_norms(a, w)
@@ -444,14 +444,33 @@ def test_rademacher_forms_its_signs_in_place():
         assert peak <= 2.01 * signs.nbytes, f"peak {peak / signs.nbytes:.3f} x"
 
 
+@pytest.mark.parametrize("k", [8, 64, 600])
+def test_product_passes_match_one_product(k):
+    # at the module's own tile rule, over at least 3 tiles with a short
+    # last one: the tiled norms and Gram equal the one-product ones
+    rng = np.random.default_rng(k)
+    w = rng.standard_normal((12, k))
+    step = max(_kernels._PRODUCT_ROWS, _kernels._PRODUCT_ELEMS // k)
+    a = rng.standard_normal((2 * step + step // 2, 12))
+    rows = [t.shape[0] for _, t in _kernels._product_tiles(a, w)]
+    assert len(rows) >= 3 and rows[-1] < rows[0]
+    x = a @ w
+    np.testing.assert_allclose(_kernels.product_sq_norms(a, w),
+                               _kernels.row_sq_norms(x), rtol=1e-14, atol=0)
+    want = x.T @ x
+    got = _kernels.product_gram(a, w)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_product_sq_norms_does_not_form_the_product():
-    # the n x k product is never stored: its row tiles share one scratch,
-    # so the peak is the n scores plus at most _SCRATCH_BYTES
+    # the n x k product is never stored: its row tiles share one buffer,
+    # so the peak is the n scores plus one tile (4096 rows, 512 KiB)
     rng = np.random.default_rng(8)
     a, w = rng.standard_normal((200_000, 16)), rng.standard_normal((16, 16))
-    product_bytes = a.shape[0] * w.shape[1] * 8
+    rows = max(_kernels._PRODUCT_ROWS, _kernels._PRODUCT_ELEMS // 16)
     sq, peak = traced_peak(lambda: _kernels.product_sq_norms(a, w))
-    assert peak < product_bytes / 2, f"peak {peak / product_bytes:.2f} x n k"
+    assert peak <= sq.nbytes + rows * 16 * 8 + (64 << 10), (
+        f"peak {peak / 2**20:.2f} MiB")
     assert sq.shape == (200_000,)
 
 
