@@ -1,11 +1,13 @@
 """Helpers shared by the bench scripts: the BLAS-thread and glibc malloc
-settings, the recorded environment, a best-of timer, the tracemalloc peak
-and the JSON writer.
+settings, the recorded environment, the timers, the tracemalloc peak, the
+JSON writer, the grid's size filter, the two bench inputs and the relative
+error.
 
 A script calls ``configure()`` under its ``__main__`` check, before it
 imports numpy: BLAS reads its thread count when it loads, and glibc reads
 its malloc settings once, at start-up, so the process replaces itself with
-a copy that has them set. This module imports no numpy at import time.
+a copy that has them set. This module imports no numpy, and no levsketch,
+at import time.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 NPROC = len(os.sched_getaffinity(0))
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # freed blocks stay in the heap between calls, as in benchmark/run.py
@@ -36,7 +39,8 @@ def configure() -> None:
 
 
 def environment() -> dict:
-    """Library versions, CPU, thread count and malloc settings of the run."""
+    """Library versions, the levsketch backend, CPU, thread count and malloc
+    settings of the run, with the ``levsketch`` that ``sys.path`` finds."""
     import numpy as np
     import scipy
 
@@ -82,3 +86,38 @@ def traced_peak_mib(fn) -> float:
 def write_json(path, doc: dict) -> None:
     """Write ``doc`` as indented JSON with a final newline."""
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def grid(ns, ds, max_bytes: int):
+    """Every (n, d) of ``ns`` x ``ds`` whose float64 n x d input takes at
+    most ``max_bytes``."""
+    for n in ns:
+        for d in ds:
+            if n * d * 8 <= max_bytes:
+                yield n, d
+
+
+def make_input(n: int, d: int, seed: int):
+    """A Gaussian n x d input with 50 of its rows scaled by 30."""
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, d))
+    A[rng.choice(n, size=50, replace=False)] *= 30.0
+    return A
+
+
+def planted_input(n: int, d: int, seed: int):
+    """The ``cross-pairs`` benchmark workload's input (``CrossPairs.generate``
+    in ``benchmark/workloads.py``) at n x d."""
+    bench = str(ROOT / "benchmark")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from workloads import CrossPairs
+    return type("Grid", (CrossPairs,), {"n": n, "d": d}).generate(seed)
+
+
+def max_rel_err(got, ref) -> float:
+    """The largest |got - ref| / ref over the entries where ref > 0."""
+    import numpy as np
+    nz = ref > 0
+    return float(np.max(np.abs(got[nz] - ref[nz]) / ref[nz]))

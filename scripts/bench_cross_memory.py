@@ -18,37 +18,27 @@ records, per tree and plan, the best time, the peak, the number of pairs,
 the orthogonalizer's route (``extras["route"]``), a digest of the
 ``HeavyPairSet`` (pairs, threshold, gram_fro_sq and candidates) and one
 of its pairs and candidates alone, and whether each digest agrees across
-the trees. BLAS threads are capped at nproc and glibc keeps freed
+the trees. The workers report the environment, since this process
+imports no tree. BLAS threads are capped at nproc and glibc keeps freed
 memory, as in ``benchmark/run.py``.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 
-NPROC = len(os.sched_getaffinity(0))
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = str(NPROC)
-# glibc reads these once, at start-up: the script replaces itself with a
-# copy that has them set, so freed blocks stay in the heap between calls
-MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": str(1 << 30),
-              "MALLOC_TRIM_THRESHOLD_": str(1 << 32)}
-if __name__ == "__main__" and any(os.environ.get(k) != v
-                                  for k, v in MALLOC_ENV.items()):
-    os.execve(sys.executable, [sys.executable, *sys.argv],
-              {**os.environ, **MALLOC_ENV})
+import _bench
+
+if __name__ == "__main__":
+    _bench.configure()
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import subprocess  # noqa: E402
-import time  # noqa: E402
-import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-ROOT = Path(__file__).resolve().parent.parent
 GRID_N = (1 << 15, 60_000, 1 << 17, 10**6)
 GRID_D = (8, 32)
 INPUT_SEED, SKETCH_SEED = 1, 3
@@ -57,11 +47,9 @@ INPUT_SEED, SKETCH_SEED = 1, 3
 def worker(src: str, n: int, d: int, reps: int) -> dict:
     """Time and trace both plans at n x d with levsketch from ``src``."""
     sys.path.insert(0, str(Path(src).resolve()))
-    sys.path.insert(0, str(ROOT / "benchmark"))
     import levsketch
-    from workloads import CrossPairs
 
-    A = type("Grid", (CrossPairs,), {"n": n, "d": d}).generate(INPUT_SEED)
+    A = _bench.planted_input(n, d, INPUT_SEED)
     kappa = n * math.log(n)
     plans = {"gram": levsketch.make_plan(n, d, 0.5),
              "exact": levsketch.make_plan(n, d, 0.5, r1=n, r2=d)}
@@ -69,23 +57,18 @@ def worker(src: str, n: int, d: int, reps: int) -> dict:
     def call(plan):
         return levsketch.approx_cross_leverage(A, plan, kappa, SKETCH_SEED)
 
-    best = dict.fromkeys(plans, math.inf)
+    best, found = dict.fromkeys(plans, math.inf), {}
     for _ in range(reps):  # the plans alternate, call by call
         for name, plan in plans.items():
-            t0 = time.perf_counter()
-            call(plan)
-            best[name] = min(best[name], time.perf_counter() - t0)
+            found[name], seconds = _bench.timed(lambda: call(plan))
+            best[name] = min(best[name], seconds)
     out = {}
     for name, plan in plans.items():
-        tracemalloc.start()
-        try:
-            hp = call(plan)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        out[name] = {"best_s": best[name], "peak_mib": peak / 2**20,
-                     "peak_n_vectors": peak / (8 * n), "pairs": len(hp),
-                     "candidates": hp.candidates,
+        peak = _bench.traced_peak_mib(lambda: call(plan))
+        hp = found[name]
+        out[name] = {"best_s": best[name], "peak_mib": peak,
+                     "peak_n_vectors": peak * 2**20 / (8 * n),
+                     "pairs": len(hp), "candidates": hp.candidates,
                      "digest": digest(hp.pairs, hp.threshold,
                                       hp.gram_fro_sq, hp.candidates),
                      "pairs_digest": digest(hp.pairs, hp.candidates),
@@ -95,21 +78,6 @@ def worker(src: str, n: int, d: int, reps: int) -> dict:
 
 def digest(*fields) -> str:
     return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
-
-
-def environment() -> dict:
-    import numpy as np
-    import scipy
-    cpu = ""
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((ln.split(":", 1)[1].strip() for ln in fh
-                        if ln.startswith("model name")), "")
-    except OSError:
-        pass
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "nproc": NPROC, "blas_threads": NPROC, "malloc": MALLOC_ENV,
-            "cpu": cpu}
 
 
 def main(argv=None) -> int:
@@ -124,10 +92,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.worker:
         src, n, d = args.worker
-        print(json.dumps(worker(src, int(n), int(d), args.reps)))
+        run = worker(src, int(n), int(d), args.reps)
+        print(json.dumps([run, _bench.environment()]))
         return 0
     trees = dict(t.split("=", 1) for t in
-                 (args.tree or [f"change={ROOT / 'src'}"]))
+                 (args.tree or [f"change={_bench.ROOT / 'src'}"]))
     entries = []
     for n in GRID_N:
         for d in GRID_D:
@@ -139,7 +108,7 @@ def main(argv=None) -> int:
                     [sys.executable, __file__, "--reps", str(args.reps),
                      "--worker", src, str(n), str(d)],
                     check=True, capture_output=True, text=True)
-                runs[label] = json.loads(run.stdout.splitlines()[-1])
+                runs[label], env = json.loads(run.stdout.splitlines()[-1])
             entry = {"n": n, "d": d, **{t: runs[t] for t in trees}}
             for key, field in (("same_output", "digest"),
                                ("same_pairs", "pairs_digest")):
@@ -151,10 +120,10 @@ def main(argv=None) -> int:
     doc = {"what": "approx_cross_leverage on planted-pair inputs at kappa = "
                    f"n ln n: best of {args.reps} times and the tracemalloc "
                    "peak, on the gram and exact plans, per source tree",
-           "environment": environment(), "reps": args.reps,
+           "environment": env, "reps": args.reps,
            "trees": list(trees), "input_seed": INPUT_SEED,
            "sketch_seed": SKETCH_SEED, "entries": entries}
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    _bench.write_json(args.out, doc)
     return 0
 
 

@@ -8,8 +8,9 @@ Usage (from the repository root):
 The grid is n in {32768, 60000, 131072} and d in {16, 32, 64, 128}, each
 under two seeds, on a Gaussian input with 16 planted near-duplicate row
 pairs scaled by 30, built by the ``cross-pairs`` benchmark workload's own
-``CrossPairs.generate`` at that n and d, at kappa = n ln n. Each entry records the best of ``--reps``
-times, the two methods alternating call by call:
+``CrossPairs.generate`` at that n and d (``_bench.planted_input``), at
+kappa = n ln n. Each entry records the best of ``--reps`` times, the two
+methods alternating call by call:
 
 - ``svd``: ``thin_svd(A)`` (``svd_s``), then ``heavy_pairs(U, kappa)``
   (``search_s``);
@@ -27,86 +28,49 @@ in ``benchmark/run.py``.
 
 from __future__ import annotations
 
-import os
 import sys
 
-NPROC = len(os.sched_getaffinity(0))
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in BLAS_ENV:
-    os.environ[_var] = str(NPROC)
-# glibc reads these once, at start-up: the script replaces itself with a
-# copy that has them set, so freed blocks stay in the heap between calls
-MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": str(1 << 30),
-              "MALLOC_TRIM_THRESHOLD_": str(1 << 32)}
-if __name__ == "__main__" and any(os.environ.get(k) != v
-                                  for k, v in MALLOC_ENV.items()):
-    os.execve(sys.executable, [sys.executable, *sys.argv],
-              {**os.environ, **MALLOC_ENV})
+import _bench
+
+if __name__ == "__main__":
+    _bench.configure()
 
 import argparse  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
-import time  # noqa: E402
-import tracemalloc  # noqa: E402
-from pathlib import Path  # noqa: E402
 
-import numpy as np  # noqa: E402
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "benchmark"))
+sys.path.insert(0, str(_bench.ROOT / "src"))
 
 import levsketch  # noqa: E402
 from levsketch._kernels import product_gram  # noqa: E402
-from workloads import CrossPairs  # noqa: E402
 
 GRID_N = (32768, 60000, 131072)
 GRID_D = (16, 32, 64, 128)
 SEEDS = (1, 2)
 
 
-def planted_input(n: int, d: int, seed: int) -> np.ndarray:
-    """The ``cross-pairs`` workload's input, at n x d."""
-    return type("Grid", (CrossPairs,), {"n": n, "d": d}).generate(seed)
-
-
-def timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
-
-
-def traced_peak_mib(fn) -> float:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 def run_point(n: int, d: int, seed: int, reps: int) -> dict:
-    A = planted_input(n, d, seed)
+    A = _bench.planted_input(n, d, seed)
     kappa = n * math.log(n)
     plan = levsketch.make_plan(n, d, 0.5, r1=n, r2=d)
 
     def svd_pairs():
-        U, svd_s = timed(lambda: levsketch.thin_svd(A).U)
-        hp, search_s = timed(lambda: levsketch.heavy_pairs(U, kappa))
+        U, svd_s = _bench.timed(lambda: levsketch.thin_svd(A).U)
+        hp, search_s = _bench.timed(lambda: levsketch.heavy_pairs(U, kappa))
         return hp, {"total_s": svd_s + search_s, "svd_s": svd_s,
                     "search_s": search_s}
 
     def exact_plan_pairs():
-        hp, total_s = timed(
+        hp, total_s = _bench.timed(
             lambda: levsketch.approx_cross_leverage(A, plan, kappa, None))
         return hp, {"total_s": total_s,
                     "sketch_s": hp.timings_ms["sketch_ms"] / 1e3,
                     "search_s": hp.timings_ms["search_ms"] / 1e3}
 
     def exact_plan_phases():
-        (report, basis), _ = timed(
+        (report, basis), _ = _bench.timed(
             lambda: levsketch.approx_leverage(A, plan, None))
-        _, gram_s = timed(lambda: product_gram(A, basis.W))
+        _, gram_s = _bench.timed(lambda: product_gram(A, basis.W))
         return {"factorization_s": basis.timings_ms["factorization_ms"] / 1e3,
                 "scores_s": basis.timings_ms["product_ms"] / 1e3,
                 "gram_s": gram_s}
@@ -123,8 +87,8 @@ def run_point(n: int, d: int, seed: int, reps: int) -> dict:
         got, times = exact_plan_pairs()
         keep("exact_plan", times)
         keep("exact_plan", exact_plan_phases())
-    best["svd"]["peak_mib"] = traced_peak_mib(svd_pairs)
-    best["exact_plan"]["peak_mib"] = traced_peak_mib(exact_plan_pairs)
+    best["svd"]["peak_mib"] = _bench.traced_peak_mib(svd_pairs)
+    best["exact_plan"]["peak_mib"] = _bench.traced_peak_mib(exact_plan_pairs)
     same = ref.indices() == got.indices()
     values = dict(((i, j), c) for i, j, c in ref.pairs)
     max_rel = max((abs(c - values[i, j]) / values[i, j]
@@ -134,20 +98,6 @@ def run_point(n: int, d: int, seed: int, reps: int) -> dict:
             "pairs": len(ref), "same_pairs": same,
             "pair_value_max_rel_diff": max_rel,
             "speedup": best["svd"]["total_s"] / best["exact_plan"]["total_s"]}
-
-
-def environment() -> dict:
-    cpu = ""
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((ln.split(":", 1)[1].strip() for ln in fh
-                        if ln.startswith("model name")), "")
-    except OSError:
-        pass
-    import scipy
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "backend": levsketch.backend_name(), "nproc": NPROC,
-            "blas_threads": NPROC, "malloc": MALLOC_ENV, "cpu": cpu}
 
 
 def main(argv=None) -> int:
@@ -165,9 +115,9 @@ def main(argv=None) -> int:
     doc = {"what": "exact heavy pairs at kappa = n ln n on planted-pair "
                    "inputs: thin SVD + heavy_pairs against the exact-plan "
                    f"search, best of {args.reps} times and tracemalloc peaks",
-           "environment": environment(), "reps": args.reps,
+           "environment": _bench.environment(), "reps": args.reps,
            "seeds": list(SEEDS), "entries": entries}
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    _bench.write_json(args.out, doc)
     return 0
 
 

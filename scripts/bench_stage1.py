@@ -22,38 +22,26 @@ freed memory, as in ``benchmark/run.py``.
 
 from __future__ import annotations
 
-import os
 import sys
 
-NPROC = len(os.sched_getaffinity(0))
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in BLAS_ENV:
-    os.environ[_var] = str(NPROC)
-# glibc reads these once, at start-up: the script replaces itself with a
-# copy that has them set, so freed blocks stay in the heap between calls
-MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": str(1 << 30),
-              "MALLOC_TRIM_THRESHOLD_": str(1 << 32)}
-if __name__ == "__main__" and any(os.environ.get(k) != v
-                                  for k, v in MALLOC_ENV.items()):
-    os.execve(sys.executable, [sys.executable, *sys.argv],
-              {**os.environ, **MALLOC_ENV})
+import _bench
+
+if __name__ == "__main__":
+    _bench.configure()
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
-import time  # noqa: E402
-import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(_bench.ROOT / "src"))
 
 import levsketch  # noqa: E402
 from levsketch import _kernels  # noqa: E402
-from levsketch.sketch import SketchOperator, apply_srht, next_pow2  # noqa: E402
+from levsketch.sketch import next_pow2  # noqa: E402
 
 GRID_N = (1 << 15, 100_000, 1 << 17)
 GRID_D = (16, 32, 64, 128, 256, 512, 1024, 2048)
@@ -73,32 +61,11 @@ def load_tree(src: Path, name: str):
 
 def grid(max_bytes: int):
     """(n, d, r, r_kind) for every grid point."""
-    for n in GRID_N:
-        for d in GRID_D:
-            if n * d * 8 > max_bytes:
-                continue
-            r1 = math.ceil(20.0 * d * math.log(n))
-            if r1 < n:
-                yield n, d, r1, "r1"
-            yield n, d, 8 * d, "8d"
-
-
-def best_time(fn, reps: int) -> float:
-    best = math.inf
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def traced_peak_mib(fn) -> float:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    for n, d in _bench.grid(GRID_N, GRID_D, max_bytes):
+        r1 = math.ceil(20.0 * d * math.log(n))
+        if r1 < n:
+            yield n, d, r1, "r1"
+        yield n, d, 8 * d, "8d"
 
 
 def group_of(tree, n: int, d: int, r: int):
@@ -123,10 +90,10 @@ def run_point(trees: dict, n: int, d: int, r: int, seed: int,
     for _ in range(reps):  # the trees alternate, call by call
         for name, run in runs.items():
             out[name]["srht_s"] = min(out[name]["srht_s"],
-                                      best_time(run, 1))
+                                      _bench.timed(run)[1])
     pa = {}
     for name, run in runs.items():
-        out[name]["peak_mib"] = traced_peak_mib(run)
+        out[name]["peak_mib"] = _bench.traced_peak_mib(run)
         out[name]["group"] = group_of(trees[name], n, d, r)
         pa[name] = run()
     entry = {"n": n, "d": d, "r": r, "seed": seed, "n_pad": n_pad, **out}
@@ -137,23 +104,9 @@ def run_point(trees: dict, n: int, d: int, r: int, seed: int,
             np.max(np.abs(pa["change"] - ref)) / scale)
         entry["speedup"] = out["baseline"]["srht_s"] / out["change"]["srht_s"]
     del pa
-    entry["fwht_inplace_s"] = best_time(lambda: _kernels.fwht_inplace(padded),
-                                        reps)
+    entry["fwht_inplace_s"] = _bench.best_time(
+        lambda: _kernels.fwht_inplace(padded), reps)[0]
     return entry
-
-
-def environment() -> dict:
-    cpu = ""
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((ln.split(":", 1)[1].strip() for ln in fh
-                        if ln.startswith("model name")), "")
-    except OSError:
-        pass
-    import scipy
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "backend": levsketch.backend_name(), "nproc": NPROC,
-            "blas_threads": NPROC, "malloc": MALLOC_ENV, "cpu": cpu}
 
 
 def main(argv=None) -> int:
@@ -178,9 +131,9 @@ def main(argv=None) -> int:
             print(json.dumps(entry), file=sys.stderr, flush=True)
     doc = {"what": "apply_srht on a Gaussian n x d input: best of "
                    f"{args.reps} times and tracemalloc peaks",
-           "environment": environment(), "reps": args.reps,
+           "environment": _bench.environment(), "reps": args.reps,
            "seeds": list(SEEDS), "entries": entries}
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    _bench.write_json(args.out, doc)
     return 0
 
 

@@ -47,15 +47,14 @@ if __name__ == "__main__":
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import time  # noqa: E402
-from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(_bench.ROOT / "src"))
 
 import levsketch  # noqa: E402
 from levsketch import _kernels  # noqa: E402
@@ -69,21 +68,6 @@ OLD_SCRATCH_BYTES = 2 << 20
 MIN_SAMPLE_S = 0.2
 FLOORS = [(rows, elems) for rows in (1024, 2048)
           for elems in (1 << 15, 1 << 16, 1 << 17)]
-
-
-def grid(max_bytes: int):
-    for n in GRID_N:
-        for d in GRID_D:
-            if n * d * 8 <= max_bytes:
-                yield n, d
-    yield from EXTRA_POINTS
-
-
-def make_input(n: int, d: int, seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, d))
-    A[rng.choice(n, size=50, replace=False)] *= 30.0
-    return A
 
 
 def rules(d: int, k: int) -> dict:
@@ -134,11 +118,6 @@ def sample(fn):
     return out, (time.perf_counter() - t0) / calls
 
 
-def max_rel_diff(got: np.ndarray, ref: np.ndarray) -> float:
-    nz = ref > 0
-    return float(np.max(np.abs(got[nz] - ref[nz]) / ref[nz]))
-
-
 def time_products(A, W, steps: dict, reps: int) -> dict:
     """Best ``product_sq_norms`` and ``product_gram`` seconds at each
     distinct tile size in ``steps`` (rule -> rows; ``new`` runs the
@@ -176,7 +155,8 @@ def time_route(A, plan, old_step: int, reps: int) -> dict:
     for side in ("old", "new"):
         with tiled(old_step if side == "old" else None):
             out[side]["peak_mib"] = _bench.traced_peak_mib(call)
-    out["scores_max_rel_diff"] = max_rel_diff(scores["new"], scores["old"])
+    out["scores_max_rel_diff"] = _bench.max_rel_err(scores["new"],
+                                                 scores["old"])
     out["scores_identical"] = bool(np.array_equal(scores["new"],
                                                   scores["old"]))
     out["new_over_old"] = out["new"]["total_s"] / out["old"]["total_s"]
@@ -184,7 +164,7 @@ def time_route(A, plan, old_step: int, reps: int) -> dict:
 
 
 def run_point(n: int, d: int, reps: int) -> dict:
-    A = make_input(n, d)
+    A = _bench.make_input(n, d, 0)
     rng = np.random.default_rng(1)
     ks = [d]
     r2 = math.ceil(12 * math.log(n) / EPS**2)
@@ -242,7 +222,8 @@ def main(argv=None) -> int:
                     help="largest n d 8 in the grid")
     args = ap.parse_args(argv)
     entries = []
-    for n, d in grid(args.max_bytes):
+    for n, d in itertools.chain(
+            _bench.grid(GRID_N, GRID_D, args.max_bytes), EXTRA_POINTS):
         entry = run_point(n, d, args.reps)
         entries.append(entry)
         print(json.dumps(entry), file=sys.stderr, flush=True)

@@ -299,7 +299,12 @@ def _plan_params(plan, extras: dict) -> dict:
             "run": {k: extras[k] for k in ("rank", "r1", "r2", "route")}}
 
 
-def _run_leverage(args, A) -> dict:
+def _scores_result(report) -> dict:
+    return {"scores": report.scores, "coherence": report.coherence,
+            "normalized": report.normalized, "method": report.method}
+
+
+def _run_leverage(args, A, result=_scores_result) -> dict:
     if args.estimator == "mi":
         report = mi_estimate(A, args.seed)
         params = {"estimator": "mi", "r": report.extras["r"],
@@ -314,26 +319,23 @@ def _run_leverage(args, A) -> dict:
                                         "route": basis.route})}
         timings = basis.timings_ms
     return {"params": params, "seed": used_seed, "retried": retried,
-            "timings_ms": timings,
-            "result": {"scores": report.scores, "coherence": report.coherence,
-                       "normalized": report.normalized,
-                       "method": report.method}}
+            "timings_ms": timings, "result": result(report)}
 
 
-def _run_exact(args, A) -> dict:
+def _run_exact(args, A, result=_scores_result) -> dict:
     report = matcore.exact_leverage(A)
     return {"params": {"n": A.shape[0], "d": A.shape[1],
                        "rank": report.extras["rank"]},
             "seed": None, "retried": [], "timings_ms": {},
-            "result": {"scores": report.scores, "coherence": report.coherence,
-                       "normalized": report.normalized, "method": "exact"}}
+            "result": result(report)}
 
 
 def _run_coherence(args, A) -> dict:
-    doc = (_run_exact if args.method == "exact" else _run_leverage)(args, A)
-    doc["result"] = {"coherence": doc["result"]["coherence"],
-                     "method": args.method}
-    return doc
+    # the report's coherence alone: reading ``normalized`` would form a
+    # second n-vector that the document drops
+    run = _run_exact if args.method == "exact" else _run_leverage
+    return run(args, A, lambda report: {"coherence": report.coherence,
+                                        "method": args.method})
 
 
 def _run_cross(args, A) -> dict:

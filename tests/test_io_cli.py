@@ -773,6 +773,23 @@ def test_cli_coherence(tmp_path, capsys, rng):
                              "method": "sketched"}
 
 
+def test_cli_sketched_coherence_peak_is_scores_plus_one_tile(tmp_path, rng):
+    # the document reads the report's largest score alone: beyond the n
+    # scores the peak is one product tile (8192 rows of 8, 512 KiB). Read
+    # from the whole leverage document it held the normalized scores too,
+    # a second n-vector (3.06 MiB here)
+    n, d = 200_000, 8
+    path = tmp_path / "t.levs"
+    save_matrix(rng.standard_normal((n, d)), path)
+    argv = ["coherence", str(path), "--method", "sketched",
+            "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 0  # warm-up
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == 0
+    assert peak <= 8 * n + 8192 * d * 8 + (128 << 10), (
+        f"peak {peak / 2**20:.2f} MiB")
+
+
 def test_cli_env_seed(tmp_path, capsys, rng, monkeypatch):
     # r1 = 20 < n samples rows; the default plan (r1 = n) draws nothing
     A = rng.standard_normal((50, 4))
@@ -917,7 +934,8 @@ def _planted_cross_input(seed, n=60_000, d=32, planted=16, scale=30.0):
     """n x d Gaussian rows with ``planted`` near-duplicate row pairs, the
     paired rows scaled by ``scale``: the cross-pairs benchmark input. It
     must build what ``CrossPairs.generate`` in benchmark/workloads.py
-    builds, which scripts/bench_exact_cross.py imports."""
+    builds, which the bench scripts take through
+    ``scripts/_bench.py``'s ``planted_input``."""
     rng = np.random.default_rng([seed, 2])
     A = rng.standard_normal((n, d))
     rows = rng.choice(n, size=2 * planted, replace=False)
