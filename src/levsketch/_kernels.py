@@ -77,7 +77,7 @@ _SCRATCH_BYTES = 2 << 20  # at least 512: one column of b <= 64 mixed rows
 _GATHER_COST = 29  # one element of a signed gather of the kept rows
 _TILE_COST = 100_000  # one tile's numpy calls, about 9 us
 _COST_TIE = 0.1  # costs this close are a tie, within the fit's error
-# product tiles of a w, floors chosen from scripts/bench_tiles.py's grid
+# product tiles of a w, floors chosen from BENCH_28.json's grid
 _PRODUCT_ROWS = 1024  # at least: each BLAS call does enough work at wide k
 _PRODUCT_ELEMS = 1 << 16  # at least: few enough numpy calls at narrow k
 

@@ -286,7 +286,7 @@ def _leverage_basis(A: np.ndarray, plan: SketchPlan, seed: Optional[int],
             SketchOperator("SparseJLT", seed, rank, plan.r2))
     scores = product_sq_norms(A, W)
     t3 = time.perf_counter()
-    report = LeverageReport.from_scores(
+    report = LeverageReport(
         scores, "sketched", params=plan,
         seed=None if seed is None else int(seed),
         extras={"rank": rank, "r1": r1, "r2": W.shape[1]})
@@ -321,6 +321,6 @@ def mi_estimate(a, seed: int) -> LeverageReport:
                              kind="sketch").Rinv
     w_raw = np.einsum("ts,ts->t", A, _srht_transpose(op, (PA @ W) @ W.T))
     floor = d * ln_n**2 / (4.0 * n)
-    return LeverageReport.from_scores(
+    return LeverageReport(
         np.maximum(w_raw, floor), "mi_estimator", seed=int(seed),
         extras={"r": r, "floor": floor})

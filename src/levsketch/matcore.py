@@ -78,12 +78,6 @@ class LeverageReport:
     def n(self) -> int:
         return int(self.scores.size)
 
-    @classmethod
-    def from_scores(cls, scores: np.ndarray, method: str,
-                    **fields) -> "LeverageReport":
-        """The report of ``scores``, which it keeps without a copy."""
-        return cls(scores=scores, method=method, **fields)
-
     @property
     def coherence(self) -> float:
         """The largest score."""
@@ -122,8 +116,8 @@ def pseudoinverse(a) -> np.ndarray:
 def exact_leverage(a) -> LeverageReport:
     """Exact leverage scores: squared row norms of the thin-SVD basis U."""
     f = thin_svd(a)
-    return LeverageReport.from_scores(row_sq_norms(f.U), "exact",
-                                      extras={"rank": f.rank})
+    return LeverageReport(row_sq_norms(f.U), "exact",
+                          extras={"rank": f.rank})
 
 
 def exact_cross_leverage(a) -> np.ndarray:

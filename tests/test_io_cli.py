@@ -934,8 +934,8 @@ def _planted_cross_input(seed, n=60_000, d=32, planted=16, scale=30.0):
     """n x d Gaussian rows with ``planted`` near-duplicate row pairs, the
     paired rows scaled by ``scale``: the cross-pairs benchmark input. It
     must build what ``CrossPairs.generate`` in benchmark/workloads.py
-    builds, which the bench scripts take through
-    ``scripts/_bench.py``'s ``planted_input``."""
+    builds, which ``scripts/bench_grid.py`` takes through its
+    ``planted_input``."""
     rng = np.random.default_rng([seed, 2])
     A = rng.standard_normal((n, d))
     rows = rng.choice(n, size=2 * planted, replace=False)

@@ -87,11 +87,11 @@ def test_normalized_and_coherence_are_read_from_the_scores():
     # both are derived on access: the scores over their sum (all zeros
     # where every score is 0) and the largest score
     scores = np.array([0.5, 1.5, 0.0, 2.0, 0.25])
-    report = LeverageReport.from_scores(scores, "exact")
+    report = LeverageReport(scores, "exact")
     np.testing.assert_array_equal(report.normalized, scores / 4.25)
     assert report.normalized.sum() == pytest.approx(1.0, abs=1e-15)
     assert report.coherence == 2.0
-    zero = LeverageReport.from_scores(np.zeros(4), "exact")
+    zero = LeverageReport(np.zeros(4), "exact")
     np.testing.assert_array_equal(zero.normalized, np.zeros(4))
     assert zero.coherence == 0.0
 
