@@ -30,7 +30,9 @@ op's ``err`` (the largest relative error over rows) and its off-diagonal
 heavy pairs at kappa for each cross op's ``pair_recall``. Above
 ``SVD_MAX_BYTES`` (512 MiB) of input the exact plan stands in for it.
 
-Each op records the best of ``--reps`` times (``total_s``), that call's
+Each point runs the whole op table ``--reps`` times over, so that a slow
+phase of the host lasting one op's calls does not set that op's time,
+and each op records its best time (``total_s``), that call's
 ``timings_ms``, ``params`` as the CLI's ``leverage`` and ``cross``
 documents build them (through ``cli._plan_params``), the tracemalloc peak
 of one more call and a digest of its output (scores, pairs or transformed
@@ -124,26 +126,36 @@ def planted_input(n: int, d: int, seed: int) -> np.ndarray:
     return type("Grid", (CrossPairs,), {"n": n, "d": d}).generate(seed)
 
 
-def measure(call, reps: int, timings=lambda out: {}):
-    """(the result of one more call, run under tracemalloc, and the op's
-    record): the best of ``reps`` seconds, ``timings(result)`` of that
-    best call, and the traced call's peak in MiB."""
-    best, best_ms = math.inf, {}
+def measure(table: dict, reps: int) -> dict:
+    """Each op's record, for a table of op name to ``(call, timings,
+    summary)``: ``reps`` rounds of the whole table, so that a slow phase of
+    the host shorter than a round cannot set every time of one op, each
+    op keeping its best seconds (``total_s``) and ``timings(result)`` of
+    that best call; then one more call of each op, run under tracemalloc
+    for its peak in MiB, whose result ``summary`` reduces to the rest of
+    the record."""
+    best = dict.fromkeys(table, (math.inf, {}))
     for _ in range(reps):
-        out = None  # the last result goes before the next call
-        t0 = time.perf_counter()
-        out = call()
-        seconds = time.perf_counter() - t0
-        if seconds < best:
-            best, best_ms = seconds, timings(out)
-    out = None
-    tracemalloc.start()
-    try:
-        out = call()
-        peak = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-    return out, {"total_s": best, "timings_ms": best_ms, "peak_mib": peak}
+        for name, (call, timings, _) in table.items():
+            t0 = time.perf_counter()
+            out = call()
+            seconds = time.perf_counter() - t0
+            if seconds < best[name][0]:
+                best[name] = seconds, timings(out)
+            out = None  # the last result goes before the next call
+    records = {}
+    for name, (call, _, summary) in table.items():
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        seconds, ms = best[name]
+        records[name] = {"total_s": seconds, "timings_ms": ms,
+                         "peak_mib": peak, **summary(out)}
+        out = None
+    return records
 
 
 def digest(value) -> str:
@@ -197,42 +209,45 @@ def worker(src: str, n: int, d: int, seed: int, reps: int) -> dict:
     reference = {"kind": kind, "total_s": time.perf_counter() - t0,
                  "pairs": len(ref_pairs)}
 
-    ops = {}
-    for name, plan in plans.items():
-        (report, basis), rec = measure(
-            lambda: levsketch.approx_leverage(A, plan, seed), reps,
-            lambda out: out[1].timings_ms)
-        ops[f"leverage_{name}"] = {
-            "params": {"estimator": "sketched", "n": n, "d": d,
-                       **cli._plan_params(plan, {**report.extras,
-                                                 "route": basis.route})},
-            **rec, "err": max_rel_err(report.scores, ref_scores),
-            "digest": digest(report.scores)}
-    for name in ("default", "exact"):
-        plan = plans[name]
-        hp, rec = measure(
-            lambda: levsketch.approx_cross_leverage(A, plan, kappa, seed),
-            reps, lambda out: out.timings_ms)
-        params = {"n": n, "d": d, "kappa": kappa, "exact": name == "exact",
-                  **cli._plan_params(plan, hp.extras)}
-        if name == "exact":  # as ``levsketch cross --exact-pairs`` reports
-            del params["epsilon"]
-        found = hp.off_diagonal()
-        ops[f"cross_{name}"] = {
-            "params": params, **rec, "pairs": len(found),
-            "pair_recall": recall(found, ref_pairs),
-            "digest": digest((hp.pairs, hp.threshold, hp.candidates))}
+    def no_timings(out):
+        return {}
+
+    def leverage(plan):
+        def summary(out):
+            report, basis = out
+            return {"params": {"estimator": "sketched", "n": n, "d": d,
+                               **cli._plan_params(plan, {
+                                   **report.extras, "route": basis.route})},
+                    "err": max_rel_err(report.scores, ref_scores),
+                    "digest": digest(report.scores)}
+        return (lambda: levsketch.approx_leverage(A, plan, seed),
+                lambda out: out[1].timings_ms, summary)
+
+    def cross(exact):
+        plan = plans["exact" if exact else "default"]
+
+        def summary(hp):
+            params = {"n": n, "d": d, "kappa": kappa, "exact": exact,
+                      **cli._plan_params(plan, hp.extras)}
+            if exact:  # as ``levsketch cross --exact-pairs`` reports
+                del params["epsilon"]
+            found = hp.off_diagonal()
+            return {"params": params, "pairs": len(found),
+                    "pair_recall": recall(found, ref_pairs),
+                    "digest": digest((hp.pairs, hp.threshold,
+                                      hp.candidates))}
+        return (lambda: levsketch.approx_cross_leverage(A, plan, kappa, seed),
+                lambda out: out.timings_ms, summary)
 
     n_pad = next_pow2(n)
-    for name, r in sizes.items():
+
+    def srht(r):
         op = SketchOperator("SRHT", seed, n, r)
-        PA, rec = measure(lambda: levsketch.apply_srht(op, A), reps)
         log_g, columns = _kernels._group(n, d, r, n_pad)
-        ops[f"srht_{name}"] = {
-            "params": {"n": n, "d": d, "r1": r, "n_pad": n_pad,
-                       "group": [1 << log_g, columns]},
-            **rec, "digest": digest(PA)}
-        del PA
+        params = {"n": n, "d": d, "r1": r, "n_pad": n_pad,
+                  "group": [1 << log_g, columns]}
+        return (lambda: levsketch.apply_srht(op, A), no_timings,
+                lambda PA: {"params": params, "digest": digest(PA)})
 
     def fwht():
         padded = np.zeros((n_pad, d))
@@ -240,10 +255,14 @@ def worker(src: str, n: int, d: int, seed: int, reps: int) -> dict:
         _kernels.fwht_inplace(padded)
         return padded
 
-    padded, rec = measure(fwht, reps)
-    ops["fwht"] = {"params": {"n": n, "d": d, "n_pad": n_pad}, **rec,
-                   "digest": digest(padded)}
-    return {"reference": reference, "ops": ops}
+    table = {f"leverage_{name}": leverage(plan)
+             for name, plan in plans.items()}
+    table.update(cross_default=cross(False), cross_exact=cross(True))
+    table.update({f"srht_{name}": srht(r) for name, r in sizes.items()})
+    table["fwht"] = (fwht, no_timings, lambda padded: {
+        "params": {"n": n, "d": d, "n_pad": n_pad},
+        "digest": digest(padded)})
+    return {"reference": reference, "ops": measure(table, reps)}
 
 
 def main(argv=None) -> int:

@@ -28,9 +28,12 @@ the sketch validated, is not validated again.
 On the exact plan (r1 = n, r2 = d) X = A R^{-1} is an orthonormal basis
 Q of A's range, of A's rank rho, and Q Q^T = U U^T for the thin SVD's U:
 the search then finds the exact heavy pairs of A, at the cutoff
-rho / kappa, with no SVD. A plan on the gram route has those sizes too;
-its R is one guarded Cholesky of A^T A where the guard trusts it, so its
-Q is orthonormal to about u kappa_2^2 <= 1e-8. Either way X^T X = I_rho
+rho / kappa, with no SVD of A. Its R is one Cholesky pass of A^T A
+where that pass certifies kappa_2(R) <= 8, so that Q is orthonormal to
+about u 8^2 = 1.4e-14, and CholeskyQR2's otherwise. A plan on the gram
+route has those sizes too; its R is one guarded Cholesky of A^T A where
+the guard trusts it, so its Q is orthonormal to about
+u kappa_2^2 <= 1e-8. Either way X^T X = I_rho
 by construction: ||X^T X||_F^2 is taken as rho, kappa is not rescaled,
 and no Gram pass reads A.
 """

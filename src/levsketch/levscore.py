@@ -21,7 +21,9 @@ norm, finite R^{-1}, kappa_F(R) = ||R||_F ||R^{-1}||_F <= 1e4). As
 kappa_2(R) <= kappa_F(R), the sketch times R^{-1} is then orthonormal to
 about u kappa_2^2 <= 1e-8 (Yamamoto et al. 2015). The gram route
 (``kind="gram"``) trusts the same pass of A^T A, for the same error
-bound. Everything else, the explicit exact plan included, takes
+bound. The explicit exact plan keeps that one pass, also as "cholesky",
+only where one SVD of its R certifies kappa_2(R) <= 8, so that A R^{-1}
+is orthonormal to about u 8^2, working precision. Everything else takes
 "cholesky_qr2" from that same first pass, checked by one SVD of its R,
 or, where that R is not trusted, "householder".
 
@@ -91,18 +93,34 @@ _CHOLQR_MIN_RCOND = 1e-6
 # so the sketch times R^{-1} is then orthonormal to about u kappa_2^2 <= 1e-8.
 # kappa_F(R) >= d, so a sketch of more than 1e4 columns is never trusted.
 _CHOL_MAX_COND = 1e4
+# One Cholesky pass of A itself is kept as A's R while kappa_2(R) is at
+# most this: A R^{-1} is then orthonormal to about u 8^2 = 1.4e-14,
+# working precision, and CholeskyQR2's second pass would buy nothing.
+_CERTIFY_MAX_COND = 8.0
+# Power steps behind the lower bound on kappa_2 that rejects a first pass
+# before its SVD. From the largest column, 4 steps reached 8.9 on the
+# planted 32768 x 1024 input of kappa_2 = 10.3, in 5 ms against 0.5 s for
+# the SVD, where R's diagonal ratio read 1.5 and kappa_F / d 1.4.
+_CERTIFY_POWER_STEPS = 4
 # A Gram diagonal entry below tiny / eps = 2^-970 may have lost bits to
 # underflowed squares.
 _GRAM_MIN_DIAG = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+
+
+def _clean_gram(G: np.ndarray) -> bool:
+    """Every diagonal entry of the Gram G = M^T M is finite and at least
+    2^-970: M is finite (a NaN or infinite entry makes its column's sum
+    of squares non-finite), and no column's squares underflowed."""
+    diag = np.diagonal(G)
+    return bool(np.all(np.isfinite(diag)) and np.all(diag >= _GRAM_MIN_DIAG))
 
 
 def _guarded_cholesky(G: np.ndarray):
     """One Cholesky pass of a Gram G = M^T M: ``(R, Rinv, trusted)`` for
     the upper Cholesky factor R of G and R^{-1}.
 
-    ``trusted`` says that R can stand for M's R: every diagonal entry of G
-    is finite and at least 2^-970 (no column's squares underflowed, and M
-    is finite), R^{-1} is finite and kappa_F(R) <= ``_CHOL_MAX_COND``.
+    ``trusted`` says that R can stand for M's R: G is clean
+    (``_clean_gram``), R^{-1} is finite and kappa_F(R) <= ``_CHOL_MAX_COND``.
     R is None where the factorization fails. R^{-1} is None there too, and
     where R's diagonal alone shows kappa_F(R) > ``_CHOL_MAX_COND`` (as
     kappa_F(R) >= kappa_2(R) >= max |r_ii| / min |r_ii|), so that a
@@ -113,9 +131,8 @@ def _guarded_cholesky(G: np.ndarray):
             R = np.linalg.cholesky(G).T
         except np.linalg.LinAlgError:
             return None, None, False
-        diag, r = np.diagonal(G), np.abs(np.diagonal(R))
-        if not (np.all(np.isfinite(diag)) and np.all(diag >= _GRAM_MIN_DIAG)
-                and r.max() <= _CHOL_MAX_COND * r.min()):
+        r = np.abs(np.diagonal(R))
+        if not (_clean_gram(G) and r.max() <= _CHOL_MAX_COND * r.min()):
             return R, None, False
         try:
             Rinv = np.linalg.inv(R)
@@ -125,6 +142,34 @@ def _guarded_cholesky(G: np.ndarray):
             np.all(np.isfinite(Rinv))
             and np.linalg.norm(R) * np.linalg.norm(Rinv) <= _CHOL_MAX_COND)
     return R, Rinv, trusted
+
+
+def _norm2_lower_bound(M: np.ndarray) -> float:
+    """||M x|| for the unit x that ``_CERTIFY_POWER_STEPS`` power steps on
+    M^T M reach from e_j, j the index of M's largest column: a lower bound
+    on ||M||_2 that no step lowers, so at least that largest column norm,
+    which is at least max |m_jj| and ||M||_F / sqrt(d)."""
+    x = np.zeros(M.shape[1])
+    x[np.argmax(np.einsum("ij,ij->j", M, M))] = 1.0
+    for _ in range(_CERTIFY_POWER_STEPS):
+        x = M.T @ (M @ x)
+        x /= np.linalg.norm(x)
+    return float(np.linalg.norm(M @ x))
+
+
+def _may_certify(R1: Optional[np.ndarray],
+                 R1inv: Optional[np.ndarray]) -> bool:
+    """Whether a first pass R1 may have kappa_2(R1) <= ``_CERTIFY_MAX_COND``,
+    judged without an SVD: R1^{-1} exists (so the Gram was clean), and a
+    lower bound on kappa_2(R1) = ||R1||_2 ||R1^{-1}||_2, the product of
+    ``_norm2_lower_bound`` of each, does not exceed the bound. That product
+    is at least R1's diagonal ratio max |r_ii| / min |r_ii| and
+    kappa_F(R1) / d, the two cheaper lower bounds."""
+    if R1inv is None:
+        return False
+    with np.errstate(all="ignore"):
+        return bool(_norm2_lower_bound(R1) * _norm2_lower_bound(R1inv)
+                    <= _CERTIFY_MAX_COND)
 
 
 def _cholesky_qr2(PA: np.ndarray, R1: Optional[np.ndarray],
@@ -165,40 +210,56 @@ def build_orthogonalizer(pa, allow_rank_deficient: bool = False,
     eps) or "exact" (A itself, factored to working precision). For
     "sketch" and "gram" that pass is the answer wherever
     ``_guarded_cholesky`` trusts it: the route is "cholesky", R^{-1} is
-    the factor's inverse, the rank is d (kappa_2(R) <= 1e4 is far inside
-    the rank rule) and PA is not scanned, as a non-finite PA has a
-    non-finite Gram diagonal and fails the guard. Otherwise PA is
-    validated and CholeskyQR2 continues from that same pass, so its R is
-    the one ``kind="exact"`` gives.
+    the factor's inverse and the rank is d (kappa_2(R) <= 1e4 is far
+    inside the rank rule). Otherwise PA is validated and CholeskyQR2
+    continues from that same pass, so its R is the one ``kind="exact"``
+    gives where the pass is not certified.
 
-    One ``svd(R)`` of CholeskyQR2's R gives the 1e-6 condition guard, the
-    rank and R^{-1} = V Sigma^{-1} (V's columns signed so that each one's
-    largest-magnitude entry is positive). Where CholeskyQR2 fails or the
-    guard rejects R, the SVD of Householder ``qr(PA)``'s R decides. Rank
-    decisions at ``DEFAULT_RANK_TOL`` therefore always come from a
-    backward-stable R, and ``pa @ Rinv`` is orthonormal. Raises
-    ``RankDeficient`` naming the rank where it is below d and
-    ``allow_rank_deficient`` is false (a sketch's message asks for a new
-    seed; a matrix that is not a sketch has no seed to change), and
-    ``NonFiniteFactor`` where R^{-1} overflows, so that a zero row of A is
-    an exact zero row of A R^{-1}.
+    For "exact" the pass is kept as R, on route "cholesky", where it
+    certifies working precision: kappa_2(R) <= ``_CERTIFY_MAX_COND`` = 8,
+    so PA R^{-1} is orthonormal to about u 8^2 = 1.4e-14 (Yamamoto et al.
+    2015). A lower bound on kappa_2 from a few power steps
+    (``_may_certify``) rejects most other passes before any SVD; all of
+    them continue to CholeskyQR2 from that same pass. PA is not validated where its Gram is clean
+    (``_clean_gram``), as a NaN or infinite entry makes the Gram diagonal
+    non-finite; so "sketch" and "gram" are not validated where the guard
+    trusts their pass, nor "exact" wherever its Gram is clean.
+
+    One ``svd(R)`` of the kept R gives the rank and R^{-1} = V Sigma^{-1}
+    (V's columns signed so that each one's largest-magnitude entry is
+    positive), and for CholeskyQR2's R the 1e-6 condition guard too.
+    Where CholeskyQR2 fails or the guard rejects R, the SVD of Householder
+    ``qr(PA)``'s R decides. Rank decisions at ``DEFAULT_RANK_TOL``
+    therefore always come from a backward-stable R, and ``pa @ Rinv`` is
+    orthonormal. Raises ``RankDeficient`` naming the rank where it is
+    below d and ``allow_rank_deficient`` is false (a sketch's message asks
+    for a new seed; a matrix that is not a sketch has no seed to change),
+    and ``NonFiniteFactor`` where R^{-1} overflows, so that a zero row of A
+    is an exact zero row of A R^{-1}.
     """
     if kind not in ("sketch", "gram", "exact"):
         raise errors.InvalidParameter(
             f"kind must be 'sketch', 'gram' or 'exact', got {kind!r}")
     sketched = kind == "sketch"
-    trust = sketched or kind == "gram"
-    PA = _as_matrix(pa) if trust else validate_matrix(pa)
+    exact = kind == "exact"
+    PA = _as_matrix(pa)
     with np.errstate(all="ignore"):
-        R1, R1inv, trusted = _guarded_cholesky(PA.T @ PA)
-    if trust and trusted:
+        G = PA.T @ PA
+        R1, R1inv, trusted = _guarded_cholesky(G)
+    if not exact and trusted:
         return Orthogonalizer(Rinv=R1inv, route="cholesky")
-    if trust:
+    if not (exact and _clean_gram(G)):
         validate_matrix(PA)
     d = PA.shape[1]
-    R, route = _cholesky_qr2(PA, R1, R1inv), "cholesky_qr2"
-    if R is not None:
-        _, s, Vt = np.linalg.svd(R)
+    R = None
+    if exact and _may_certify(R1, R1inv):
+        _, s, Vt = np.linalg.svd(R1)
+        if s[0] <= _CERTIFY_MAX_COND * s[-1]:
+            R, route = R1, "cholesky"
+    if R is None:
+        R, route = _cholesky_qr2(PA, R1, R1inv), "cholesky_qr2"
+        if R is not None:
+            _, s, Vt = np.linalg.svd(R)
     if R is None or not s[-1] >= _CHOLQR_MIN_RCOND * s[0]:
         route = "householder"
         _, s, Vt = np.linalg.svd(np.linalg.qr(PA, mode="r"))
@@ -230,14 +291,17 @@ def approx_leverage(a, plan: SketchPlan, seed: Optional[int],
     A R^{-1} only when ``plan.r2 < rank``: the scores are then the squared
     row norms of Omega = A R^{-1} Pi2. Otherwise they are the squared row
     norms of A R^{-1} itself; a zero row of A scores exactly 0, as R^{-1}
-    is finite. A is read for validation once: the SRHT kernel checks its
-    entries as it transforms them (r1 < n), and ``build_orthogonalizer``
-    validates A itself (r1 >= n); both raise ``NonFiniteEntry``. Stage 2
+    is finite. A is checked for NaN and Inf once: the SRHT kernel checks
+    its entries as it transforms them (r1 < n), and where A itself is
+    factored (r1 >= n) the diagonal of A^T A shows them, and
+    ``build_orthogonalizer`` scans A only where that diagonal is not
+    clean; both raise ``NonFiniteEntry``. Stage 2
     multiplies R^{-1}, which ``build_orthogonalizer`` returns finite, by
     Pi2 without scanning it again. Only the SRHT's PA is factored as a
     sketch (``kind="sketch"``); the gram route factors A by one guarded
     Cholesky of A^T A where the guard trusts it (``kind="gram"``), and
-    the explicit exact plan keeps CholeskyQR2. With
+    the explicit exact plan keeps that pass where it certifies
+    kappa_2(R) <= 8, taking CholeskyQR2 elsewhere. With
     W = R^{-1} or the d x r2 product R^{-1} Pi2, the scores are the squared
     row norms of A W, read tile by tile without forming the n-row product.
 

@@ -66,3 +66,23 @@ def test_main_compares_trees_in_workers(bench_grid, monkeypatch, tmp_path):
         assert set(e["trees"]) == {"a", "b"}
         assert set(e["same_output"]) == set(e["trees"]["a"]["ops"])
         assert all(e["same_output"].values())
+
+
+def test_measure_runs_rounds_of_the_whole_table(bench_grid):
+    # a slow phase of the host that lasts one op's calls cannot set that
+    # op's best time: the ops take turns, round after round, and each keeps
+    # its best; one more call per op is traced and summarized
+    calls = []
+
+    def op(name):
+        def call():
+            calls.append(name)
+            return len(calls)
+        return call, lambda out: {"call": out}, lambda out: {"out": out}
+
+    records = bench_grid.measure({"a": op("a"), "b": op("b")}, reps=3)
+    assert calls == ["a", "b"] * 4
+    assert set(records) == {"a", "b"}
+    assert records["b"]["out"] == 8
+    assert records["a"]["timings_ms"]["call"] in (1, 3, 5)
+    assert {"total_s", "peak_mib"} <= set(records["a"])

@@ -312,14 +312,15 @@ def test_cli_degenerate_overrides_match_exact(tmp_path, capsys, rng):
 
 def test_cli_reports_the_sketch_sizes_it_used(tmp_path, capsys, rng):
     # the plan asks for r2 = 274, but at 300 x 6 stage 1 factors A itself
-    # (r1 = n) and stage 2 would not compress, so the scores use 6 columns
+    # (r1 = n) and stage 2 would not compress, so the scores use 6 columns;
+    # the Gaussian A (kappa_2 near 1.3) keeps its one certified Cholesky pass
     path = write_fixture(tmp_path, rng.standard_normal((300, 6)))
     for argv in (["leverage", path], ["cross", path]):
         code, doc = run_cli(capsys, argv + ["--seed", "4"])
         assert code == 0
         assert (doc["params"]["r1"], doc["params"]["r2"]) == (300, 274)
         assert doc["params"]["run"] == {"rank": 6, "r1": 300, "r2": 6,
-                                        "route": "cholesky_qr2"}
+                                        "route": "cholesky"}
         # r1 = 128 < n factors the SRHT sketch with one guarded Cholesky
         code, doc = run_cli(capsys, argv + ["--seed", "4", "--r1", "128"])
         assert code == 0
@@ -927,7 +928,7 @@ def test_cli_exact_plan_reports_a_null_seed(tmp_path, capsys, rng):
                                          *extra, "--seed", "7"])
             assert code == 0 and doc["seed"] is None
             assert doc["params"]["run"] == {"rank": 6, "r1": 300, "r2": 6,
-                                            "route": "cholesky_qr2"}
+                                            "route": "cholesky"}
 
 
 def _planted_cross_input(seed, n=60_000, d=32, planted=16, scale=30.0):

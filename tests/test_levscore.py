@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -27,9 +28,12 @@ def degenerate_plan(n, d, eps=0.5):
     return make_plan(n, d, eps, r1=n, r2=d)
 
 
+@contextlib.contextmanager
 def householder_only():
     """Force build_orthogonalizer onto its Householder QR fallback."""
-    return mock.patch.object(levscore, "_cholesky_qr2", lambda *args: None)
+    with mock.patch.object(levscore, "_may_certify", lambda *args: False), \
+            mock.patch.object(levscore, "_cholesky_qr2", lambda *args: None):
+        yield
 
 
 def test_degenerate_exactness_canonical_rows():
@@ -111,10 +115,13 @@ def test_report_metadata():
 
 
 def test_basis_and_cross_pairs_report_the_route():
-    # the SRHT's PA takes the guarded one-pass Cholesky, the exact plan
-    # (r1 = n) CholeskyQR2; the route rides on the basis, not the report
-    A = np.random.default_rng(25).standard_normal((2000, 8))
-    for r1, route in ((256, "cholesky"), (2000, "cholesky_qr2")):
+    # the SRHT's PA takes the guarded one-pass Cholesky; the exact plan
+    # (r1 = n) keeps its one pass where it certifies kappa_2(R) <= 8 and
+    # takes CholeskyQR2 where A's columns span two decades (kappa_2 > 8);
+    # the route rides on the basis, not the report
+    G = np.random.default_rng(25).standard_normal((2000, 8))
+    for A, r1, route in ((G, 256, "cholesky"), (G, 2000, "cholesky"),
+                         (G * np.logspace(0, -2, 8), 2000, "cholesky_qr2")):
         plan = make_plan(2000, 8, 0.5, r1=r1)
         report, basis = approx_leverage(A, plan, seed=1)
         assert basis.route == route
@@ -167,10 +174,12 @@ def test_shape_error_for_fat_matrix():
 
 
 def test_input_is_scanned_for_finiteness_once(monkeypatch):
-    # A is scanned once: by the SRHT kernel as it reads it (r1 < n, where
-    # the guarded Cholesky of the r1 x d PA needs no scan of its own), or
-    # by build_orthogonalizer where A itself is factored (r1 >= n);
-    # mi_estimate always runs the SRHT, so the kernel's scan is the only one.
+    # A is checked once: by the SRHT kernel as it reads it (r1 < n, where
+    # the guarded Cholesky of the r1 x d PA needs no scan of its own), or,
+    # where A itself is factored (r1 >= n), by its Gram's diagonal, which a
+    # NaN or Inf entry makes non-finite, so a clean Gram is not followed
+    # by a scan; mi_estimate always runs the SRHT, so the kernel's check is
+    # the only one.
     # Stage 2 (r2 = 4 < rank = 8) multiplies the finite R^-1 by Pi2 without
     # the scan the public apply_sparse_jlt makes.
     scanned = []
@@ -183,11 +192,11 @@ def test_input_is_scanned_for_finiteness_once(monkeypatch):
     monkeypatch.setattr(levscore, "validate_matrix", counting)
     monkeypatch.setattr(levsketch.sketch, "validate_matrix", counting)
     A = np.random.default_rng(4).standard_normal((2000, 8))
-    for r1, expected in ((256, []), (2000, [(2000, 8)])):
+    for r1 in (256, 2000):
         for r2 in (None, 4):
             scanned.clear()
             approx_leverage(A, make_plan(2000, 8, 0.5, r1=r1, r2=r2), seed=1)
-            assert scanned == expected
+            assert scanned == []
     scanned.clear()
     mi_estimate(A, 1)
     assert scanned == []
@@ -276,7 +285,9 @@ def gram_input(seed=1, n=8192, d=32):
 
 
 def test_orthogonalizer_kind_names_what_is_factored():
-    A = gram_input()
+    # with columns spanning two decades kappa_2(R) > 8: the gram route
+    # still trusts its one pass, the exact kind continues to CholeskyQR2
+    A = gram_input() * np.logspace(0, -2, 32)
     assert build_orthogonalizer(A, kind="gram").route == "cholesky"
     assert build_orthogonalizer(A).route == "cholesky_qr2"
     for bad in ("Sketch", "one_pass", True):
@@ -352,21 +363,25 @@ def test_gram_route_peak_is_scores_plus_one_tile():
 
 
 def test_exact_plan_allocates_no_input_sized_temporary():
-    # CholeskyQR2 sums its second Gram over row tiles of A R1^-1, and the
-    # scores are read tile by tile: beyond A the peak is the d x d factors,
-    # a product tile (2048 rows, 512 KiB here), the 256 KiB finiteness
-    # mask and the n scores, not the n x d Q1 = A R1^-1 (14.6 MiB here)
+    # a certified first pass (kappa_2(R) <= 8) holds the n scores, one
+    # product tile (2048 rows of 32, 512 KiB here) and the d x d factors
+    # inside the 64 KiB: no finiteness mask and no CholeskyQR2 tile. Where
+    # kappa_2 > 8, CholeskyQR2 sums its second Gram over row tiles of
+    # A R1^-1, so neither case holds the n x d Q1 = A R1^-1 (14.6 MiB here)
     n, d = 60000, 32
-    A = np.random.default_rng(26).standard_normal((n, d))
-    (report, basis), peak = traced_peak(
-        lambda: approx_leverage(A, degenerate_plan(n, d), seed=None))
-    assert basis.route == "cholesky_qr2"
-    assert peak < A.nbytes / 2, f"peak {peak / 2**20:.1f} MiB"
-    hp, peak = traced_peak(
-        lambda: approx_cross_leverage(A, degenerate_plan(n, d),
-                                      n * math.log(n), None))
-    assert hp.extras["route"] == "cholesky_qr2"
-    assert peak < A.nbytes / 2, f"peak {peak / 2**20:.1f} MiB"
+    G = np.random.default_rng(26).standard_normal((n, d))
+    for A, route, bound in (
+            (G, "cholesky", 8 * n + 2048 * d * 8 + (64 << 10)),
+            (G * np.logspace(0, -2, d), "cholesky_qr2", G.nbytes / 2)):
+        (_, basis), peak = traced_peak(
+            lambda: approx_leverage(A, degenerate_plan(n, d), seed=None))
+        assert basis.route == route
+        assert peak <= bound, f"{route}: peak {peak / 2**20:.2f} MiB"
+        hp, peak = traced_peak(
+            lambda: approx_cross_leverage(A, degenerate_plan(n, d),
+                                          n * math.log(n), None))
+        assert hp.extras["route"] == route
+        assert peak < A.nbytes / 2, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_memory_is_linear_without_omega():
@@ -390,15 +405,19 @@ def test_determinism_same_seed():
 # ---------------------------------------------------------- orthogonalizer
 
 def test_orthogonalizer_makes_sketch_orthonormal():
+    # a Gaussian 50 x 5 (kappa_2 about 2) keeps its certified first pass;
+    # a spectrum over two decades takes CholeskyQR2
     rng = np.random.default_rng(6)
-    PA = rng.standard_normal((50, 5))
-    orth = build_orthogonalizer(PA)
-    with householder_only():
-        house = build_orthogonalizer(PA)
-    assert (orth.route, house.route) == ("cholesky_qr2", "householder")
-    for o in (orth, house):
-        Q = PA @ o.Rinv
-        assert np.max(np.abs(Q.T @ Q - np.eye(5))) <= 1e-8
+    for PA, route in ((rng.standard_normal((50, 5)), "cholesky"),
+                      (with_spectrum(rng, 50, np.logspace(0, -2, 5)),
+                       "cholesky_qr2")):
+        orth = build_orthogonalizer(PA)
+        with householder_only():
+            house = build_orthogonalizer(PA)
+        assert (orth.route, house.route) == (route, "householder")
+        for o in (orth, house):
+            Q = PA @ o.Rinv
+            assert np.max(np.abs(Q.T @ Q - np.eye(5))) <= 1e-8
 
 
 def test_orthogonalizer_svd_qr_equivalence():
@@ -499,6 +518,87 @@ def test_orthogonalizer_takes_one_svd_per_r(cond, route, calls):
         orth = build_orthogonalizer(PA, allow_rank_deficient=True)
     assert orth.route == route
     assert svd.call_count == calls
+
+
+# -------------------------------------------------- certified first pass
+
+def exact_scores(A):
+    """The exact plan's scores and route on A."""
+    report, basis = approx_leverage(A, degenerate_plan(*A.shape), seed=None)
+    return report.scores, basis.route
+
+
+SHAPES = [(8192, 16), (60000, 32), (4096, 256)]
+
+
+@pytest.mark.parametrize("n, d", SHAPES)
+@pytest.mark.parametrize("cond", [1.5, 4.0, 8.0])
+def test_certified_pass_matches_the_thin_svd(n, d, cond):
+    # up to kappa_2 = 8 one Cholesky pass leaves A R^-1 orthonormal to
+    # about u 8^2, so the scores match the thin SVD's to 1e-13; below 8 the
+    # pass is kept, and at 8 rounding decides between the two routes
+    A = with_spectrum(np.random.default_rng(30), n,
+                      np.logspace(0, -math.log10(cond), d))
+    scores, route = exact_scores(A)
+    U = levsketch.thin_svd(A).U
+    ref = np.einsum("ij,ij->i", U, U)
+    np.testing.assert_allclose(scores, ref, rtol=1e-13, atol=0)
+    if cond < 8:
+        assert route == "cholesky"
+
+
+@pytest.mark.parametrize("n, d", SHAPES)
+@pytest.mark.parametrize("cond", [16.0, 1e3])
+def test_uncertified_pass_continues_to_cholesky_qr2_unchanged(n, d, cond):
+    # beyond kappa_2 = 8 the exact plan takes CholeskyQR2 from the same
+    # first pass, bit for bit as it did before the certificate existed;
+    # the power-step bound rejects the pass before any SVD of it, where
+    # R1's diagonal ratio and kappa_F(R1) / d alone read below 8 at
+    # kappa_2 = 16, so its one SVD is CholeskyQR2's
+    A = with_spectrum(np.random.default_rng(31), n,
+                      np.logspace(0, -math.log10(cond), d))
+    with svd_calls() as svd:
+        scores, route = exact_scores(A)
+    with mock.patch.object(levscore, "_may_certify", lambda *args: False):
+        before, _ = exact_scores(A)
+    assert (route, svd.call_count) == ("cholesky_qr2", 1)
+    np.testing.assert_array_equal(scores, before)
+
+
+def test_certified_pass_takes_one_cholesky_and_one_svd():
+    A = np.random.default_rng(32).standard_normal((2000, 8))
+    with svd_calls() as svd, mock.patch.object(
+            np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
+        orth = build_orthogonalizer(A)
+    assert orth.route == "cholesky"
+    assert (chol.call_count, svd.call_count) == (1, 1)
+
+
+@pytest.mark.parametrize("entry, scans, raises", [
+    (None, 0, False),      # a clean Gram: A is not scanned
+    (np.nan, 1, True), (np.inf, 1, True), (-np.inf, 1, True),
+    (1e200, 1, False),     # finite, but its square overflows the Gram
+])
+def test_exact_plan_scans_only_behind_an_unclean_gram(monkeypatch, entry,
+                                                       scans, raises):
+    scanned = []
+    real = levscore.validate_matrix
+
+    def counting(a, *args, **kwargs):
+        scanned.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(levscore, "validate_matrix", counting)
+    A = np.random.default_rng(33).standard_normal((2000, 8))
+    if entry is not None:
+        A[1234, 5] = entry
+    if raises:
+        with pytest.raises(errors.NonFiniteEntry):
+            exact_scores(A)
+    else:
+        scores, _ = exact_scores(A)
+        assert np.all(np.isfinite(scores))
+    assert len(scanned) == scans
 
 
 # ------------------------------------------------- guarded one-pass Cholesky
