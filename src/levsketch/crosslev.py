@@ -10,20 +10,18 @@ on the sorted norms and the pairs are returned ordered by (i, j).
 X and takes ||X^T X||_F^2 and X's squared row norms. The sketched
 variant searches X = A W for the map W that ``approx_leverage`` returns:
 A R^{-1}, or, when stage 2 compresses, Omega = A R^{-1} Pi2. X is never
-stored: where a stage drew (r1 < n, or r2 < rank), its Gram is summed
-over row tiles of A W (``product_gram``), and the search gathers each
-row block and column window from A and multiplies the gathered tile by
-W. Only the ranks whose own norm test passes have a
-partner, and first partners are found for those alone, so beyond A the
-cross path holds two n-vectors, the scores and the rank order (the
-sorted norms are a third only until the first partners are found), and
-the search's tiles: a column window of A W and a tile that the gathered
-rows of A and the block of inner products share, at most 1 MiB each,
-and a row block of at most 362 rows of A W. Where a stage drew, the
-search runs with kappa rescaled by ||X^T X||_F^2 / d, giving an
-effective cutoff of d / kappa, and reuses the ||X^T X||_F^2 of that
-rescaling; it takes the leverage scores as X's row norms, and A, which
-the sketch validated, is not validated again.
+stored: the search gathers each row block and column window from A and
+multiplies the gathered tile by W. Only the ranks whose own norm test
+passes have a partner, and first partners are found for those alone, so
+beyond A the cross path holds two n-vectors, the scores and the rank
+order (the sorted norms are a third only until the first partners are
+found), and the search's tiles: a column window of A W and a tile that
+the gathered rows of A and the block of inner products share, at most
+1 MiB each, and a row block of at most 362 rows of A W. On every plan
+the search takes rho, the rank, in place of ||X^T X||_F^2, so its cutoff
+is rho / kappa (the paper's d / kappa) and no pass reads A for X^T X;
+it takes the leverage scores as X's row norms, and A, which the sketch
+validated, is not validated again.
 
 On the exact plan (r1 = n, r2 = d) X = A R^{-1} is an orthonormal basis
 Q of A's range, of A's rank rho, and Q Q^T = U U^T for the thin SVD's U:
@@ -33,9 +31,10 @@ where that pass certifies kappa_2(R) <= 8, so that Q is orthonormal to
 about u 8^2 = 1.4e-14, and CholeskyQR2's otherwise. A plan on the gram
 route has those sizes too; its R is one guarded Cholesky of A^T A where
 the guard trusts it, so its Q is orthonormal to about
-u kappa_2^2 <= 1e-8. Either way X^T X = I_rho
-by construction: ||X^T X||_F^2 is taken as rho, kappa is not rescaled,
-and no Gram pass reads A.
+u kappa_2^2 <= 1e-8. Either way X^T X = I_rho by construction, and rho
+is ||X^T X||_F^2 itself. Where a stage drew, X^T X is not I_rho, but
+rescaling kappa by ||X^T X||_F^2 / rho would give the same cutoff
+rho / kappa, so X^T X is not summed there either.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from typing import List, Tuple
 import numpy as np
 
 from . import errors
-from ._kernels import product_gram, row_sq_norms
+from ._kernels import row_sq_norms
 from .levscore import _leverage_basis, approx_leverage
 from .matcore import _as_matrix, validate_matrix
 from .sketch import SketchPlan
@@ -65,6 +64,9 @@ class HeavyPairSet:
     ``timings_ms`` holds per-phase wall-clock times where the producer
     measured them, and ``extras`` the sketch sizes it used (``rank``,
     ``r1``, ``r2``) and the orthogonalizer's ``route`` where it sketched.
+    ``gram_fro_sq`` is the ||X^T X||_F^2 the threshold divides: measured
+    by ``heavy_pairs``, and the rank rho on the cross path
+    (``approx_cross_leverage``), which does not sum X^T X.
     """
 
     pairs: List[Tuple[int, int, float]] = field(default_factory=list)
@@ -285,26 +287,36 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
     Runs ``approx_leverage`` and searches X = A W for heavy pairs, for
     the map W it returns, without storing X. X is A R^{-1} when
     ``plan.r2 >= rank``, and otherwise the sketch Omega = A R^{-1} Pi2
-    for the seeded stage-2 map Pi2. Where a stage drew (r1 < n, or
-    r2 < rank), X^T X is summed over row tiles of A W (timed with the
-    sketch), and the search runs at the rescaled threshold
-    kappa' = kappa ||X^T X||_F^2 / d, so that the effective cutoff on
-    sketched inner products is d / kappa. Since ||X^T X||_F^2 <=
-    d (1 + 30 d eps) whenever the sketch preserves pairwise inner
-    products, kappa' <= kappa (1 + 30 d eps). A plan that factors A
+    for the seeded stage-2 map Pi2. On every plan the cutoff on
+    sketched inner products is rho / kappa, rho the rank (the paper's
+    d / kappa), and ``gram_fro_sq`` reports rho. A plan that factors A
     itself and draws no stage (the gram route and the exact plan) keeps
     A's rank rho and makes X an orthonormal basis of A's range: X^T X =
-    I_rho, so ``gram_fro_sq`` is rho, kappa' = kappa and no Gram pass
-    reads A; the pairs are A's exact heavy pairs at the cutoff
-    rho / kappa. The search forms each tile of X it needs from gathered
-    rows of A, takes the leverage scores as X's squared row norms (they
-    are those norms up to the rounding of the tile products) and trusts
-    A, which ``approx_leverage`` validated. The leverage report holds
-    no n-vector but the scores, so the search's peak holds two n-vectors
-    (the scores and the rank order) and two 1 MiB tiles. d is the rank:
-    a sketch of lower rank raises ``RankDeficient``. A must be tall
-    (n > d), except on a plan that factors A itself (r1 >= n), which
-    takes A of any shape.
+    I_rho, so rho is ||X^T X||_F^2 and the pairs are A's exact heavy
+    pairs. Where a stage drew (r1 < n, or r2 < rank), the search would
+    take the same cutoff from kappa rescaled to
+    kappa' = kappa ||X^T X||_F^2 / rho, as ||X^T X||_F^2 / kappa' =
+    rho / kappa; so no pass reads A to sum X^T X.
+
+    The pairs are then bounded by kappa ||X^T X||_F^2 / rho, not by
+    kappa: each pair returned has <x_i, x_j>^2 >= rho / kappa, and these
+    squares sum to at most ||X X^T||_F^2 = ||X^T X||_F^2. So the count
+    check of ``_finish`` (at most kappa r pairs, r the columns of W)
+    holds wherever ||X^T X||_F^2 <= r rho. It always holds on a plan that
+    draws nothing, where ||X^T X||_F^2 = rho and r = rho. A stage-2 map
+    of few columns can break it: at r2 = 1, X^T X is the scores' sum,
+    about rho, so ||X^T X||_F^2 is about rho^2 and the pairs may number
+    about kappa rho against the bound kappa; a plan whose pairs exceed
+    the bound raises ``HeavyPairBoundExceeded``.
+
+    The search forms each tile of X it needs from gathered rows of A,
+    takes the leverage scores as X's squared row norms (they are those
+    norms up to the rounding of the tile products) and trusts A, which
+    ``approx_leverage`` validated. The leverage report holds no n-vector
+    but the scores, so the search's peak holds two n-vectors (the scores
+    and the rank order) and two 1 MiB tiles. A sketch of rank below d
+    raises ``RankDeficient``. A must be tall (n > d), except on a plan
+    that factors A itself (r1 >= n), which takes A of any shape.
     """
     _check_kappa(kappa)
     t0 = time.perf_counter()
@@ -313,25 +325,10 @@ def approx_cross_leverage(a, plan: SketchPlan, kappa: float,
     factor_any_shape = plan.r1 >= A.shape[0] <= A.shape[1]
     report, basis = (_leverage_basis if factor_any_shape
                      else approx_leverage)(A, plan, seed)
-    d = report.extras["rank"]
-    if basis.orthonormal:  # X^T X = I_rho
-        gram_fro_sq, kappa_prime = float(d), kappa
-    else:
-        gram = product_gram(A, basis.W)
-        gram_fro_sq = float(np.sum(gram * gram))
-        if not math.isfinite(gram_fro_sq):
-            raise errors.NonFiniteFactor(
-                "||X^T X||_F^2 of the sketched factor X overflowed")
-        kappa_prime = kappa * gram_fro_sq / d
-        if not math.isfinite(kappa_prime):
-            raise errors.InvalidKappa(
-                f"kappa {kappa} is too large: the rescaled kappa * "
-                f"||X^T X||_F^2 / d overflowed")
     t1 = time.perf_counter()
-    result = _heavy_pairs(A, basis.W, gram_fro_sq, report.scores,
-                          kappa_prime)
+    result = _heavy_pairs(A, basis.W, float(report.extras["rank"]),
+                          report.scores, kappa)
     t2 = time.perf_counter()
-    result.kappa = kappa
     result.extras = {**report.extras, "route": basis.route}
     result.timings_ms = {"sketch_ms": (t1 - t0) * 1e3,
                          "search_ms": (t2 - t1) * 1e3}

@@ -72,16 +72,14 @@ class SketchedBasis:
     W = R^{-1} when r2 >= rank, and R^{-1} Pi2 otherwise, so that A W is
     A R^{-1} or the sketch Omega; no caller stores the n-row A W, which
     is formed a row tile or a gathered tile at a time. ``route`` is the
-    orthogonalizer's. ``orthonormal`` is True where no stage drew
-    (r1 >= n and r2 >= rank): A W = A R^{-1} is then an orthonormal
-    basis of A's range, so (A W)^T (A W) = I_rank. ``timings_ms`` holds
+    orthogonalizer's. Where no stage drew (r1 >= n and r2 >= rank),
+    A W = A R^{-1} is an orthonormal basis of A's range. ``timings_ms`` holds
     ``sketch_apply_ms``, ``factorization_ms`` and ``product_ms`` (the
     pass that reads the row norms of A W).
     """
 
     W: np.ndarray
     route: str
-    orthonormal: bool = False
     timings_ms: dict = field(default_factory=dict, compare=False)
 
 
@@ -211,19 +209,20 @@ def build_orthogonalizer(pa, allow_rank_deficient: bool = False,
     "sketch" and "gram" that pass is the answer wherever
     ``_guarded_cholesky`` trusts it: the route is "cholesky", R^{-1} is
     the factor's inverse and the rank is d (kappa_2(R) <= 1e4 is far
-    inside the rank rule). Otherwise PA is validated and CholeskyQR2
-    continues from that same pass, so its R is the one ``kind="exact"``
-    gives where the pass is not certified.
+    inside the rank rule). Otherwise CholeskyQR2 continues from that same
+    pass, so its R is the one ``kind="exact"`` gives where the pass is not
+    certified.
 
     For "exact" the pass is kept as R, on route "cholesky", where it
     certifies working precision: kappa_2(R) <= ``_CERTIFY_MAX_COND`` = 8,
     so PA R^{-1} is orthonormal to about u 8^2 = 1.4e-14 (Yamamoto et al.
     2015). A lower bound on kappa_2 from a few power steps
     (``_may_certify``) rejects most other passes before any SVD; all of
-    them continue to CholeskyQR2 from that same pass. PA is not validated where its Gram is clean
-    (``_clean_gram``), as a NaN or infinite entry makes the Gram diagonal
-    non-finite; so "sketch" and "gram" are not validated where the guard
-    trusts their pass, nor "exact" wherever its Gram is clean.
+    them continue to CholeskyQR2 from that same pass.
+
+    Of every kind, PA is scanned by ``validate_matrix`` only where its
+    Gram is not clean (``_clean_gram``): a NaN or infinite entry makes
+    the Gram diagonal non-finite, so a clean Gram shows PA finite.
 
     One ``svd(R)`` of the kept R gives the rank and R^{-1} = V Sigma^{-1}
     (V's columns signed so that each one's largest-magnitude entry is
@@ -248,7 +247,7 @@ def build_orthogonalizer(pa, allow_rank_deficient: bool = False,
         R1, R1inv, trusted = _guarded_cholesky(G)
     if not exact and trusted:
         return Orthogonalizer(Rinv=R1inv, route="cholesky")
-    if not (exact and _clean_gram(G)):
+    if not _clean_gram(G):
         validate_matrix(PA)
     d = PA.shape[1]
     R = None
@@ -344,7 +343,6 @@ def _leverage_basis(A: np.ndarray, plan: SketchPlan, seed: Optional[int],
     t2 = time.perf_counter()
     rank = orth.rank
     W = orth.Rinv
-    orthonormal = plan.r1 >= n and plan.r2 >= rank
     if plan.r2 < rank:  # R^{-1} is finite: apply_sparse_jlt would rescan it
         W = W @ _sparse_jlt_matrix(
             SketchOperator("SparseJLT", seed, rank, plan.r2))
@@ -355,7 +353,7 @@ def _leverage_basis(A: np.ndarray, plan: SketchPlan, seed: Optional[int],
         seed=None if seed is None else int(seed),
         extras={"rank": rank, "r1": r1, "r2": W.shape[1]})
     return report, SketchedBasis(
-        W=W, route=orth.route, orthonormal=orthonormal,
+        W=W, route=orth.route,
         timings_ms={"sketch_apply_ms": (t1 - t0) * 1e3,
                     "factorization_ms": (t2 - t1) * 1e3,
                     "product_ms": (t3 - t2) * 1e3})

@@ -83,12 +83,9 @@ def test_non_finite_kappa_is_invalid(kappa):
         heavy_pairs_brute(np.eye(3), kappa=kappa)
 
 
-@pytest.mark.parametrize("kappa, msg", [(math.inf, "finite"),
-                                        (1e308, "too large")])
+@pytest.mark.parametrize("kappa, msg", [(math.inf, "finite")])
 def test_sketched_kappa_out_of_range_names_kappa(kappa, msg):
-    # an infinite kappa, or one whose rescaling kappa ||X^T X||_F^2 / d
-    # overflows, is the caller's kappa at fault, not the factor X. Only a
-    # plan that draws a stage rescales kappa, so this one sketches.
+    # an infinite kappa is the caller's kappa at fault, not the factor X
     A = np.random.default_rng(4).standard_normal((256, 4))
     with pytest.raises(errors.InvalidKappa, match=msg):
         approx_cross_leverage(A, make_plan(256, 4, 0.5, r1=64), kappa, 0)
@@ -96,12 +93,14 @@ def test_sketched_kappa_out_of_range_names_kappa(kappa, msg):
 
 def test_kappa_near_max_float_has_no_pair_bound():
     # kappa r overflows to an infinite count bound, which no pair count
-    # exceeds: every pair whose squared product is >= rho / kappa is found
+    # exceeds: every pair whose squared product is >= rho / kappa is found,
+    # on the gram route and on a plan that sketches (r1 = 64) alike
     A = np.random.default_rng(4).standard_normal((256, 4))
     every = 256 * 257 // 2
     assert len(heavy_pairs(A, 1e308)) == every
-    hp = approx_cross_leverage(A, make_plan(256, 4, 0.5), 1e308, 0)
-    assert hp.threshold == 4 / 1e308 and len(hp) == every
+    for plan in (make_plan(256, 4, 0.5), make_plan(256, 4, 0.5, r1=64)):
+        hp = approx_cross_leverage(A, plan, 1e308, 0)
+        assert hp.threshold == 4 / 1e308 and len(hp) == every
 
 
 def test_heavy_rows_with_many_light_partners():
@@ -316,6 +315,13 @@ def planted_matrix(seed=0, n=512, d=8, scale=25.0):
     return A
 
 
+def search_at_rank_cutoff(X, rho, kappa):
+    """The trusted search on the stored X at the cross path's cutoff
+    rho / kappa: ``heavy_pairs(X, kappa)`` with rho for ||X^T X||_F^2."""
+    return crosslev._heavy_pairs(X, None, float(rho), _kernels.row_sq_norms(X),
+                                 kappa)
+
+
 def test_planted_duplicate_pair_recovered():
     A = planted_matrix()
     n, d = A.shape
@@ -387,13 +393,13 @@ def test_narrow_factor_matches_search_on_full_sketch(stage2, d, r2):
         if stage2 == "sparse":
             omega = omega @ _sparse_jlt_matrix(
                 SketchOperator("SparseJLT", seed, d, plan.r2))
-        gram = omega.T @ omega
-        ref = heavy_pairs(omega, kappa * float(np.sum(gram * gram)) / d)
+        ref = search_at_rank_cutoff(omega, d, kappa)
         assert (3, 7) in hp.indices()
         assert hp.indices() == ref.indices()
         np.testing.assert_allclose([c for _, _, c in hp.pairs],
                                    [c for _, _, c in ref.pairs], rtol=1e-12)
-        assert hp.gram_fro_sq == pytest.approx(ref.gram_fro_sq, rel=1e-12)
+        assert hp.gram_fro_sq == ref.gram_fro_sq == d
+        assert hp.threshold == ref.threshold == d / kappa
         assert hp.candidates == ref.candidates
         assert set(hp.timings_ms) == {"sketch_ms", "search_ms"}
 
@@ -401,52 +407,49 @@ def test_narrow_factor_matches_search_on_full_sketch(stage2, d, r2):
 @pytest.mark.parametrize("n, d, r2", [(512, 8, None), (4096, 8, None),
                                       (4096, 16, 8)])
 def test_sketched_search_equals_heavy_pairs_on_its_own_factor(n, d, r2):
-    # the search skips the validation of X, and where a stage drew it
-    # reuses the Gram of the kappa rescaling: every field is bit for bit
-    # what heavy_pairs on the same X gives (SRHT and stage 2). A plan that
-    # factors A (the gram route) takes X^T X = I_rho instead, so its
-    # threshold is rho / kappa exactly; its pairs and candidates stay
-    # those of heavy_pairs on the same X
+    # the search skips the validation of X and takes rho for
+    # ||X^T X||_F^2 on every plan (SRHT, stage 2 and the gram route): its
+    # threshold is rho / kappa exactly, and its pairs and candidates are
+    # bit for bit those of the search on the same X stored. Where a stage
+    # drew, rescaling kappa by ||X^T X||_F^2 / rho, as heavy_pairs would
+    # need for the same cutoff, finds the same pairs
     A = planted_matrix(seed=6, n=n, d=d)
     plan = make_plan(n, d, 0.5, r2=r2)
     kappa = n * math.log(n)
     for seed in range(2):
         hp = approx_cross_leverage(A, plan, kappa, seed)
-        basis = approx_leverage(A, plan, seed)[1]
-        X = A @ basis.W
-        gram = X.T @ X
-        ref = heavy_pairs(X, kappa * float(np.sum(gram * gram)) / d)
+        X = A @ approx_leverage(A, plan, seed)[1].W
+        rho = hp.extras["rank"]
+        ref = search_at_rank_cutoff(X, rho, kappa)
         assert (3, 7) in hp.indices()
         assert hp.pairs == ref.pairs
         assert hp.candidates == ref.candidates
-        rho = hp.extras["rank"]
-        if basis.orthonormal:
-            assert hp.gram_fro_sq == rho and hp.threshold == rho / kappa
-        else:
-            assert hp.threshold == ref.threshold
-            assert hp.gram_fro_sq == ref.gram_fro_sq
+        assert hp.gram_fro_sq == rho and hp.threshold == rho / kappa
+        gram = X.T @ X
+        rescaled = heavy_pairs(X, kappa * float(np.sum(gram * gram)) / rho)
+        assert hp.indices() == rescaled.indices()
 
 
 @pytest.mark.parametrize("n, d, r2", [(3000, 40, 20), (20_000, 50, None)])
 def test_sketched_search_matches_heavy_pairs_across_tiles(n, d, r2):
-    # X = A W is never formed: its Gram is summed over several row tiles
-    # (20000 x 50 takes 4) and the search multiplies gathered rows of A by
-    # W, a d x 20 stage-2 map at r2 = 20, so values agree with heavy_pairs
-    # on the one product to rounding, and the pairs found are the same
+    # X = A W is never formed: its squared row norms are summed over
+    # several row tiles (20000 x 50 takes 4) and the search multiplies
+    # gathered rows of A by W, a d x 20 stage-2 map at r2 = 20, so values
+    # agree with the search on the one product to rounding, and the pairs
+    # found are the same
     A = planted_matrix(seed=6, n=n, d=d)
     plan = make_plan(n, d, 0.5, r2=r2)
     kappa = n * math.log(n)
     for seed in range(6):
         hp = approx_cross_leverage(A, plan, kappa, seed)
         X = A @ approx_leverage(A, plan, seed)[1].W
-        gram = X.T @ X
-        ref = heavy_pairs(X, kappa * float(np.sum(gram * gram)) / d)
+        ref = search_at_rank_cutoff(X, d, kappa)
         assert (3, 7) in hp.indices()
         assert hp.indices() == ref.indices()
         assert hp.candidates == ref.candidates
         np.testing.assert_allclose([c for _, _, c in hp.pairs],
                                    [c for _, _, c in ref.pairs], rtol=1e-13)
-        assert hp.gram_fro_sq == pytest.approx(ref.gram_fro_sq, rel=1e-13)
+        assert hp.gram_fro_sq == ref.gram_fro_sq == d
 
 
 def test_sketched_search_stores_no_product(monkeypatch):
@@ -584,50 +587,49 @@ def test_factor_of_a_has_identity_gram(n, d, rho, exact):
     assert plan.route == ("sketch" if exact else "gram")
     report, basis = levscore._leverage_basis(A, plan, None)
     assert report.extras["rank"] == rho == basis.W.shape[1]
-    assert basis.orthonormal
     X = A @ basis.W
     gram = X.T @ X
     tol = 1e-12 if exact else 1e-8
     assert abs(float(np.sum(gram * gram)) - rho) <= tol * rho
 
 
-def test_gram_pass_runs_only_where_a_stage_drew(monkeypatch):
-    # the gram and exact plans know X^T X = I_rho and sum no Gram; a
-    # stage-1 sketch (r1 < n) or a stage-2 map (r2 < rank) sums one
+def test_gram_pass_runs_on_no_plan(monkeypatch):
+    # no plan sums X^T X: the cutoff is rho / kappa with or without it.
+    # A W is formed once, in row tiles, for the scores; the search forms
+    # its own tiles from gathered rows of A. Each plan's orthogonalizer
+    # takes one Cholesky pass here, so CholeskyQR2 adds no product pass
     calls = []
-    real = crosslev.product_gram
+    real = _kernels._product_tiles
 
-    def counting(A, W):
-        calls.append(W.shape)
-        return real(A, W)
+    def counting(a, w):
+        calls.append(w.shape)
+        return real(a, w)
 
-    monkeypatch.setattr(crosslev, "product_gram", counting)
+    monkeypatch.setattr(_kernels, "_product_tiles", counting)
     n, d = 4096, 8
     A = planted_matrix(seed=6, n=n, d=d)
-    for plan, want in ((make_plan(n, d, 0.5), 0),
-                       (make_plan(n, d, 0.5, r1=n, r2=d), 0),
-                       (make_plan(n, d, 0.5, r1=1024), 1),
-                       (make_plan(n, d, 0.5, r1=n, r2=4), 1)):
+    kappa = n * math.log(n)
+    for plan in (make_plan(n, d, 0.5), make_plan(n, d, 0.5, r1=n, r2=d),
+                 make_plan(n, d, 0.5, r1=1024),
+                 make_plan(n, d, 0.5, r1=n, r2=4)):
         calls.clear()
-        hp = approx_cross_leverage(A, plan, n * math.log(n), 1)
+        hp = approx_cross_leverage(A, plan, kappa, 1)
         assert (3, 7) in hp.indices()
-        assert len(calls) == want, plan
-        assert approx_leverage(A, plan, 1)[1].orthonormal == (want == 0)
+        assert hp.extras["route"] == "cholesky", plan
+        assert calls == [(d, hp.extras["r2"])], plan
+        assert hp.gram_fro_sq == d and hp.threshold == d / kappa
 
 
 def test_kappa_just_above_one_finds_no_pairs():
-    # the cutoff d / kappa ~ d lies above every c_ij^2 <= 1; the rescaled
-    # kappa' = kappa ||X^T X||_F^2 / d may fall below 1 on a sketch, which
-    # must not be reported as the caller's kappa being out of range
+    # the cutoff d / kappa ~ d lies above every sketched c_ij^2, on a
+    # sketch as on a plan that factors A: kappa is taken as given
     A = np.random.default_rng(3).standard_normal((4096, 8))
     plan = sketch_plan(4096, 8)
     assert plan.r1 < 4096
-    below_one = 0
     for seed in range(6):
         hp = approx_cross_leverage(A, plan, 1.0 + 1e-9, seed)
         assert hp.pairs == [] and hp.kappa == 1.0 + 1e-9
-        below_one += hp.threshold > hp.gram_fro_sq
-    assert below_one > 0
+        assert hp.threshold == 8 / (1.0 + 1e-9)
 
 
 def test_effective_threshold_is_d_over_kappa():
@@ -636,6 +638,33 @@ def test_effective_threshold_is_d_over_kappa():
     plan = make_plan(128, 4, 0.5)
     hp = approx_cross_leverage(A, plan, kappa=5.0, seed=2)
     assert hp.threshold == pytest.approx(4 / 5.0, rel=1e-12)
+
+
+def test_pair_bound_is_live_at_one_stage_2_column():
+    # the pairs number at most kappa ||X^T X||_F^2 / rho, so kappa r bounds
+    # them only where ||X^T X||_F^2 <= r rho. At r2 = 1, the smallest the
+    # CLI takes, ||X^T X||_F^2 is about rho^2 and the _finish check fires
+    # on some seeds; a plan that draws nothing has ||X^T X||_F^2 = rho and
+    # returns at most kappa pairs on every seed
+    n, d = 512, 10
+    kappa = n * math.log(n)
+    outcomes = []
+    for seed in range(10):
+        A = np.random.default_rng(seed).standard_normal((n, d))
+        plan = make_plan(n, d, 0.5, r2=1)
+        try:
+            hp = approx_cross_leverage(A, plan, kappa, seed)
+        except errors.HeavyPairBoundExceeded as exc:
+            assert "exceeds the kappa*r bound" in str(exc)
+            outcomes.append(None)
+        else:
+            assert hp.extras["r2"] == 1
+            assert len(hp) <= math.ceil(kappa * hp.extras["r2"])
+            outcomes.append(len(hp))
+        for plan in (make_plan(n, d, 0.5), make_plan(n, d, 0.5, r1=n, r2=d)):
+            assert len(approx_cross_leverage(A, plan, kappa, seed)) <= kappa
+    assert None in outcomes
+    assert any(count is not None for count in outcomes)
 
 
 def test_count_bound_asserted_on_invocation():

@@ -5,6 +5,7 @@ import io as io_module
 import json
 import math
 import os
+import re
 import struct
 import threading
 
@@ -389,14 +390,27 @@ def test_cli_cross_pair_bound_exceeded_exits_hard(tmp_path, capsys,
     assert "exceeds the kappa*r bound" in captured.err
 
 
+def test_cli_cross_pair_bound_at_one_stage_2_column_exits_hard(tmp_path,
+                                                               capsys):
+    # at --r2 1 the pairs may outnumber kappa r (see approx_cross_leverage);
+    # on this seeded Gaussian they exceed ceil(512 ln 512) = 3195, which is
+    # a typed error, not output
+    A = np.random.default_rng(0).standard_normal((512, 10))
+    path = write_fixture(tmp_path, A)
+    code = main(["cross", path, "--kappa", "nlogn", "--r2", "1",
+                 "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.fullmatch(r"error: heavy-pair count \d+ exceeds the kappa\*r "
+                        r"bound 3195\n", captured.err)
+
+
 @pytest.mark.parametrize("extra, msg", [
     (["--kappa", "inf"], "kappa must exceed 1 and be finite, got inf"),
     (["--kappa", "inf", "--exact-pairs"],
-     "kappa must exceed 1 and be finite, got inf"),
-    # only a plan that draws a stage rescales kappa: this one sketches
-    (["--kappa", "1e308", "--r1", "50"], "kappa 1e+308 is too large: the "
-     "rescaled kappa * ||X^T X||_F^2 / d overflowed")],
-    ids=["inf", "inf-exact", "overflow"])
+     "kappa must exceed 1 and be finite, got inf")],
+    ids=["inf", "inf-exact"])
 def test_cli_cross_kappa_out_of_range_exits_hard(tmp_path, capsys, rng,
                                                  extra, msg):
     path = write_fixture(tmp_path, rng.standard_normal((100, 3)))

@@ -601,6 +601,42 @@ def test_exact_plan_scans_only_behind_an_unclean_gram(monkeypatch, entry,
     assert len(scanned) == scans
 
 
+@pytest.mark.parametrize("entry, scans, raises", [
+    (None, 0, False),      # a clean Gram: A is not scanned
+    (np.nan, 1, True), (np.inf, 1, True), (-np.inf, 1, True),
+])
+@pytest.mark.parametrize("kind", ["sketch", "gram"])
+def test_rejected_pass_scans_only_behind_an_unclean_gram(monkeypatch, kind,
+                                                         entry, scans,
+                                                         raises):
+    # columns over four decades: the guard rejects the one pass, and
+    # CholeskyQR2 continues from it without scanning a PA whose Gram is
+    # clean; a NaN or infinite entry makes the Gram unclean, and the scan
+    # names it. The default plan takes the gram kind here
+    scanned = []
+    real = levscore.validate_matrix
+
+    def counting(a, *args, **kwargs):
+        scanned.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(levscore, "validate_matrix", counting)
+    A = np.random.default_rng(0).standard_normal((8192, 32))
+    A *= np.logspace(0, 4, 32)
+    if entry is not None:
+        A[1234, 5] = entry
+    if raises:
+        with pytest.raises(errors.NonFiniteEntry):
+            build_orthogonalizer(A, kind=kind)
+    elif kind == "gram":
+        plan = make_plan(*A.shape, 0.5)
+        assert plan.route == "gram"
+        assert approx_leverage(A, plan, None)[1].route == "cholesky_qr2"
+    else:
+        assert build_orthogonalizer(A, kind=kind).route == "cholesky_qr2"
+    assert len(scanned) == scans
+
+
 # ------------------------------------------------- guarded one-pass Cholesky
 
 def kappa_f(Rinv):
